@@ -421,13 +421,14 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         _COMMANDS[args.command](cfg)
-    except (ConfigError, FieldFormatError, GridError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # IncompatibleProblemError is a ValueError, so this clause goes first.
     except (SubproblemFailure, ForwardSolverError,
             IncompatibleProblemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, FieldFormatError, GridError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

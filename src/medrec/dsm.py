@@ -26,11 +26,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .forward import MeasurementSet, generate_measurements
 from .grid import BoundaryData, ScalarField, StaggeredGrid
+from .operators import diffusion_matrix, neumann_source
 
 # Tuning constants of the sampling stage (validated on the benchmark media).
 SAMPLING_MARGIN = 0.1        # probes/index restricted to this interior margin
@@ -105,17 +105,10 @@ class _ProbeFamily:
                  background_mu: float):
         n, h = grid.n, grid.h
         self.grid = grid
-        diff = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                        shape=(n - 1, n)) / h
-        gx = sp.kron(diff, sp.identity(n))
-        gy = sp.kron(sp.identity(n), diff)
-        operator = (background_sigma * (gx.T @ gx + gy.T @ gy)
-                    + background_mu * sp.identity(n * n)).tocsc()
+        operator = diffusion_matrix(np.full((n, n), background_sigma),
+                                    np.full((n, n), background_mu))
         # One source column per boundary face: value 1/h on the adjacent cell.
-        adj = np.concatenate([np.arange(n) * n, (n - 1) * n + np.arange(n),
-                              np.arange(n) * n + (n - 1), np.arange(n)])
-        sources = np.zeros((n * n, 4 * n))
-        sources[adj, np.arange(4 * n)] = 1.0 / h
+        sources = neumann_source(n).toarray()
         green = splu(operator).solve(sources)          # (n^2, 4n)
         stacked = green.reshape(n, n, 4 * n)
         self.mono = green

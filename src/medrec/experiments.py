@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .dsm import DEFAULT_THETA  # noqa: F401  (re-exported to cli, estimators)
 from .grid import BoundaryData, ScalarField, StaggeredGrid
 from .model import CoefficientPair
 
@@ -21,7 +22,6 @@ BACKGROUND_SIGMA = 1.0
 BACKGROUND_MU = 1.0
 BOX_LO = 0.5
 BOX_HI = 30.0
-DEFAULT_THETA = 0.55
 DEFAULT_C_PHI = 20.0
 
 _EDGE_TOL = 1e-12

@@ -5,21 +5,24 @@ Solves the five-point staggered discretization of
     -div(sigma grad u) + mu u = g_vol + (boundary flux h spread onto the
                                 boundary cell layer)
 
-by Jacobi-preconditioned conjugate gradients.  The solver exists only to
+by one sparse LU factorization of the assembled operator, bordered by a
+mean-zero constraint when mu == 0.  The solver exists only to
 manufacture Cauchy pairs (h, f); the reconstruction itself never calls
 it.  Data generation runs on a grid refined by an integer `oversample`
 and restricts back, so inversion never sees its own discretization.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .grid import (BoundaryData, ScalarField, StaggeredGrid, average_to_faces,
-                   boundary_trace, neumann_to_source, prolong_boundary,
-                   prolong_cells, restrict_cells, _require_same_grid)
+                   boundary_trace, divergence_to_cells, gradient_to_faces,
+                   neumann_to_source, prolong_boundary, prolong_cells,
+                   restrict_cells, _require_same_grid)
+from .operators import diffusion_matrix
 
 
 class IncompatibleProblemError(ValueError):
@@ -27,7 +30,7 @@ class IncompatibleProblemError(ValueError):
 
 
 class ForwardSolverError(RuntimeError):
-    """CG failed to reach the requested residual within the iteration cap."""
+    """The direct solve missed the requested relative residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -73,32 +76,19 @@ class MeasurementSet:
         return self.h.grid
 
 
-def _apply_operator(u: np.ndarray, sx: np.ndarray, sy: np.ndarray,
-                    mu: np.ndarray, h: float) -> np.ndarray:
-    """-div(sigma_face * grad u) + mu * u on raw arrays (zero-flux faces)."""
-    n = u.shape[0]
-    fx = np.zeros((n + 1, n))
-    fy = np.zeros((n, n + 1))
-    fx[1:n, :] = sx * (u[1:, :] - u[:-1, :]) / h
-    fy[:, 1:n] = sy * (u[:, 1:] - u[:, :-1]) / h
-    div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
-    return -div + mu * u
+def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
+    """Solve the staggered discretization by one sparse LU factorization.
 
-
-def solve_forward(problem: ForwardProblem, tol: float = 1e-10,
-                  max_iter: int | None = None) -> ScalarField:
-    """Solve the staggered discretization to a relative residual <= tol.
-
-    Raises IncompatibleProblemError for a pure-Neumann problem (mu == 0)
-    whose total source does not vanish, and ForwardSolverError (carrying
-    the last residual) if CG exhausts its iteration cap.
+    The solution is returned only if its relative residual, recomputed
+    through the matrix-free operators of grid.py, is <= tol.  Raises
+    IncompatibleProblemError for a pure-Neumann problem (mu == 0) whose
+    total source does not vanish, and ForwardSolverError (carrying the
+    residual) when the direct solve misses tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid
     n, h = grid.n, grid.h
-    if max_iter is None:
-        max_iter = 20 * n * n
 
     rhs_field = neumann_to_source(problem.neumann)
     if problem.volumetric_source is not None:
@@ -106,10 +96,6 @@ def solve_forward(problem: ForwardProblem, tol: float = 1e-10,
     b = rhs_field.values
 
     mu = problem.mu.values
-    faces = average_to_faces(problem.sigma)
-    sx = faces.x_values[1:n, :]
-    sy = faces.y_values[:, 1:n]
-
     pure_neumann = mu.max() == 0.0
     if pure_neumann:
         total = float(b.sum()) * h * h
@@ -119,46 +105,31 @@ def solve_forward(problem: ForwardProblem, tol: float = 1e-10,
             raise IncompatibleProblemError(
                 f"mu == 0 with nonzero net source ({total:.3e}); "
                 "the pure-Neumann problem has no solution")
-        # Gauge-fix the consistent singular system: keep everything mean-free.
         b = b - b.mean()
 
-    # Jacobi preconditioner: diagonal of the operator.
-    diag = mu.copy()
-    diag[:-1, :] += sx / h ** 2
-    diag[1:, :] += sx / h ** 2
-    diag[:, :-1] += sy / h ** 2
-    diag[:, 1:] += sy / h ** 2
-    diag = np.maximum(diag, 1e-300)
-
-    u = np.zeros_like(b)
-    r = b.copy()
-    b_norm = float(np.sqrt(np.vdot(b, b)))
-    if b_norm == 0.0:
-        return ScalarField(grid, u)
-    z = r / diag
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    res = 1.0
-    for _ in range(max_iter):
-        ap = _apply_operator(p, sx, sy, mu, h)
-        alpha = rz / float(np.vdot(p, ap))
-        u += alpha * p
-        r -= alpha * ap
-        res = float(np.sqrt(np.vdot(r, r))) / b_norm
-        if res <= tol:
-            break
-        z = r / diag
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
-        raise ForwardSolverError(
-            f"CG stalled at relative residual {res:.3e} after {max_iter} iterations",
-            residual=res)
-
+    if not np.any(b):
+        return ScalarField.zeros(grid)
+    matrix = diffusion_matrix(problem.sigma.values, mu)
+    rhs = b.ravel()
     if pure_neumann:
-        u -= u.mean()
-    return ScalarField(grid, u)
+        # Gauge: border the singular operator with the mean-zero constraint.
+        ones = sp.csc_matrix(np.ones((n * n, 1)))
+        matrix = sp.bmat([[matrix, ones], [ones.T, None]], format="csc")
+        rhs = np.append(rhs, 0.0)
+    # The operator is symmetric: minimum degree on A^T + A gives about
+    # half the LU fill of the default COLAMD ordering.
+    x = splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    u = ScalarField(grid, x[:n * n].reshape(n, n))
+
+    # Verify through the independent matrix-free operators of grid.py.
+    flux = average_to_faces(problem.sigma) * gradient_to_faces(u)
+    r = problem.mu * u - divergence_to_cells(flux)
+    res = float(np.linalg.norm(r.values - b) / np.linalg.norm(b))
+    if not res <= tol:
+        raise ForwardSolverError(
+            f"direct solve reached relative residual {res:.3e} > tol {tol:.1e}",
+            residual=res)
+    return u
 
 
 EXCITATION_AMPLITUDE = 200.0
@@ -187,15 +158,6 @@ def default_excitations(grid: StaggeredGrid, count: int = 1,
     return out
 
 
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get("MEDREC_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, n_tasks)
-
-
 def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
                           excitations: list[BoundaryData], oversample: int = 2,
                           tol: float = 1e-10) -> list[MeasurementSet]:
@@ -214,15 +176,11 @@ def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
     sigma_f = prolong_cells(true_sigma, oversample)
     mu_f = prolong_cells(true_mu, oversample)
 
-    def solve_one(h_coarse: BoundaryData) -> MeasurementSet:
+    sets = []
+    for h_coarse in excitations:
         _require_same_grid(true_sigma, h_coarse)
         h_fine = prolong_boundary(h_coarse, oversample)
         u_fine = solve_forward(ForwardProblem(sigma_f, mu_f, h_fine), tol=tol)
         u_coarse = restrict_cells(u_fine, oversample)
-        return MeasurementSet(h=h_coarse.copy(), f=boundary_trace(u_coarse))
-
-    workers = _max_workers(len(excitations))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_one, excitations))
-    return [solve_one(h) for h in excitations]
+        sets.append(MeasurementSet(h=h_coarse.copy(), f=boundary_trace(u_coarse)))
+    return sets

@@ -35,6 +35,7 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
+from .operators import face_average, face_gradient, trace
 from .regularization import (RegConfig, box_feasible, eval_phi_smooth,
                              prox_l1_box, bregman_distance, smooth_grad_phi)
 
@@ -115,28 +116,6 @@ class ReconstructionReport:
 # State subproblem: assembled sparse normal equations, one factor per q
 # ---------------------------------------------------------------------------
 
-def _difference_matrix(n: int) -> sp.csr_matrix:
-    body = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n), format="csr")
-    return body
-
-
-def _averaging_matrix(n: int) -> sp.csr_matrix:
-    return sp.diags([0.5 * np.ones(n - 1), 0.5 * np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n), format="csr")
-
-
-def _trace_matrix(n: int) -> sp.csr_matrix:
-    rows = np.arange(4 * n)
-    cols = np.concatenate([
-        np.arange(n) * n,                 # bottom: u[i, 0]
-        (n - 1) * n + np.arange(n),       # right:  u[n-1, j]
-        np.arange(n) * n + (n - 1),       # top:    u[i, n-1]
-        np.arange(n),                     # left:   u[0, j]
-    ])
-    return sp.csr_matrix((np.ones(4 * n), (rows, cols)), shape=(4 * n, n * n))
-
-
 def pack_state(v: StatePair) -> np.ndarray:
     n = v.u.grid.n
     return np.concatenate([v.u.values.ravel(),
@@ -163,24 +142,16 @@ class _StateSolver:
         grid = q.sigma.grid
         n, h = grid.n, grid.h
         self.grid = grid
-        eye_u = sp.identity(n * n, format="csr")
-        diff = _difference_matrix(n)
-        avg = _averaging_matrix(n)
-        gx = sp.kron(diff, sp.identity(n), format="csr") / h
-        gy = sp.kron(sp.identity(n), diff, format="csr") / h
-        sx = (sp.kron(avg, sp.identity(n), format="csr") @ q.sigma.values.ravel())
-        sy = (sp.kron(sp.identity(n), avg, format="csr") @ q.sigma.values.ravel())
+        gx, gy = face_gradient(n)
+        ax, ay = face_average(n)
+        sx = ax @ q.sigma.values.ravel()
+        sy = ay @ q.sigma.values.ravel()
         nf = (n - 1) * n
         eye_f = sp.identity(nf, format="csr")
-        zero_ff = sp.csr_matrix((nf, nf))
-        zero_bf = sp.csr_matrix((4 * n, nf))
-        trace = _trace_matrix(n)
-
-        row_cell = sp.hstack([sp.diags(q.mu.values.ravel()), gx.T, gy.T])
-        row_fx = sp.hstack([-sp.diags(sx) @ gx, eye_f, zero_ff])
-        row_fy = sp.hstack([-sp.diags(sy) @ gy, zero_ff, eye_f])
-        row_bd = sp.hstack([trace, zero_bf, zero_bf])
-        m_mat = sp.vstack([row_cell, row_fx, row_fy, row_bd], format="csr")
+        m_mat = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
+                         [-sp.diags(sx) @ gx, eye_f, None],
+                         [-sp.diags(sy) @ gy, None, eye_f],
+                         [trace(n), None, None]], format="csr")
 
         w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
                             np.full(4 * n, h)])
@@ -533,6 +504,9 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             solver = _StateSolver(coeffs)
             new_states = [solver.solve(g, m.f)
                           for g, m in zip(sources, measurements)]
+            # Free this factor now, so that the next iteration's
+            # factorization does not run while it is still held.
+            del solver
         except RuntimeError as exc:
             failure = SubproblemFailure(f"state solve failed: {exc}")
             failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)

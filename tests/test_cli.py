@@ -143,3 +143,11 @@ def test_unknown_example_is_config_error(tmp_path):
     # argparse catches bad choices itself; a bad geometry path maps to exit 2
     assert run_cli("generate", "--geometry", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == 2
+
+
+def test_incompatible_pure_neumann_geometry_is_numerical_failure(tmp_path):
+    # mu == 0 with the default influx has no solution: exit 3, not 2
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nname=no_absorption\nmu_bg=0.0\n")
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
+                   "--out", str(tmp_path / "o")) == 3

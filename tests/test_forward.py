@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from medrec.forward import (ForwardProblem, IncompatibleProblemError,
-                            MeasurementSet, default_excitations,
-                            generate_measurements, solve_forward)
+from medrec.forward import (ForwardProblem, ForwardSolverError,
+                            IncompatibleProblemError, MeasurementSet,
+                            default_excitations, generate_measurements,
+                            solve_forward)
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
                          boundary_trace, cell_norm)
 from medrec.experiments import make_example
@@ -59,6 +60,14 @@ def test_pure_neumann_compatibility():
     h = BoundaryData.from_sides(grid, 0.0, -1.0, 0.0, 1.0)
     u = solve_forward(constant_problem(grid, mu=0.0, h=h))
     assert abs(u.values.mean()) < 1e-12
+
+
+def test_residual_gate_rejects_unreachable_tolerance():
+    grid = StaggeredGrid(8)
+    with pytest.raises(ForwardSolverError) as info:
+        solve_forward(constant_problem(grid, g=ScalarField.constant(grid, 1.0)),
+                      tol=1e-30)
+    assert np.isfinite(info.value.residual) and info.value.residual > 1e-30
 
 
 def test_maximum_principle_sanity():
