@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsm
+from .estimators import DirectSamplingLocator
 from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
                           DEFAULT_C_PHI, DEFAULT_THETA, ExampleSpec,
                           FieldFormatError, RingInclusion, SquareInclusion,
@@ -251,27 +251,17 @@ def cmd_dsm(cfg: RunConfig) -> None:
     out = _outdir(cfg)
     sets = _load_measurements(out)
     grid = sets[0].grid
-    reference = dsm.homogeneous_reference(spec.sigma_background,
-                                          spec.mu_background,
-                                          [m.h for m in sets],
-                                          oversample=cfg.oversample)
-    delta = dsm.scattered_data(sets, reference)
-    index = dsm.compute_index(delta, grid)
-    mask_sigma = dsm.threshold_subdomain(index.phi_sigma, cfg.theta)
-    mask_mu = dsm.threshold_subdomain(index.phi_mu, cfg.theta)
-    init_sigma = dsm.build_initial_guess(index.phi_sigma, mask_sigma,
-                                         cfg.cphi, spec.sigma_background)
-    init_mu = dsm.build_initial_guess(index.phi_mu, mask_mu,
-                                      cfg.cphi, spec.mu_background)
-    clip = lambda f: ScalarField(grid, np.clip(f.values, BOX_LO, BOX_HI))
-    serialize_field(index.phi_sigma, out / "phi_sigma.field")
-    serialize_field(index.phi_mu, out / "phi_mu.field")
-    serialize_field(ScalarField(grid, mask_sigma.mask.astype(float)),
+    loc = DirectSamplingLocator(spec.sigma_background, spec.mu_background,
+                                cfg.theta, cfg.cphi, cfg.cphi,
+                                cfg.oversample).fit(sets)
+    serialize_field(loc.index_sigma_, out / "phi_sigma.field")
+    serialize_field(loc.index_mu_, out / "phi_mu.field")
+    serialize_field(ScalarField(grid, loc.mask_sigma_.mask.astype(float)),
                     out / "mask_sigma.field")
-    serialize_field(ScalarField(grid, mask_mu.mask.astype(float)),
+    serialize_field(ScalarField(grid, loc.mask_mu_.mask.astype(float)),
                     out / "mask_mu.field")
-    serialize_field(clip(init_sigma), out / "init_sigma.field")
-    serialize_field(clip(init_mu), out / "init_mu.field")
+    serialize_field(loc.initial_sigma_, out / "init_sigma.field")
+    serialize_field(loc.initial_mu_, out / "init_mu.field")
     print(f"dsm: wrote index fields, masks and initial guesses to {out}")
 
 
@@ -351,17 +341,7 @@ def cmd_render(cfg: RunConfig) -> None:
     count = 0
     for path in field_paths:
         obj = deserialize_field(path)
-        target = path.with_suffix(".pgm")
-        if isinstance(obj, ScalarField):
-            render_pgm(obj, target)
-        else:  # boundary data: single-row image
-            vals = obj.values
-            lo, hi = float(vals.min()), float(vals.max())
-            scaled = (vals - lo) / (hi - lo) * 65535.0 if hi > lo \
-                else np.zeros_like(vals)
-            with open(target, "wb") as fh:
-                fh.write(f"P5\n{vals.size} 1\n65535\n".encode("ascii"))
-                fh.write(np.round(scaled).astype(">u2").tobytes())
+        render_pgm(obj, path.with_suffix(".pgm"))
         count += 1
     print(f"render: wrote {count} PGM image(s) to {out}")
 

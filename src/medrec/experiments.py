@@ -338,11 +338,12 @@ def deserialize_field(path):
     return BoundaryData(grid, np.array(values))
 
 
-def render_pgm(fld: ScalarField, path) -> None:
-    """Render a scalar field as a 16-bit binary PGM (P5) image.
+def render_pgm(fld: ScalarField | BoundaryData, path) -> None:
+    """Render a field as a 16-bit binary PGM (P5) image.
 
     [min, max] maps linearly onto [0, 65535]; a constant field renders
-    as a uniform image.  Row zero of the image is the top of the domain.
+    as a uniform image.  A scalar field's row zero is the top of the
+    domain; boundary data renders as one row of 4n pixels.
     """
     vals = fld.values
     lo, hi = float(vals.min()), float(vals.max())
@@ -351,7 +352,10 @@ def render_pgm(fld: ScalarField, path) -> None:
     else:
         scaled = np.zeros_like(vals)
     pixels = np.round(scaled).astype(">u2")
-    image = pixels.T[::-1, :]     # rows top-to-bottom, columns left-to-right
+    if isinstance(fld, BoundaryData):
+        image = pixels[np.newaxis, :]
+    else:
+        image = pixels.T[::-1, :]  # rows top-to-bottom, columns left-to-right
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode("ascii"))
         fh.write(image.tobytes())

@@ -9,15 +9,20 @@ Each outer iteration solves two convex subproblems:
     the reported residual is recomputed through the matrix-free normal
     operator from the model module, keeping the two routes independent.
 
-  * coefficient block: sigma and mu decouple and are each minimized by a
-    proximal-gradient iteration (step 1/L with L from power iteration
-    plus a 5% safety margin), accelerated with strong-convexity momentum
-    and a monotone best-iterate safeguard so the functional can only
-    descend.  The closed-form prox handles the L1 term and the box.
+  * coefficient block: sigma and mu decouple and each is a linear
+    least-squares problem plus the L1/H1/box penalty.  Its misfit matrix
+    and Hessian are assembled sparse once per outer iteration, and the
+    minimization runs on raw cell arrays: a proximal-gradient iteration
+    (step 1/L with L from power iteration plus a 5% safety margin),
+    accelerated with strong-convexity momentum and a monotone
+    best-iterate safeguard so the functional can only descend.  The
+    closed-form prox handles the L1 term and the box.
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
-after the fact.
+after the fact.  Every term of that certificate (J, the decrements, the
+misfit gradients and the Bregman distances) is evaluated matrix-free,
+independently of the assembled coefficient block.
 """
 
 import math
@@ -29,19 +34,20 @@ from scipy.sparse.linalg import splu
 
 from .forward import MeasurementSet
 from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
-                   average_to_faces_adjoint, boundary_inner, boundary_trace,
-                   cell_inner, cell_norm, divergence_to_cells, face_inner,
+                   boundary_inner, boundary_trace, cell_inner, face_inner,
                    gradient_to_faces)
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
 from .operators import face_average, face_gradient, trace
-from .regularization import (RegConfig, box_feasible, eval_phi_smooth,
-                             prox_l1_box, bregman_distance, smooth_grad_phi)
+from .regularization import (RegConfig, box_feasible, bregman_distance,
+                             prox_l1_box, prox_l1_box_array)
 
 POWER_ITERATIONS = 20
 POWER_SAFETY_MARGIN = 0.05
 _POWER_SEED = 1234
+STAGNATION_RTOL = 1e-12      # flat functional, relative to 1 + J0
+FINAL_INNER_CAP = 10000      # inner iterations of the last coefficient solve
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_STAGNATION = "stagnation"
@@ -70,8 +76,6 @@ class AdiConfig:
     update_sigma: bool = True
     update_mu: bool = True
     stop_on_stagnation: bool = False
-    stagnation_rtol: float = 1e-12
-    final_inner_cap: int = 10000
 
     def __post_init__(self):
         if self.max_outer < 1:
@@ -172,14 +176,11 @@ class _StateSolver:
 
 
 def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
-                           cfg: AdiConfig, warm_start: StatePair | None = None
-                           ) -> StatePair:
+                           cfg: AdiConfig) -> StatePair:
     """Minimize the state block for fixed coefficients, one excitation.
 
-    The direct factorization makes the warm start irrelevant for the
-    result; the argument stays for interface symmetry with iterative
-    replacements.  Raises SubproblemFailure when the verified
-    normal-equation residual misses cfg.state_tol.
+    Raises SubproblemFailure when the verified normal-equation residual
+    misses cfg.state_tol.
     """
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
@@ -197,113 +198,82 @@ def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
 # ---------------------------------------------------------------------------
 
 class _CoefficientProblem:
-    """Smooth part (misfit + H1) of one coefficient's subproblem."""
+    """One coefficient's subproblem on raveled (n*n,) cell arrays.
 
-    def __init__(self, grad_misfit, hess_misfit, val_misfit, reg: RegConfig,
-                 grid: StaggeredGrid):
-        self._grad_misfit = grad_misfit
-        self._hess_misfit = hess_misfit
-        self._val_misfit = val_misfit
+    With the states fixed the misfit is linear least squares in q, so the
+    smooth part h^2 (||B q - t||^2 + alpha/2 (||G q||^2 + ||q||^2)) has the
+    constant Hessian 2 B^T B + alpha (G^T G + I) in the h^2-weighted cell
+    product; it is assembled once.  The L1 term and the box go to the prox.
+    """
+
+    def __init__(self, b_mat: sp.csr_matrix, target: np.ndarray,
+                 reg: RegConfig, n: int):
+        gx, gy = face_gradient(n)
         self.reg = reg
-        self.grid = grid
+        self.n = n
+        self.h = 1.0 / n
+        self._b = b_mat
+        self._t = target
+        self._g = sp.vstack([gx, gy], format="csr")
+        self.hess = (2.0 * (b_mat.T @ b_mat) + reg.alpha * (
+            self._g.T @ self._g + sp.identity(n * n))).tocsr()
+        self._shift = 2.0 * (b_mat.T @ target)
 
-    def smooth_grad(self, q: ScalarField) -> ScalarField:
-        return self._grad_misfit(q) + smooth_grad_phi(q, self.reg)
+    def smooth_grad(self, q: np.ndarray) -> np.ndarray:
+        return self.hess @ q - self._shift
 
-    def hess_apply(self, s: ScalarField) -> ScalarField:
-        lap = divergence_to_cells(gradient_to_faces(s))
-        h1 = ScalarField(s.grid, self.reg.alpha * (-lap.values + s.values))
-        return self._hess_misfit(s) + h1
-
-    def total_value(self, q: ScalarField) -> float:
-        l1 = self.reg.beta * self.grid.h ** 2 * float(np.abs(q.values).sum())
-        return self._val_misfit(q) + eval_phi_smooth(q, self.reg) + l1
-
-
-def _sigma_problem(states, reg: RegConfig, grid) -> _CoefficientProblem:
-    grads_u = [gradient_to_faces(v.u) for v in states]
-    fluxes = [v.p for v in states]
-
-    def residual(sig):
-        s_face = average_to_faces(sig)
-        return [FluxField(grid, p.x_values - s_face.x_values * gu.x_values,
-                          p.y_values - s_face.y_values * gu.y_values)
-                for gu, p in zip(grads_u, fluxes)]
-
-    def val(sig):
-        return sum(face_inner(r, r) for r in residual(sig))
-
-    def grad(sig):
-        out = np.zeros((grid.n, grid.n))
-        for gu, r in zip(grads_u, residual(sig)):
-            weighted = FluxField(grid, gu.x_values * r.x_values,
-                                 gu.y_values * r.y_values)
-            out -= 2.0 * average_to_faces_adjoint(weighted).values
-        return ScalarField(grid, out)
-
-    def hess(s):
-        out = np.zeros((grid.n, grid.n))
-        s_face = average_to_faces(s)
-        for gu in grads_u:
-            weighted = FluxField(grid,
-                                 gu.x_values ** 2 * s_face.x_values,
-                                 gu.y_values ** 2 * s_face.y_values)
-            out += 2.0 * average_to_faces_adjoint(weighted).values
-        return ScalarField(grid, out)
-
-    return _CoefficientProblem(grad, hess, val, reg, grid)
+    def total_value(self, q: np.ndarray) -> float:
+        # Residual form: expanding the quadratic would cancel digits.
+        r = self._b @ q - self._t
+        gq = self._g @ q
+        return float(self.h ** 2 * (r @ r + 0.5 * self.reg.alpha * (gq @ gq + q @ q)
+                                    + self.reg.beta * np.abs(q).sum()))
 
 
-def _mu_problem(states, sources, reg: RegConfig, grid) -> _CoefficientProblem:
-    us = [v.u for v in states]
-    consts = [(-divergence_to_cells(v.p).values - g.values)
-              for v, g in zip(states, sources)]
-
-    def val(mu):
-        total = 0.0
-        for u, c in zip(us, consts):
-            r = c + mu.values * u.values
-            total += grid.h ** 2 * float(np.vdot(r, r))
-        return total
-
-    def grad(mu):
-        out = np.zeros((grid.n, grid.n))
-        for u, c in zip(us, consts):
-            out += 2.0 * u.values * (c + mu.values * u.values)
-        return ScalarField(grid, out)
-
-    def hess(s):
-        out = np.zeros((grid.n, grid.n))
-        for u in us:
-            out += 2.0 * u.values ** 2 * s.values
-        return ScalarField(grid, out)
-
-    return _CoefficientProblem(grad, hess, val, reg, grid)
+def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
+    """Flux residual p - sigma_face grad u = t - B sigma on interior faces."""
+    gx, gy = face_gradient(n)
+    ax, ay = face_average(n)
+    blocks, targets = [], []
+    for v in states:
+        u = v.u.values.ravel()
+        blocks += [sp.diags(gx @ u) @ ax, sp.diags(gy @ u) @ ay]
+        targets += [v.p.x_values[1:n, :].ravel(), v.p.y_values[:, 1:n].ravel()]
+    return _CoefficientProblem(sp.vstack(blocks, format="csr"),
+                               np.concatenate(targets), reg, n)
 
 
-def _power_iteration(problem: _CoefficientProblem, grid: StaggeredGrid) -> float:
-    rng = np.random.default_rng(_POWER_SEED)
-    x = ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
+def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
+    """Divergence residual -div p + mu u - g = B mu - t, div p = -G^T p."""
+    gx, gy = face_gradient(n)
+    b_mat = sp.vstack([sp.diags(v.u.values.ravel()) for v in states], format="csr")
+    target = np.concatenate([
+        g.values.ravel() - gx.T @ v.p.x_values[1:n, :].ravel()
+        - gy.T @ v.p.y_values[:, 1:n].ravel()
+        for v, g in zip(states, sources)])
+    return _CoefficientProblem(b_mat, target, reg, n)
+
+
+def _power_iteration(hess: sp.csr_matrix) -> float:
+    x = np.random.default_rng(_POWER_SEED).standard_normal(hess.shape[0])
     lam = 0.0
     for _ in range(POWER_ITERATIONS):
-        y = problem.hess_apply(x)
-        xx = cell_inner(x, x)
-        if xx == 0.0:
-            return 0.0
-        lam = cell_inner(y, x) / xx
-        y_norm = cell_norm(y)
+        y = hess @ x
+        lam = (y @ x) / (x @ x)
+        y_norm = np.linalg.norm(y)
         if y_norm == 0.0:
             return 0.0
-        x = y * (1.0 / y_norm)
+        x = y / y_norm
     return float(lam)
 
 
-def _fixed_point_residual(problem: _CoefficientProblem, q: ScalarField,
+def _fixed_point_residual(problem: _CoefficientProblem, q: np.ndarray,
                           tau: float) -> float:
     reg = problem.reg
-    step = q - tau * problem.smooth_grad(q)
-    z = prox_l1_box(step, tau * reg.beta, reg.q_lo, reg.q_hi)
-    return cell_norm(q - z) / (1.0 + cell_norm(q))
+    z = prox_l1_box_array(q - tau * problem.smooth_grad(q),
+                          tau * reg.beta, reg.q_lo, reg.q_hi)
+    h = problem.h
+    return h * float(np.linalg.norm(q - z)) / (1.0 + h * float(np.linalg.norm(q)))
 
 
 def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
@@ -315,12 +285,12 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
     (clipped) warm start, which is what the outer descent relies on.
     """
     reg = problem.reg
-    lam = _power_iteration(problem, problem.grid)
+    lam = _power_iteration(problem.hess)
     lam = max(lam, 1e-12)
     l_eff = (1.0 + POWER_SAFETY_MARGIN) * lam
     tau = 1.0 / l_eff
 
-    x = prox_l1_box(warm, 0.0, reg.q_lo, reg.q_hi)   # clip into the box
+    x = prox_l1_box(warm, 0.0, reg.q_lo, reg.q_hi).values.ravel()  # clip into the box
     fx = problem.total_value(x)
     best, f_best = x, fx
     y = x
@@ -336,8 +306,8 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
     converged = False
     for j in range(inner_max):
         iterations += 1
-        z = prox_l1_box(y - tau * problem.smooth_grad(y),
-                        tau * reg.beta, reg.q_lo, reg.q_hi)
+        z = prox_l1_box_array(y - tau * problem.smooth_grad(y),
+                              tau * reg.beta, reg.q_lo, reg.q_hi)
         fz = problem.total_value(z)
         if fz <= f_best:
             best, f_best = z, fz
@@ -357,7 +327,9 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
                 break
 
     residual = _fixed_point_residual(problem, best, tau)
-    return best, residual, iterations, converged or residual <= tol
+    n = problem.n
+    return (ScalarField(warm.grid, best.reshape(n, n)), residual, iterations,
+            converged or residual <= tol)
 
 
 @dataclass
@@ -381,7 +353,7 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     """
     if not states:
         raise ValueError("at least one state pair is required")
-    grid = warm_start.sigma.grid
+    n = warm_start.sigma.grid.n
     cap = cfg.coeff_inner_max if inner_max is None else inner_max
 
     sigma, mu = warm_start.sigma, warm_start.mu
@@ -389,13 +361,13 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     iters = 0
     converged = True
     if cfg.update_sigma:
-        prob = _sigma_problem(states, cfg.reg_sigma, grid)
+        prob = _sigma_problem(states, cfg.reg_sigma, n)
         sigma, fp_sigma, it, ok = _solve_one_coefficient(
             prob, warm_start.sigma, cap, cfg.coeff_tol)
         iters = max(iters, it)
         converged &= ok
     if cfg.update_mu:
-        prob = _mu_problem(states, sources, cfg.reg_mu, grid)
+        prob = _mu_problem(states, sources, cfg.reg_mu, n)
         mu, fp_mu, it, ok = _solve_one_coefficient(
             prob, warm_start.mu, cap, cfg.coeff_tol)
         iters = max(iters, it)
@@ -455,9 +427,9 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     The state starts from zero, so j_history[0] is the functional of the
     raw data against the initial coefficients.  Runs cfg.max_outer
     alternations (the final coefficient solve gets the larger
-    final_inner_cap so the exit iterate satisfies its own fixed-point
+    FINAL_INNER_CAP so the exit iterate satisfies its own fixed-point
     tolerance); with stop_on_stagnation the loop exits early once the
-    functional is flat to stagnation_rtol * (1 + J0).
+    functional is flat to STAGNATION_RTOL * (1 + J0).
     """
     if isinstance(measurements, MeasurementSet):
         measurements = [measurements]
@@ -527,7 +499,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
         # -- coefficient half-step -------------------------------------------
         last = k == cfg.max_outer - 1
-        cap = max(cfg.coeff_inner_max, cfg.final_inner_cap) if last \
+        cap = max(cfg.coeff_inner_max, FINAL_INNER_CAP) if last \
             else cfg.coeff_inner_max
         update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
                                               inner_max=cap)
@@ -551,9 +523,9 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         # coefficient block no longer moves.  The first iteration compares
         # against the post-state value (the zero-state J_0 is an artifact
         # of the cold start, so a restart from a minimizer stops here).
-        flat_outer = abs(j_history[-1] - j_new) <= cfg.stagnation_rtol * (1.0 + j0)
-        flat_inner = abs(j_after_state[-1] - j_new) <= cfg.stagnation_rtol * (1.0 + j0)
-        coeff_still = dq_terms[-1] <= cfg.stagnation_rtol * (1.0 + j0)
+        flat_outer = abs(j_history[-1] - j_new) <= STAGNATION_RTOL * (1.0 + j0)
+        flat_inner = abs(j_after_state[-1] - j_new) <= STAGNATION_RTOL * (1.0 + j0)
+        coeff_still = dq_terms[-1] <= STAGNATION_RTOL * (1.0 + j0)
         stagnated = flat_inner and coeff_still and (flat_outer or k == 0)
         j_history.append(j_new)
         if cfg.stop_on_stagnation and stagnated:

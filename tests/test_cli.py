@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from medrec.cli import main, parse_geometry_file
-from medrec.experiments import deserialize_field
+from medrec.experiments import deserialize_field, serialize_field
+from medrec.grid import BoundaryData, StaggeredGrid
 
 
 def run_cli(*args):
@@ -101,6 +102,18 @@ def test_render_emits_one_pgm_per_field(generated_dir):
     fields = sorted(generated_dir.glob("*.field"))
     for f in fields:
         assert f.with_suffix(".pgm").exists()
+
+
+def test_render_boundary_data_as_one_row(tmp_path):
+    grid = StaggeredGrid(4)
+    values = np.arange(16.0)[::-1] - 3.0
+    serialize_field(BoundaryData(grid, values), tmp_path / "meas_000_f.field")
+    assert run_cli("render", "--out", str(tmp_path)) == 0
+    raw = (tmp_path / "meas_000_f.pgm").read_bytes()
+    header = b"P5\n16 1\n65535\n"
+    assert raw.startswith(header)
+    # [min, max] -> [0, 65535] in 15 equal steps of 4369, big-endian
+    assert raw[len(header):] == (4369 * np.arange(16)[::-1]).astype(">u2").tobytes()
 
 
 def test_config_file_and_flag_override(tmp_path):

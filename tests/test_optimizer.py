@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
                          average_to_faces, gradient_to_faces)
-from medrec.model import (CoefficientPair, StatePair, eval_J,
-                          sources_from_measurements, state_normal_apply,
-                          state_normal_residual)
-from medrec.optimizer import (AdiConfig, _StateSolver, adi_reconstruct,
+from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
+                          eval_J, misfit_value, sources_from_measurements,
+                          state_normal_apply, state_normal_residual)
+from medrec.optimizer import (AdiConfig, _StateSolver, _mu_problem,
+                              _sigma_problem, adi_reconstruct,
                               bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
-from medrec.regularization import RegConfig
+from medrec.regularization import RegConfig, eval_phi_smooth, smooth_grad_phi
 from medrec.experiments import make_example
 from conftest import random_admissible_flux, random_scalar
 
@@ -44,6 +46,47 @@ def test_assembled_matches_matrix_free(rng):
         assembled = solver._m.T @ (solver._w * (solver._m @ x))
         free = pack_state(state_normal_apply(q, v)) * grid.h ** 2
         assert np.allclose(assembled, free, rtol=1e-12, atol=1e-12)
+
+
+def assert_rel_close(actual, reference, rtol=1e-12):
+    np.testing.assert_allclose(actual, reference, rtol=0,
+                               atol=rtol * np.abs(reference).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=24),
+       excitations=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       beta=st.floats(min_value=0.0, max_value=1.0))
+def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
+                                                     alpha, beta):
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    states = [StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
+              for _ in range(excitations)]
+    sources = [random_scalar(grid, rng) for _ in range(excitations)]
+    reg = RegConfig(alpha, beta, 0.5, 30.0)
+    q = CoefficientPair(ScalarField(grid, 0.5 + 29.5 * rng.random((n, n))),
+                        ScalarField(grid, 0.5 + 29.5 * rng.random((n, n))))
+    problems = (_sigma_problem(states, reg, n), _mu_problem(states, sources, reg, n))
+    fields = (q.sigma, q.mu)
+
+    grads = [coefficient_misfit_gradients(v, q, g) for v, g in zip(states, sources)]
+    for k, (problem, fld) in enumerate(zip(problems, fields)):
+        free = sum(gr[k].values for gr in grads) + smooth_grad_phi(fld, reg).values
+        x = fld.values.ravel()
+        assert_rel_close(problem.smooth_grad(x), free.ravel())
+        s = rng.standard_normal(n * n)
+        assert_rel_close(problem.hess @ s,
+                         problem.smooth_grad(x + s) - problem.smooth_grad(x))
+
+    # sigma and mu split the misfit between them: flux and divergence parts
+    assembled = sum(p.total_value(f.values.ravel()) for p, f in zip(problems, fields))
+    free = sum(misfit_value(v, q, g) for v, g in zip(states, sources)) \
+        + sum(eval_phi_smooth(f, reg) + beta * grid.h ** 2 * np.abs(f.values).sum()
+              for f in fields)
+    assert abs(assembled - free) <= 1e-12 * abs(free)
 
 
 def test_state_subproblem_zero_data_gives_zero(grid16):
