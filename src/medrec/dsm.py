@@ -6,7 +6,9 @@ boundary: discrete Green's functions of the background medium (monopole,
 sensitive to absorption-type scatterers) and their spatial gradients
 (dipole, sensitive to diffusion-type scatterers).  All monopole probes
 come from a single sparse factorization of the background operator, one
-adjoint solve per boundary face.
+adjoint solve per boundary face.  With positive background coefficients
+that operator is symmetric positive definite, so it is factorized
+pivot-free under a symmetric minimum-degree ordering (operators.SPD_LU).
 
 Because the two families are far from orthogonal on the boundary, the
 raw normalized pairings alone mislocate whichever coefficient carries
@@ -30,7 +32,7 @@ from scipy.sparse.linalg import splu
 
 from .forward import MeasurementSet, generate_measurements
 from .grid import BoundaryData, ScalarField, StaggeredGrid
-from .operators import diffusion_matrix, neumann_source
+from .operators import SPD_LU, diffusion_matrix, neumann_source
 
 # Tuning constants of the sampling stage (validated on the benchmark media).
 SAMPLING_MARGIN = 0.1        # probes/index restricted to this interior margin
@@ -107,9 +109,10 @@ class _ProbeFamily:
         self.grid = grid
         operator = diffusion_matrix(np.full((n, n), background_sigma),
                                     np.full((n, n), background_mu))
-        # One source column per boundary face: value 1/h on the adjacent cell.
-        sources = neumann_source(n).toarray()
-        green = splu(operator).solve(sources)          # (n^2, 4n)
+        # One source column per boundary face: value 1/h on the adjacent
+        # cell.  The dense (n^2, 4n) block is a temporary, so it is freed
+        # before the gradients below allocate theirs.
+        green = splu(operator, **SPD_LU).solve(neumann_source(n).toarray())
         stacked = green.reshape(n, n, 4 * n)
         self.mono = green
         self.dip_x = np.gradient(stacked, h, axis=0).reshape(n * n, 4 * n)
@@ -297,6 +300,8 @@ def compute_index(delta_f: list[BoundaryData], sampling_grid: StaggeredGrid,
     dipole response; a family absent from every excitation comes back
     identically zero.
     """
+    if background_sigma <= 0 or background_mu <= 0:
+        raise ValueError("background coefficients must be positive")
     if not delta_f:
         raise EmptyDataError("no scattered data supplied")
     if all(np.abs(d.values).max() == 0.0 for d in delta_f):

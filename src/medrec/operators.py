@@ -9,6 +9,14 @@ Boundary vectors use the 4n ordering of grid.BoundaryData.
 import numpy as np
 import scipy.sparse as sp
 
+# splu(A, **SPD_LU) for the SPD matrices built from these maps (the state
+# block's normal matrix, the probe family's background operator): minimum
+# degree on A^T + A, diagonal pivots only.  For an SPD matrix that is
+# Cholesky up to a diagonal scaling, so it is stable without pivoting;
+# partial pivoting would discard the symmetric ordering and multiply the fill.
+SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+
 
 def _two_point(n: int, left: float, right: float) -> sp.csr_matrix:
     """(n-1) x n map u -> left * u[k] + right * u[k+1]."""

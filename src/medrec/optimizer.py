@@ -3,11 +3,14 @@
 Each outer iteration solves two convex subproblems:
 
   * state block: a linear-quadratic problem in (u, p) per excitation,
-    solved through its normal equations.  The normal matrix is assembled
-    sparse once per outer iteration (it depends only on the current
-    coefficients) and factorized, so every excitation reuses the factor;
-    the reported residual is recomputed through the matrix-free normal
-    operator from the model module, keeping the two routes independent.
+    solved through its normal equations.  The normal matrix M^T W M is
+    assembled sparse once per outer iteration (it depends only on the
+    current coefficients) and, being symmetric positive definite (M has
+    full column rank), factorized pivot-free under a symmetric
+    minimum-degree ordering (operators.SPD_LU), so every excitation
+    reuses the factor; the reported residual is recomputed through the
+    matrix-free normal operator from the model module, keeping the two
+    routes independent.  A zero pivot raises SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
     least-squares problem plus the L1/H1/box penalty.  Its misfit matrix
@@ -39,7 +42,7 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
-from .operators import face_average, face_gradient, trace
+from .operators import SPD_LU, face_average, face_gradient, trace
 from .regularization import (RegConfig, box_feasible, bregman_distance,
                              prox_l1_box, prox_l1_box_array)
 
@@ -161,8 +164,14 @@ class _StateSolver:
                             np.full(4 * n, h)])
         self._m = m_mat
         self._w = w
-        normal = (m_mat.T @ sp.diags(w) @ m_mat).tocsc()
-        self._lu = splu(normal)
+        try:
+            self._lu = splu(self.normal_matrix(), **SPD_LU)
+        except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
+            raise SubproblemFailure(f"state factorization failed: {exc}") from exc
+
+    def normal_matrix(self) -> sp.csc_matrix:
+        """M^T W M, symmetric positive definite."""
+        return (self._m.T @ sp.diags(self._w) @ self._m).tocsc()
 
     def rhs(self, g: ScalarField, f) -> np.ndarray:
         n = self.grid.n
@@ -179,8 +188,8 @@ def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
                            cfg: AdiConfig) -> StatePair:
     """Minimize the state block for fixed coefficients, one excitation.
 
-    Raises SubproblemFailure when the verified normal-equation residual
-    misses cfg.state_tol.
+    Raises SubproblemFailure when the factorization hits a zero pivot or
+    the verified normal-equation residual misses cfg.state_tol.
     """
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
@@ -474,15 +483,14 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         # -- state half-step -------------------------------------------------
         try:
             solver = _StateSolver(coeffs)
-            new_states = [solver.solve(g, m.f)
-                          for g, m in zip(sources, measurements)]
-            # Free this factor now, so that the next iteration's
-            # factorization does not run while it is still held.
-            del solver
-        except RuntimeError as exc:
-            failure = SubproblemFailure(f"state solve failed: {exc}")
+        except SubproblemFailure as failure:
             failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
-            raise failure from exc
+            raise
+        new_states = [solver.solve(g, m.f)
+                      for g, m in zip(sources, measurements)]
+        # Free this factor now, so that the next iteration's
+        # factorization does not run while it is still held.
+        del solver
         residual = max(state_normal_residual(coeffs, v, g, m.f)
                        for v, g, m in zip(new_states, sources, measurements))
         if not residual <= cfg.state_tol:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import medrec.optimizer as optimizer
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid)
 
 
@@ -12,6 +13,14 @@ def rng():
 @pytest.fixture
 def grid16():
     return StaggeredGrid(16)
+
+
+@pytest.fixture
+def singular_factor(monkeypatch):
+    """Every state-block factorization hits a zero pivot."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(optimizer, "splu", fail)
 
 
 def random_scalar(grid, rng):

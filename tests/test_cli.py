@@ -164,3 +164,11 @@ def test_incompatible_pure_neumann_geometry_is_numerical_failure(tmp_path):
     geom.write_text("version=1\nname=no_absorption\nmu_bg=0.0\n")
     assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
                    "--out", str(tmp_path / "o")) == 3
+
+
+def test_state_factor_failure_is_numerical_failure(tmp_path, singular_factor):
+    # generate factors through forward.splu, which stays unpatched
+    out = str(tmp_path / "o")
+    assert run_cli("generate", "--example", "ex1", "--grid", "12", "--out", out) == 0
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "12",
+                   "--max-outer", "2", "--out", out) == 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
@@ -10,8 +11,8 @@ from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
 from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
                           eval_J, misfit_value, sources_from_measurements,
                           state_normal_apply, state_normal_residual)
-from medrec.optimizer import (AdiConfig, _StateSolver, _mu_problem,
-                              _sigma_problem, adi_reconstruct,
+from medrec.optimizer import (AdiConfig, SubproblemFailure, _StateSolver,
+                              _mu_problem, _sigma_problem, adi_reconstruct,
                               bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
@@ -46,6 +47,41 @@ def test_assembled_matches_matrix_free(rng):
         assembled = solver._m.T @ (solver._w * (solver._m @ x))
         free = pack_state(state_normal_apply(q, v)) * grid.h ** 2
         assert np.allclose(assembled, free, rtol=1e-12, atol=1e-12)
+
+
+def random_box_coefficients(grid, rng):
+    n = grid.n
+    return CoefficientPair(ScalarField(grid, 0.5 + 29.5 * rng.random((n, n))),
+                           ScalarField(grid, 0.5 + 29.5 * rng.random((n, n))))
+
+
+def lu_nnz(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=24),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_state_normal_matrix_is_spd_and_factored_pivot_free(n, seed):
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    solver = _StateSolver(random_box_coefficients(grid, rng))
+    normal = solver.normal_matrix()
+    scale = abs(normal).max()
+    assert abs(normal - normal.T).max() <= 1e-13 * scale
+    # equal row and column permutations: no row was pivoted
+    assert np.array_equal(solver._lu.perm_r, solver._lu.perm_c)
+    b = rng.standard_normal(normal.shape[0])
+    reference = splu(normal).solve(b)      # COLAMD with partial pivoting
+    assert np.abs(solver._lu.solve(b) - reference).max() \
+        <= 1e-10 * np.abs(reference).max()
+
+
+def test_state_factor_fill_halves_against_colamd():
+    grid = StaggeredGrid(50)
+    solver = _StateSolver(random_box_coefficients(grid, np.random.default_rng(0)))
+    # measured 0.45; minimum degree with partial pivoting fills far more
+    assert lu_nnz(solver._lu) < 0.6 * lu_nnz(splu(solver.normal_matrix()))
 
 
 def assert_rel_close(actual, reference, rtol=1e-12):
@@ -116,6 +152,22 @@ def test_state_subproblem_beats_forward_state():
     j_solved = eval_J(v, truth, source, sets[0], wide, wide)
     j_fwd = eval_J(v_fwd, truth, source, sets[0], wide, wide)
     assert j_solved <= j_fwd + 1e-10 * (1 + j_fwd)
+
+
+def test_state_factor_failure_is_subproblem_failure(grid16, singular_factor):
+    q = CoefficientPair(ScalarField.constant(grid16, 1.0),
+                        ScalarField.constant(grid16, 1.0))
+    with pytest.raises(SubproblemFailure, match="exactly singular"):
+        solve_state_subproblem(q, ScalarField.zeros(grid16),
+                               BoundaryData.zeros(grid16), default_config())
+
+
+def test_adi_state_factor_failure_carries_report(singular_factor):
+    grid, truth, sets = small_problem(n=8)
+    with pytest.raises(SubproblemFailure) as info:
+        adi_reconstruct(sets, truth, default_config(max_outer=2))
+    assert info.value.report.stop_reason == "subproblem_failure"
+    assert info.value.report.iterations == 0
 
 
 def test_state_subproblem_requires_feasible_coefficients(grid16):
