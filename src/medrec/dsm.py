@@ -5,10 +5,12 @@ trace) is decomposed against two probe families evaluated on the
 boundary: discrete Green's functions of the background medium (monopole,
 sensitive to absorption-type scatterers) and their spatial gradients
 (dipole, sensitive to diffusion-type scatterers).  All monopole probes
-come from a single sparse factorization of the background operator, one
-adjoint solve per boundary face.  With positive background coefficients
-that operator is symmetric positive definite, so it is factorized
-pivot-free under a symmetric minimum-degree ordering (operators.SPD_LU).
+come from a single sparse factorization of the background operator:
+ceil(n/2) adjoint solves for half of one boundary side, and the square's
+symmetries (which a constant background keeps exactly) for every other
+face.  With positive background coefficients that operator is symmetric
+positive definite, so it is factorized pivot-free under a symmetric
+minimum-degree ordering (operators.SPD_LU).
 
 Because the two families are far from orthogonal on the boundary, the
 raw normalized pairings alone mislocate whichever coefficient carries
@@ -110,11 +112,23 @@ class _ProbeFamily:
         operator = diffusion_matrix(np.full((n, n), background_sigma),
                                     np.full((n, n), background_mu))
         # One source column per boundary face: value 1/h on the adjacent
-        # cell.  The dense (n^2, 4n) block is a temporary, so it is freed
-        # before the gradients below allocate theirs.
-        green = splu(operator, **SPD_LU).solve(neumann_source(n).toarray())
-        stacked = green.reshape(n, n, 4 * n)
-        self.mono = green
+        # cell.  With constant coefficients the operator commutes with the
+        # square's symmetries (x <-> y, x -> 1 - x, y -> 1 - y), so the
+        # Green's function of a mirrored source is the mirrored Green's
+        # function: solve the first ceil(n/2) bottom faces (cells (i, 0))
+        # and map every other face onto them.
+        half = (n + 1) // 2
+        solved = splu(operator, **SPD_LU).solve(
+            neumann_source(n)[:, :half].toarray()).reshape(n, n, half)
+        self.mono = np.empty((n * n, 4 * n), order="F")
+        stacked = self.mono.reshape(n, n, 4 * n)
+        bottom, right, top, left = (stacked[:, :, k * n:(k + 1) * n]
+                                    for k in range(4))
+        bottom[:, :, :half] = solved
+        bottom[:, :, half:] = solved[::-1, :, :n - half][:, :, ::-1]
+        left[...] = bottom.transpose(1, 0, 2)
+        right[...] = left[::-1]
+        top[...] = bottom[:, ::-1]
         self.dip_x = np.gradient(stacked, h, axis=0).reshape(n * n, 4 * n)
         self.dip_y = np.gradient(stacked, h, axis=1).reshape(n * n, 4 * n)
         self._mm = (self.mono * self.mono).sum(axis=1)

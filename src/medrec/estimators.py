@@ -86,7 +86,8 @@ class DirectSamplingLocator(BaseEstimator):
             self.background_sigma, self.background_mu,
             [m.h for m in sets], oversample=self.oversample)
         delta = dsm.scattered_data(sets, reference)
-        index = dsm.compute_index(delta, grid)
+        index = dsm.compute_index(delta, grid, self.background_sigma,
+                                  self.background_mu)
         self.index_sigma_ = index.phi_sigma
         self.index_mu_ = index.phi_mu
         self.mask_sigma_ = dsm.threshold_subdomain(index.phi_sigma, self.theta)

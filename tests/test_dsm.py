@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import medrec.dsm as dsm
@@ -10,6 +11,7 @@ from medrec.dsm import (EmptyDataError, IndexResult, SubdomainMask,
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import BoundaryData, ScalarField, StaggeredGrid
 from medrec.experiments import SquareInclusion, ExampleSpec, make_example
+from medrec.operators import diffusion_matrix, neumann_source
 
 
 def pipeline_delta(spec, grid, oversample=2):
@@ -62,6 +64,30 @@ def test_probe_factor_fill_below_colamd(monkeypatch):
     colamd = splu(operator)
     # measured 0.62: minimum degree on the symmetric operator
     assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=40),
+       sigma=st.floats(min_value=0.1, max_value=30.0),
+       mu=st.floats(min_value=0.1, max_value=30.0))
+def test_symmetric_probe_family_matches_full_solve(n, sigma, mu):
+    probes = dsm._ProbeFamily(StaggeredGrid(n), sigma, mu)
+    operator = diffusion_matrix(np.full((n, n), sigma), np.full((n, n), mu))
+    green = splu(operator).solve(neumann_source(n).toarray())  # every face
+    stacked = green.reshape(n, n, 4 * n)
+    reference = {
+        "mono": green,
+        "dip_x": np.gradient(stacked, 1.0 / n, axis=0).reshape(n * n, 4 * n),
+        "dip_y": np.gradient(stacked, 1.0 / n, axis=1).reshape(n * n, 4 * n),
+    }
+    # Both sides are backward-stable solves, so they agree to about
+    # kappa * eps; kappa <= 1 + 8 sigma n^2 / mu bounds the operator's
+    # condition number (Gershgorin).  Measured: at most 0.19 kappa * eps.
+    kappa = 1.0 + 8.0 * sigma * n * n / mu
+    rtol = 1e-12 + kappa * np.finfo(float).eps
+    for name, ref in reference.items():
+        np.testing.assert_allclose(getattr(probes, name), ref, rtol=0,
+                                   atol=rtol * np.abs(ref).max(), err_msg=name)
 
 
 def test_zero_scatter_rejected():

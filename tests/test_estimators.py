@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from medrec.dsm import compute_index, homogeneous_reference, scattered_data
 from medrec.estimators import (DirectSamplingLocator,
                                TotalLeastSquaresReconstructor,
                                TwoStageReconstructor, check_measurements)
@@ -56,6 +57,16 @@ def test_locator_fit_and_transform(ex1_measurements):
     assert loc.initial_sigma_.values.max() <= loc.box_hi
     pair = loc.transform(sets)
     assert np.array_equal(pair.sigma.values, loc.initial_sigma_.values)
+
+
+def test_locator_probes_its_own_backgrounds(ex1_measurements):
+    sets, _ = ex1_measurements
+    grid = sets[0].grid
+    loc = DirectSamplingLocator(background_sigma=2.0, background_mu=0.5).fit(sets)
+    reference = homogeneous_reference(2.0, 0.5, [m.h for m in sets])
+    index = compute_index(scattered_data(sets, reference), grid, 2.0, 0.5)
+    assert np.array_equal(loc.index_sigma_.values, index.phi_sigma.values)
+    assert np.array_equal(loc.index_mu_.values, index.phi_mu.values)
 
 
 def test_reconstructor_runs_and_predicts(ex1_measurements):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import medrec.forward as forward
+from medrec.dsm import homogeneous_reference
 from medrec.forward import (ForwardProblem, ForwardSolverError,
                             IncompatibleProblemError, MeasurementSet,
                             default_excitations, generate_measurements,
                             solve_forward)
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
-                         boundary_trace, cell_norm)
+                         boundary_trace, cell_norm, prolong_boundary,
+                         prolong_cells, restrict_cells)
 from medrec.experiments import make_example
 
 
@@ -131,6 +135,44 @@ def test_two_excitations_for_ring_example():
     sets = generate_measurements(truth.sigma, truth.mu, excitations, oversample=2)
     assert len(sets) == 2
     assert all(isinstance(m, MeasurementSet) for m in sets)
+
+
+@pytest.fixture
+def forward_factors(monkeypatch):
+    """Count the forward solver's LU factorizations."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(forward, "splu", counting)
+    return calls
+
+
+def test_one_factorization_per_medium(forward_factors):
+    grid = StaggeredGrid(16)
+    truth = make_example("ex4").rasterize(grid)
+    excitations = default_excitations(grid, 2)
+    sets = generate_measurements(truth.sigma, truth.mu, excitations, oversample=2)
+    assert len(forward_factors) == 1
+    sigma_f, mu_f = prolong_cells(truth.sigma, 2), prolong_cells(truth.mu, 2)
+    for m, h in zip(sets, excitations):
+        alone = solve_forward(ForwardProblem(sigma_f, mu_f, prolong_boundary(h, 2)))
+        assert np.array_equal(m.f.values,
+                              boundary_trace(restrict_cells(alone, 2)).values)
+
+    forward_factors.clear()
+    reference = homogeneous_reference(1.0, 1.0, excitations, oversample=2)
+    assert len(forward_factors) == 1 and len(reference) == 2
+
+
+def test_shared_factor_keeps_the_residual_gate():
+    grid = StaggeredGrid(8)
+    truth = make_example("ex4").rasterize(grid)
+    with pytest.raises(ForwardSolverError) as info:
+        generate_measurements(truth.sigma, truth.mu,
+                              default_excitations(grid, 2), tol=1e-30)
+    assert np.isfinite(info.value.residual) and info.value.residual > 1e-30
 
 
 def test_default_excitation_count_validation():
