@@ -14,7 +14,8 @@ from .grid import (BoundaryData, FluxField, GridError, GridMismatchError,
                    prolong_cells, restrict_cells)
 from .forward import (ForwardProblem, ForwardSolverError,
                       IncompatibleProblemError, MeasurementSet,
-                      default_excitations, generate_measurements, solve_forward)
+                      check_measurements, default_excitations,
+                      generate_measurements, solve_forward)
 from .regularization import (RegConfig, bregman_distance, eval_phi,
                              prox_l1_box, smooth_grad_phi)
 from .model import (CoefficientPair, Residuals, StatePair, apply_L,
@@ -33,6 +34,6 @@ from .experiments import (ExampleSpec, Metrics, RingInclusion, SquareInclusion,
                           deserialize_field, make_example, render_pgm,
                           serialize_field)
 from .estimators import (DirectSamplingLocator, TotalLeastSquaresReconstructor,
-                         TwoStageReconstructor, check_measurements)
+                         TwoStageReconstructor)
 
 __version__ = "0.1.0"

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dsm import DEFAULT_THETA
 from .estimators import DirectSamplingLocator
 from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
-                          DEFAULT_C_PHI, DEFAULT_THETA, ExampleSpec,
+                          DEFAULT_C_PHI, ExampleSpec,
                           FieldFormatError, RingInclusion, SquareInclusion,
                           add_noise, background_deviation, compute_metrics,
                           deserialize_field, example_names, make_example,
@@ -71,10 +72,12 @@ class RunConfig:
 
 
 def _parse_kv_file(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     out = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -133,16 +136,21 @@ def write_config_echo(cfg: RunConfig, path: Path) -> None:
 # Custom geometry files
 # ---------------------------------------------------------------------------
 
+_GEOMETRY_KEYS = {"version", "name", "sigma_bg", "mu_bg", "excitations",
+                  "alpha_sigma", "beta_sigma", "alpha_mu", "beta_mu"}
+
+
 def parse_geometry_file(path: Path) -> ExampleSpec:
     """Build an ExampleSpec from a flat key=value geometry description.
 
-    Recognized keys: version, name, sigma_bg, mu_bg, excitations, noise,
+    Recognized keys: version, name, sigma_bg, mu_bg, excitations,
     alpha_sigma/beta_sigma/alpha_mu/beta_mu (both noise columns share
     them), and repeatable shapes
         sigma_square_<k>=cx,cy,width,value
         mu_square_<k>=cx,cy,width,value
         sigma_ring_<k>=cx,cy,outer,inner,value
         mu_ring_<k>=cx,cy,outer,inner,value
+    Any other key is a ConfigError, so a misspelt one cannot pass unseen.
     """
     kv = _parse_kv_file(path)
 
@@ -165,6 +173,8 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
             cx, cy, outer, inner, value = floats(key, 5)
             shape = RingInclusion((cx, cy), outer, inner, value)
             (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
+        elif key not in _GEOMETRY_KEYS:
+            raise ConfigError(f"{path}: unknown geometry key {key!r}")
     params = (float(kv.get("alpha_sigma", 1e-2)), float(kv.get("beta_sigma", 2e-2)),
               float(kv.get("alpha_mu", 5e-4)), float(kv.get("beta_mu", 5e-4)))
     return ExampleSpec(
@@ -174,7 +184,6 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
         sigma_background=float(kv.get("sigma_bg", BACKGROUND_SIGMA)),
         mu_background=float(kv.get("mu_bg", BACKGROUND_MU)),
         excitation_count=int(kv.get("excitations", 1)),
-        noise_level=float(kv.get("noise", 0.0)),
         params_exact=params, params_noisy=params)
 
 
@@ -252,8 +261,8 @@ def cmd_dsm(cfg: RunConfig) -> None:
     sets = _load_measurements(out)
     grid = sets[0].grid
     loc = DirectSamplingLocator(spec.sigma_background, spec.mu_background,
-                                cfg.theta, cfg.cphi, cfg.cphi,
-                                cfg.oversample).fit(sets)
+                                theta=cfg.theta, c_phi=cfg.cphi,
+                                oversample=cfg.oversample).fit(sets)
     serialize_field(loc.index_sigma_, out / "phi_sigma.field")
     serialize_field(loc.index_mu_, out / "phi_mu.field")
     serialize_field(ScalarField(grid, loc.mask_sigma_.mask.astype(float)),
@@ -274,8 +283,12 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
 
     init_sigma_path = out / "init_sigma.field"
     if init_sigma_path.exists():
-        init_sigma = deserialize_field(init_sigma_path)
-        init_mu = deserialize_field(out / "init_mu.field")
+        try:
+            init_sigma = deserialize_field(init_sigma_path)
+            init_mu = deserialize_field(out / "init_mu.field")
+        except OSError as exc:
+            raise ConfigError(f"cannot read initial guess {exc.filename}: "
+                              f"{exc.strerror}") from None
     else:
         init_sigma = ScalarField.constant(grid, spec.sigma_background)
         init_mu = ScalarField.constant(grid, spec.mu_background)

@@ -78,8 +78,8 @@ class SubdomainMask:
 
 
 def homogeneous_reference(background_sigma: float, background_mu: float,
-                          excitations: list[BoundaryData], oversample: int = 2,
-                          tol: float = 1e-10) -> list[BoundaryData]:
+                          excitations: list[BoundaryData],
+                          oversample: int = 2) -> list[BoundaryData]:
     """Dirichlet traces of the constant-background medium, per excitation.
 
     Must be generated through the same oversampled pipeline as the
@@ -90,7 +90,7 @@ def homogeneous_reference(background_sigma: float, background_mu: float,
     grid = excitations[0].grid
     sigma = ScalarField.constant(grid, background_sigma)
     mu = ScalarField.constant(grid, background_mu)
-    sets = generate_measurements(sigma, mu, excitations, oversample=oversample, tol=tol)
+    sets = generate_measurements(sigma, mu, excitations, oversample=oversample)
     return [m.f for m in sets]
 
 
@@ -200,14 +200,14 @@ class _ProbeFamily:
         return self.joint_parts(v, picks)[2]
 
 
-def _lowpass(values: np.ndarray, modes: int = LOWPASS_MODES) -> np.ndarray:
+def _lowpass(values: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(values)
-    spectrum[modes:] = 0.0
+    spectrum[LOWPASS_MODES:] = 0.0
     return np.fft.irfft(spectrum, len(values))
 
 
 def _refine_positions(probes: _ProbeFamily, v: np.ndarray, picks,
-                      window: int = REFINE_WINDOW, rounds: int = 3):
+                      rounds: int = 3):
     """Coordinate descent of atom positions against the joint residual."""
     n = probes.grid.n
     for _ in range(rounds):
@@ -216,8 +216,8 @@ def _refine_positions(probes: _ProbeFamily, v: np.ndarray, picks,
             kind, cell = picks[idx]
             ci, cj = divmod(cell, n)
             best_rn, best_pick = None, picks[idx]
-            for di in range(-window, window + 1):
-                for dj in range(-window, window + 1):
+            for di in range(-REFINE_WINDOW, REFINE_WINDOW + 1):
+                for dj in range(-REFINE_WINDOW, REFINE_WINDOW + 1):
                     ii, jj = ci + di, cj + dj
                     if not (0 <= ii < n and 0 <= jj < n):
                         continue
@@ -291,20 +291,19 @@ def _rescale_unit(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _sharpen(values: np.ndarray, theta: float = DEFAULT_THETA) -> np.ndarray:
+def _sharpen(values: np.ndarray) -> np.ndarray:
     """Monotone power rescale so the default cutoff keeps a compact set."""
     q = float(np.quantile(values, SHARPEN_QUANTILE))
     if 0.0 < q < 1.0:
-        power = math.log(theta) / math.log(q)
+        power = math.log(DEFAULT_THETA) / math.log(q)
         if power > 1.0:
             values = values ** power
     return values
 
 
-def compute_index(delta_f: list[BoundaryData], sampling_grid: StaggeredGrid,
-                  background_sigma: float = 1.0,
+def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
                   background_mu: float = 1.0) -> IndexResult:
-    """Monopole and dipole index fields from scattered boundary data.
+    """Monopole and dipole index fields on the data grid.
 
     Each excitation's data is low-pass filtered on the boundary,
     decomposed into fitted monopole/dipole parts, and the per-family
@@ -321,9 +320,9 @@ def compute_index(delta_f: list[BoundaryData], sampling_grid: StaggeredGrid,
     if all(np.abs(d.values).max() == 0.0 for d in delta_f):
         raise EmptyDataError("scattered data is identically zero")
 
-    data_grid = delta_f[0].grid
-    probes = _ProbeFamily(data_grid, background_sigma, background_mu)
-    n = data_grid.n
+    grid = delta_f[0].grid
+    probes = _ProbeFamily(grid, background_sigma, background_mu)
+    n = grid.n
     acc_mu = np.zeros(n * n)
     acc_sigma = np.zeros(n * n)
     any_mu = any_sigma = False
@@ -346,19 +345,8 @@ def compute_index(delta_f: list[BoundaryData], sampling_grid: StaggeredGrid,
 
     phi_mu = _sharpen(_rescale_unit(acc_mu)) if any_mu else np.zeros(n * n)
     phi_sigma = _sharpen(_rescale_unit(acc_sigma)) if any_sigma else np.zeros(n * n)
-    phi_mu = phi_mu.reshape(n, n)
-    phi_sigma = phi_sigma.reshape(n, n)
-    if sampling_grid.n != n:
-        phi_mu = _resample(phi_mu, data_grid, sampling_grid)
-        phi_sigma = _resample(phi_sigma, data_grid, sampling_grid)
-    return IndexResult(phi_sigma=ScalarField(sampling_grid, phi_sigma),
-                       phi_mu=ScalarField(sampling_grid, phi_mu))
-
-
-def _resample(values: np.ndarray, src: StaggeredGrid, dst: StaggeredGrid) -> np.ndarray:
-    coords = dst.cell_coords_1d()
-    idx = np.clip((coords * src.n).astype(int), 0, src.n - 1)
-    return values[np.ix_(idx, idx)]
+    return IndexResult(phi_sigma=ScalarField(grid, phi_sigma.reshape(n, n)),
+                       phi_mu=ScalarField(grid, phi_mu.reshape(n, n)))
 
 
 def threshold_subdomain(phi: ScalarField, theta: float) -> SubdomainMask:

@@ -2,9 +2,13 @@
 
 Thin fit/transform wrappers with the usual get_params/set_params
 contract (constructor arguments stored under their own names), so the
-pipeline drops into tooling that expects that interface.  All numerical
-work lives in the functional modules; these classes only orchestrate
-and validate inputs.
+pipeline drops into tooling that expects that interface.  The settable
+values are the method's own parameters: the backgrounds, the cutoff
+theta, the scale c_phi and the oversampling for stage one; the weights
+alpha and beta per coefficient, the outer-iteration count and whether mu
+is unknown for stage two.  Both stages work in the box [BOX_LO, BOX_HI]
+of the experiments module.  All numerical work lives in the functional
+modules; these classes only orchestrate and validate inputs.
 """
 
 import inspect
@@ -12,28 +16,12 @@ import inspect
 import numpy as np
 
 from . import dsm
-from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI, DEFAULT_THETA
-from .forward import MeasurementSet
+from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI
+from .forward import check_measurements
 from .grid import ScalarField
 from .model import CoefficientPair
 from .optimizer import AdiConfig, adi_reconstruct
 from .regularization import RegConfig
-
-
-def check_measurements(measurements) -> list[MeasurementSet]:
-    """Normalize to a nonempty list of MeasurementSet on one shared grid."""
-    if isinstance(measurements, MeasurementSet):
-        measurements = [measurements]
-    out = list(measurements)
-    if not out:
-        raise ValueError("at least one measurement set is required")
-    for m in out:
-        if not isinstance(m, MeasurementSet):
-            raise TypeError(f"expected MeasurementSet, got {type(m).__name__}")
-    n = out[0].grid.n
-    if any(m.grid.n != n for m in out):
-        raise ValueError("all measurement sets must share one grid")
-    return out
 
 
 class BaseEstimator:
@@ -68,16 +56,12 @@ class DirectSamplingLocator(BaseEstimator):
     """
 
     def __init__(self, background_sigma=1.0, background_mu=1.0,
-                 theta=DEFAULT_THETA, c_sigma=DEFAULT_C_PHI, c_mu=DEFAULT_C_PHI,
-                 oversample=2, box_lo=BOX_LO, box_hi=BOX_HI):
+                 theta=dsm.DEFAULT_THETA, c_phi=DEFAULT_C_PHI, oversample=2):
         self.background_sigma = background_sigma
         self.background_mu = background_mu
         self.theta = theta
-        self.c_sigma = c_sigma
-        self.c_mu = c_mu
+        self.c_phi = c_phi
         self.oversample = oversample
-        self.box_lo = box_lo
-        self.box_hi = box_hi
 
     def fit(self, measurements, y=None):
         sets = check_measurements(measurements)
@@ -86,17 +70,17 @@ class DirectSamplingLocator(BaseEstimator):
             self.background_sigma, self.background_mu,
             [m.h for m in sets], oversample=self.oversample)
         delta = dsm.scattered_data(sets, reference)
-        index = dsm.compute_index(delta, grid, self.background_sigma,
+        index = dsm.compute_index(delta, self.background_sigma,
                                   self.background_mu)
         self.index_sigma_ = index.phi_sigma
         self.index_mu_ = index.phi_mu
         self.mask_sigma_ = dsm.threshold_subdomain(index.phi_sigma, self.theta)
         self.mask_mu_ = dsm.threshold_subdomain(index.phi_mu, self.theta)
         init_sigma = dsm.build_initial_guess(
-            index.phi_sigma, self.mask_sigma_, self.c_sigma, self.background_sigma)
+            index.phi_sigma, self.mask_sigma_, self.c_phi, self.background_sigma)
         init_mu = dsm.build_initial_guess(
-            index.phi_mu, self.mask_mu_, self.c_mu, self.background_mu)
-        clip = lambda f: ScalarField(grid, np.clip(f.values, self.box_lo, self.box_hi))
+            index.phi_mu, self.mask_mu_, self.c_phi, self.background_mu)
+        clip = lambda f: ScalarField(grid, np.clip(f.values, BOX_LO, BOX_HI))
         self.initial_sigma_ = clip(init_sigma)
         self.initial_mu_ = clip(init_mu)
         return self
@@ -111,42 +95,26 @@ class TotalLeastSquaresReconstructor(BaseEstimator):
     """Stage two: alternating minimization from an initial coefficient pair."""
 
     def __init__(self, alpha_sigma=1e-2, beta_sigma=2e-2,
-                 alpha_mu=5e-4, beta_mu=5e-4,
-                 box_lo=BOX_LO, box_hi=BOX_HI, max_outer=50,
-                 state_tol=1e-8, coeff_tol=1e-8, coeff_inner_max=200,
-                 update_sigma=True, update_mu=True, stop_on_stagnation=False):
+                 alpha_mu=5e-4, beta_mu=5e-4, max_outer=50, update_mu=True):
         self.alpha_sigma = alpha_sigma
         self.beta_sigma = beta_sigma
         self.alpha_mu = alpha_mu
         self.beta_mu = beta_mu
-        self.box_lo = box_lo
-        self.box_hi = box_hi
         self.max_outer = max_outer
-        self.state_tol = state_tol
-        self.coeff_tol = coeff_tol
-        self.coeff_inner_max = coeff_inner_max
-        self.update_sigma = update_sigma
         self.update_mu = update_mu
-        self.stop_on_stagnation = stop_on_stagnation
 
     def _config(self) -> AdiConfig:
         return AdiConfig(
-            reg_sigma=RegConfig(self.alpha_sigma, self.beta_sigma,
-                                self.box_lo, self.box_hi),
-            reg_mu=RegConfig(self.alpha_mu, self.beta_mu,
-                             self.box_lo, self.box_hi),
-            max_outer=self.max_outer, state_tol=self.state_tol,
-            coeff_inner_max=self.coeff_inner_max, coeff_tol=self.coeff_tol,
-            update_sigma=self.update_sigma, update_mu=self.update_mu,
-            stop_on_stagnation=self.stop_on_stagnation)
+            reg_sigma=RegConfig(self.alpha_sigma, self.beta_sigma, BOX_LO, BOX_HI),
+            reg_mu=RegConfig(self.alpha_mu, self.beta_mu, BOX_LO, BOX_HI),
+            max_outer=self.max_outer, update_mu=self.update_mu)
 
     def fit(self, measurements, initial: CoefficientPair | None = None):
         sets = check_measurements(measurements)
         grid = sets[0].grid
         if initial is None:
             initial = CoefficientPair(
-                ScalarField.constant(grid, np.clip(1.0, self.box_lo, self.box_hi)),
-                ScalarField.constant(grid, np.clip(1.0, self.box_lo, self.box_hi)))
+                ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 1.0))
         self.report_ = adi_reconstruct(sets, initial, self._config())
         self.sigma_ = self.report_.coefficients.sigma
         self.mu_ = self.report_.coefficients.mu

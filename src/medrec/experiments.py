@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .dsm import DEFAULT_THETA  # noqa: F401  (re-exported to cli, estimators)
 from .grid import BoundaryData, ScalarField, StaggeredGrid
 from .model import CoefficientPair
 
@@ -64,7 +63,6 @@ class ExampleSpec:
     sigma_background: float = BACKGROUND_SIGMA
     mu_background: float = BACKGROUND_MU
     excitation_count: int = 1
-    noise_level: float = 0.0
     params_exact: tuple = (1e-2, 2e-2, 5e-4, 5e-4)   # (a_sigma, b_sigma, a_mu, b_mu)
     params_noisy: tuple = (1e-2, 2e-2, 5e-4, 1e-3)
 
@@ -95,7 +93,6 @@ _EXAMPLES = {
         sigma_inclusions=(SquareInclusion((0.25, 0.65), 0.05, 20.0),),
         mu_inclusions=(SquareInclusion((0.35, 0.30), 0.05, 20.0),),
         excitation_count=1,
-        noise_level=0.10,
         params_exact=(1.0e-2, 2.0e-2, 5.0e-4, 5.0e-4),
         params_noisy=(1.0e-2, 2.0e-2, 5.0e-4, 1.0e-3)),
     "ex2_1": ExampleSpec(
@@ -103,7 +100,6 @@ _EXAMPLES = {
         sigma_inclusions=(SquareInclusion((0.15, 0.50), 0.05, 20.0),
                           SquareInclusion((0.50, 0.85), 0.05, 20.0)),
         excitation_count=1,
-        noise_level=0.20,
         params_exact=(1.0e-3, 5.0e-3, 0.0, 0.0),
         params_noisy=(1.0e-3, 1.0e-2, 0.0, 0.0)),
     "ex2_2": ExampleSpec(
@@ -111,7 +107,6 @@ _EXAMPLES = {
         sigma_inclusions=(SquareInclusion((0.45, 0.425), 0.1, 20.0),
                           SquareInclusion((0.55, 0.575), 0.1, 20.0)),
         excitation_count=1,
-        noise_level=0.02,
         params_exact=(1.0e-6, 1.0e-3, 0.0, 0.0),
         params_noisy=(1.0e-6, 2.0e-3, 0.0, 0.0)),
     "ex3": ExampleSpec(
@@ -121,14 +116,12 @@ _EXAMPLES = {
         mu_inclusions=(SquareInclusion((0.25, 0.50), 0.1, 20.0),
                        SquareInclusion((0.75, 0.50), 0.1, 20.0)),
         excitation_count=1,
-        noise_level=0.20,
         params_exact=(1.0e-3, 1.0e-2, 1.0e-2, 5.0e-3),
         params_noisy=(1.0e-3, 2.0e-2, 1.0e-2, 5.0e-3)),
     "ex4": ExampleSpec(
         name="ex4",
         sigma_inclusions=(RingInclusion((0.5, 0.6), 0.2, 0.15, 20.0),),
         excitation_count=2,
-        noise_level=0.20,
         params_exact=(1.0e-5, 5.0e-4, 0.0, 0.0),
         params_noisy=(1.0e-5, 1.0e-3, 0.0, 0.0)),
 }

@@ -76,6 +76,22 @@ class MeasurementSet:
         return self.h.grid
 
 
+def check_measurements(measurements) -> list[MeasurementSet]:
+    """Normalize to a nonempty list of MeasurementSet on one shared grid."""
+    if isinstance(measurements, MeasurementSet):
+        measurements = [measurements]
+    out = list(measurements)
+    if not out:
+        raise ValueError("at least one measurement set is required")
+    for m in out:
+        if not isinstance(m, MeasurementSet):
+            raise TypeError(f"expected MeasurementSet, got {type(m).__name__}")
+    n = out[0].grid.n
+    if any(m.grid.n != n for m in out):
+        raise ValueError("all measurement sets must share one grid")
+    return out
+
+
 def _check_coefficients(sigma: ScalarField, mu: ScalarField) -> None:
     if sigma.values.min() <= 0:
         raise ValueError("diffusion coefficient must be strictly positive")

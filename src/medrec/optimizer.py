@@ -8,9 +8,11 @@ Each outer iteration solves two convex subproblems:
     current coefficients) and, being symmetric positive definite (M has
     full column rank), factorized pivot-free under a symmetric
     minimum-degree ordering (operators.SPD_LU), so every excitation
-    reuses the factor; the reported residual is recomputed through the
+    reuses the factor.  One half-step serves solve_state_subproblem and
+    adi_reconstruct alike: the residual is recomputed through the
     matrix-free normal operator from the model module, keeping the two
-    routes independent.  A zero pivot raises SubproblemFailure.
+    routes independent, and a zero pivot or a residual above STATE_TOL
+    raises SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
     least-squares problem plus the L1/H1/box penalty.  Its misfit matrix
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .forward import MeasurementSet
+from .forward import check_measurements
 from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
                    boundary_inner, boundary_trace, cell_inner, face_inner,
                    gradient_to_faces)
@@ -46,6 +48,7 @@ from .operators import SPD_LU, face_average, face_gradient, trace
 from .regularization import (RegConfig, box_feasible, bregman_distance,
                              prox_l1_box, prox_l1_box_array)
 
+STATE_TOL = 1e-8             # verified state normal-equation residual
 POWER_ITERATIONS = 20
 POWER_SAFETY_MARGIN = 0.05
 _POWER_SEED = 1234
@@ -68,23 +71,21 @@ class SubproblemFailure(RuntimeError):
 
 @dataclass
 class AdiConfig:
-    """Knobs of the alternating solver."""
+    """Knobs of the alternating solver; sigma is always updated."""
 
     reg_sigma: RegConfig
     reg_mu: RegConfig
     max_outer: int = 50
-    state_tol: float = 1e-8
     coeff_inner_max: int = 200
     coeff_tol: float = 1e-8
-    update_sigma: bool = True
     update_mu: bool = True
     stop_on_stagnation: bool = False
 
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.state_tol <= 0 or self.coeff_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.coeff_tol <= 0:
+            raise ValueError("coeff_tol must be positive")
 
 
 @dataclass
@@ -184,22 +185,32 @@ class _StateSolver:
         return unpack_state(x, self.grid)
 
 
+def _state_half_step(q: CoefficientPair, sources, traces) -> tuple[list, float]:
+    """Solve the state block of every excitation on one factor of q.
+
+    Returns the states and their largest verified normal-equation
+    residual.  Raises SubproblemFailure when the factorization hits a
+    zero pivot or that residual misses STATE_TOL.  The factor is freed
+    on return, before the caller's next factorization.
+    """
+    solver = _StateSolver(q)
+    states = [solver.solve(g, f) for g, f in zip(sources, traces)]
+    residual = max(state_normal_residual(q, v, g, f)
+                   for v, g, f in zip(states, sources, traces))
+    if not residual <= STATE_TOL:
+        raise SubproblemFailure(
+            f"state normal equations solved to {residual:.3e} > {STATE_TOL:.1e}",
+            residual=residual)
+    return states, residual
+
+
 def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
                            cfg: AdiConfig) -> StatePair:
-    """Minimize the state block for fixed coefficients, one excitation.
-
-    Raises SubproblemFailure when the factorization hits a zero pivot or
-    the verified normal-equation residual misses cfg.state_tol.
-    """
+    """Minimize the state block for fixed coefficients, one excitation."""
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
-    v = _StateSolver(q).solve(g, f)
-    residual = state_normal_residual(q, v, g, f)
-    if not residual <= cfg.state_tol:
-        raise SubproblemFailure(
-            f"state normal equations solved to {residual:.3e} > {cfg.state_tol:.1e}",
-            residual=residual)
-    return v
+    states, _ = _state_half_step(q, [g], [f])
+    return states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +367,18 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     """Minimize the coefficient block for fixed states.
 
     sigma and mu decouple (sigma only enters the flux residual, mu only
-    the divergence residual) and are solved independently; a block left
-    frozen by the config keeps its warm-start value and reports a NaN
-    residual.
+    the divergence residual) and are solved independently; mu frozen by
+    the config keeps its warm-start value and reports a NaN residual.
     """
     if not states:
         raise ValueError("at least one state pair is required")
     n = warm_start.sigma.grid.n
     cap = cfg.coeff_inner_max if inner_max is None else inner_max
 
-    sigma, mu = warm_start.sigma, warm_start.mu
-    fp_sigma = fp_mu = math.nan
-    iters = 0
-    converged = True
-    if cfg.update_sigma:
-        prob = _sigma_problem(states, cfg.reg_sigma, n)
-        sigma, fp_sigma, it, ok = _solve_one_coefficient(
-            prob, warm_start.sigma, cap, cfg.coeff_tol)
-        iters = max(iters, it)
-        converged &= ok
+    prob = _sigma_problem(states, cfg.reg_sigma, n)
+    sigma, fp_sigma, iters, converged = _solve_one_coefficient(
+        prob, warm_start.sigma, cap, cfg.coeff_tol)
+    mu, fp_mu = warm_start.mu, math.nan
     if cfg.update_mu:
         prob = _mu_problem(states, sources, cfg.reg_mu, n)
         mu, fp_mu, it, ok = _solve_one_coefficient(
@@ -440,17 +444,14 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     tolerance); with stop_on_stagnation the loop exits early once the
     functional is flat to STAGNATION_RTOL * (1 + J0).
     """
-    if isinstance(measurements, MeasurementSet):
-        measurements = [measurements]
-    measurements = list(measurements)
-    if not measurements:
-        raise ValueError("at least one measurement set is required")
+    measurements = check_measurements(measurements)
     grid = measurements[0].grid
     if not (box_feasible(initial_q.sigma, cfg.reg_sigma)
             and box_feasible(initial_q.mu, cfg.reg_mu)):
         raise ValueError("initial coefficients violate their boxes")
 
     sources = sources_from_measurements(measurements)
+    traces = [m.f for m in measurements]
     states = [StatePair.zeros(grid) for _ in measurements]
     coeffs = CoefficientPair(initial_q.sigma.copy(), initial_q.mu.copy())
 
@@ -482,23 +483,10 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     for k in range(cfg.max_outer):
         # -- state half-step -------------------------------------------------
         try:
-            solver = _StateSolver(coeffs)
+            new_states, residual = _state_half_step(coeffs, sources, traces)
         except SubproblemFailure as failure:
             failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
             raise
-        new_states = [solver.solve(g, m.f)
-                      for g, m in zip(sources, measurements)]
-        # Free this factor now, so that the next iteration's
-        # factorization does not run while it is still held.
-        del solver
-        residual = max(state_normal_residual(coeffs, v, g, m.f)
-                       for v, g, m in zip(new_states, sources, measurements))
-        if not residual <= cfg.state_tol:
-            failure = SubproblemFailure(
-                f"state residual {residual:.3e} exceeds {cfg.state_tol:.1e}",
-                residual=residual)
-            failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
-            raise failure
         state_residuals.append(residual)
         du_terms.append(_state_decrement(new_states, states, coeffs, grid))
         states = new_states

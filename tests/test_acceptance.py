@@ -259,7 +259,7 @@ def test_criterion_9_dsm_localization():
         sets = mr.generate_measurements(truth.sigma, truth.mu, excitations,
                                         oversample=2)
         ref = mr.homogeneous_reference(1.0, 1.0, excitations, oversample=2)
-        idx = mr.compute_index(mr.scattered_data(sets, ref), grid)
+        idx = mr.compute_index(mr.scattered_data(sets, ref))
         phi = idx.phi_sigma if pick == "sigma" else idx.phi_mu
         ax, ay = argmax_location(phi)
         err = math.hypot(ax - center[0], ay - center[1])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from medrec.cli import main, parse_geometry_file
-from medrec.experiments import deserialize_field, serialize_field
+from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
+from medrec.experiments import deserialize_field, make_example, serialize_field
+from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import BoundaryData, StaggeredGrid
 
 
@@ -172,3 +174,52 @@ def test_state_factor_failure_is_numerical_failure(tmp_path, singular_factor):
     assert run_cli("generate", "--example", "ex1", "--grid", "12", "--out", out) == 0
     assert run_cli("reconstruct", "--example", "ex1", "--grid", "12",
                    "--max-outer", "2", "--out", out) == 3
+
+
+def test_misspelt_geometry_key_is_config_error(tmp_path):
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nname=typo\nsigma_sqaure_0=0.25,0.65,0.05,20.0\n"
+                    "noise=0.5\n")
+    out = tmp_path / "o"
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
+                   "--out", str(out)) == 2
+    assert not (out / "truth_sigma.field").exists()
+
+
+def test_missing_init_mu_is_config_error(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("generate", "--example", "ex1", "--grid", "8",
+                   "--out", str(out)) == 0
+    (out / "init_sigma.field").write_bytes((out / "truth_sigma.field").read_bytes())
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "8",
+                   "--max-outer", "1", "--out", str(out)) == 2
+
+
+def test_config_directory_is_config_error(tmp_path):
+    assert run_cli("generate", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
+def test_cli_and_library_reconstruct_identically(tmp_path):
+    # n=16 leaves the sigma mask empty; the mu mask still seeds stage two
+    n, max_outer = 16, 2
+    out = str(tmp_path / "o")
+    for stage in ("generate", "dsm", "reconstruct"):
+        assert run_cli(stage, "--example", "ex1", "--grid", str(n),
+                       "--max-outer", str(max_outer), "--out", out) == 0
+
+    spec = make_example("ex1")
+    grid = StaggeredGrid(n)
+    truth = spec.rasterize(grid)
+    sets = generate_measurements(truth.sigma, truth.mu,
+                                 default_excitations(grid, spec.excitation_count))
+    initial = DirectSamplingLocator(spec.sigma_background,
+                                    spec.mu_background).fit(sets).transform(sets)
+    a_s, b_s, a_m, b_m = spec.regularization_params(noisy=False)
+    rec = TotalLeastSquaresReconstructor(
+        alpha_sigma=a_s, beta_sigma=b_s, alpha_mu=a_m, beta_mu=b_m,
+        max_outer=max_outer, update_mu=spec.reconstruct_mu).fit(sets, initial)
+    for role, field in (("sigma", rec.sigma_), ("mu", rec.mu_)):
+        cli_field = deserialize_field(tmp_path / "o" / f"recon_{role}.field")
+        assert np.array_equal(cli_field.values, field.values)

@@ -49,7 +49,7 @@ def test_nonpositive_background_rejected():
     delta = [BoundaryData(grid, np.ones(4 * 16))]
     for bg in ((0.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError, match="positive"):
-            compute_index(delta, grid, *bg)
+            compute_index(delta, *bg)
 
 
 def test_probe_factor_fill_below_colamd(monkeypatch):
@@ -93,16 +93,16 @@ def test_symmetric_probe_family_matches_full_solve(n, sigma, mu):
 def test_zero_scatter_rejected():
     grid = StaggeredGrid(16)
     with pytest.raises(EmptyDataError):
-        compute_index([], grid)
+        compute_index([])
     with pytest.raises(EmptyDataError):
-        compute_index([BoundaryData.zeros(grid)], grid)
+        compute_index([BoundaryData.zeros(grid)])
 
 
 def test_single_inclusion_localization():
     grid = StaggeredGrid(50)
     mu_spec = ExampleSpec(name="m", mu_inclusions=(
         SquareInclusion((0.35, 0.30), 0.05, 20.0),))
-    idx = compute_index(pipeline_delta(mu_spec, grid), grid)
+    idx = compute_index(pipeline_delta(mu_spec, grid))
     ax, ay = argmax_location(idx.phi_mu)
     assert np.hypot(ax - 0.35, ay - 0.30) <= 0.15
     assert idx.phi_sigma.values.max() == 0.0  # no diffusion contrast present
@@ -110,7 +110,7 @@ def test_single_inclusion_localization():
 
     sig_spec = ExampleSpec(name="s", sigma_inclusions=(
         SquareInclusion((0.25, 0.65), 0.05, 20.0),))
-    idx = compute_index(pipeline_delta(sig_spec, grid), grid)
+    idx = compute_index(pipeline_delta(sig_spec, grid))
     ax, ay = argmax_location(idx.phi_sigma)
     assert np.hypot(ax - 0.25, ay - 0.65) <= 0.15
     assert idx.phi_mu.values.max() == 0.0
@@ -118,7 +118,7 @@ def test_single_inclusion_localization():
 
 def test_example1_argmax_localization():
     grid = StaggeredGrid(50)
-    idx = compute_index(pipeline_delta(make_example("ex1"), grid), grid)
+    idx = compute_index(pipeline_delta(make_example("ex1"), grid))
     sx, sy = argmax_location(idx.phi_sigma)
     mx, my = argmax_location(idx.phi_mu)
     assert np.hypot(sx - 0.25, sy - 0.65) <= 0.15
@@ -197,7 +197,7 @@ def test_reflection_equivariance():
         truth = s.rasterize(grid)
         sets = generate_measurements(truth.sigma, truth.mu, [excitation], oversample=2)
         ref = homogeneous_reference(1.0, 1.0, [excitation], oversample=2)
-        return compute_index(scattered_data(sets, ref), grid)
+        return compute_index(scattered_data(sets, ref))
 
     exc = default_excitations(grid, 1)[0]
     idx = run(spec, exc)

@@ -7,7 +7,7 @@ from medrec.estimators import (DirectSamplingLocator,
                                TwoStageReconstructor, check_measurements)
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import StaggeredGrid
-from medrec.experiments import make_example
+from medrec.experiments import BOX_HI, BOX_LO, make_example
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +53,8 @@ def test_locator_fit_and_transform(ex1_measurements):
     loc = DirectSamplingLocator().fit(sets)
     assert loc.index_sigma_.values.shape == (24, 24)
     assert 0.0 <= loc.index_sigma_.values.min()
-    assert loc.initial_sigma_.values.min() >= loc.box_lo
-    assert loc.initial_sigma_.values.max() <= loc.box_hi
+    assert loc.initial_sigma_.values.min() >= BOX_LO
+    assert loc.initial_sigma_.values.max() <= BOX_HI
     pair = loc.transform(sets)
     assert np.array_equal(pair.sigma.values, loc.initial_sigma_.values)
 
@@ -64,7 +64,7 @@ def test_locator_probes_its_own_backgrounds(ex1_measurements):
     grid = sets[0].grid
     loc = DirectSamplingLocator(background_sigma=2.0, background_mu=0.5).fit(sets)
     reference = homogeneous_reference(2.0, 0.5, [m.h for m in sets])
-    index = compute_index(scattered_data(sets, reference), grid, 2.0, 0.5)
+    index = compute_index(scattered_data(sets, reference), 2.0, 0.5)
     assert np.array_equal(loc.index_sigma_.values, index.phi_sigma.values)
     assert np.array_equal(loc.index_mu_.values, index.phi_mu.values)
 

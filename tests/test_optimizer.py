@@ -11,9 +11,9 @@ from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
 from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
                           eval_J, misfit_value, sources_from_measurements,
                           state_normal_apply, state_normal_residual)
-from medrec.optimizer import (AdiConfig, SubproblemFailure, _StateSolver,
-                              _mu_problem, _sigma_problem, adi_reconstruct,
-                              bregman_diagnostics, pack_state,
+from medrec.optimizer import (STATE_TOL, AdiConfig, SubproblemFailure,
+                              _StateSolver, _mu_problem, _sigma_problem,
+                              adi_reconstruct, bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
 from medrec.regularization import RegConfig, eval_phi_smooth, smooth_grad_phi
@@ -140,7 +140,7 @@ def test_state_subproblem_beats_forward_state():
     cfg = default_config()
     source = sources_from_measurements(sets)[0]
     v = solve_state_subproblem(truth, source, sets[0].f, cfg)
-    assert state_normal_residual(truth, v, source, sets[0].f) <= cfg.state_tol
+    assert state_normal_residual(truth, v, source, sets[0].f) <= STATE_TOL
     # the solved state fits at least as well as the forward-model state
     from medrec.forward import ForwardProblem, solve_forward
     u_fwd = solve_forward(ForwardProblem(truth.sigma, truth.mu, sets[0].h))
@@ -278,7 +278,7 @@ def test_block_optimality_at_exit():
     init = CoefficientPair(ScalarField.constant(grid, 1.0),
                            ScalarField.constant(grid, 1.0))
     report = adi_reconstruct(sets, init, cfg)
-    assert report.final_state_residual <= cfg.state_tol
+    assert report.final_state_residual <= STATE_TOL
     rs, rm = report.final_coeff_residuals
     assert rs <= 10 * cfg.coeff_tol
     assert rm <= 10 * cfg.coeff_tol
