@@ -84,7 +84,10 @@ def _parse_kv_file(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}: line {lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     if out.get("version") != CONFIG_VERSION:
         raise ConfigError(f"{path}: missing or unsupported version key")
     return out
@@ -110,12 +113,16 @@ def resolve_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         file_values = _parse_kv_file(Path(args.config))
+        seen = set()
         for key, raw in file_values.items():
             if key == "version":
                 continue
             name = key.replace("-", "_")
             if name not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
+            if name in seen:        # max-outer and max_outer are one key
+                raise ConfigError(f"repeated config key {key!r}")
+            seen.add(name)
             setattr(cfg, name, _coerce(name, raw))
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
@@ -150,7 +157,8 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
         mu_square_<k>=cx,cy,width,value
         sigma_ring_<k>=cx,cy,outer,inner,value
         mu_ring_<k>=cx,cy,outer,inner,value
-    Any other key is a ConfigError, so a misspelt one cannot pass unseen.
+    Any other key, and any key given twice, is a ConfigError, so a
+    misspelt or repeated one cannot pass unseen.
     """
     kv = _parse_kv_file(path)
 
@@ -255,9 +263,21 @@ def _load_measurements(out: Path) -> list[MeasurementSet]:
     return sets
 
 
+def _check_generated_oversample(cfg: RunConfig, out: Path) -> None:
+    """The DSM reference must be synthesized as generate synthesized the data."""
+    path = out / "run.cfg"
+    if not path.exists():
+        return
+    recorded = _coerce("oversample", _parse_kv_file(path).get("oversample", ""))
+    if recorded != cfg.oversample:
+        raise ConfigError(f"dsm oversample={cfg.oversample} differs from the "
+                          f"oversample={recorded} that generate recorded in {path}")
+
+
 def cmd_dsm(cfg: RunConfig) -> None:
     spec = _example_for(cfg)
     out = _outdir(cfg)
+    _check_generated_oversample(cfg, out)
     sets = _load_measurements(out)
     grid = sets[0].grid
     loc = DirectSamplingLocator(spec.sigma_background, spec.mu_background,

@@ -1,24 +1,28 @@
 """Staggered MAC grid on the unit square and its discrete calculus.
 
 Scalars (state u, coefficients, sources) live at cell centers, fluxes at
-face centers, boundary data at boundary face midpoints.  The one design
-constraint everything else depends on: with fluxes restricted to p.nu = 0
-on the boundary, the face gradient and the cell divergence are exact
-negative adjoints under the weighted inner products below, and the
-boundary trace and the Neumann-to-source map are exact adjoints of each
-other.  All operators here are linear and allocation-pure.
+interior face centers, boundary data at boundary face midpoints.  A flux
+has no entry on a boundary-normal face, so the side constraint p.nu = 0
+holds by construction.  That is the one design constraint everything
+else depends on: for every flux, the face gradient and the cell
+divergence are exact negative adjoints under the weighted inner products
+below, and the boundary trace and the Neumann-to-source map are exact
+adjoints of each other.  All operators here are linear and
+allocation-pure.
 
 Index conventions (N cells per side, h = 1/N):
 
     ScalarField.values[i, j]   <-> center ((i + 1/2) h, (j + 1/2) h)
-    FluxField.x_values[i, j]   <-> vertical face (i h, (j + 1/2) h)
-    FluxField.y_values[i, j]   <-> horizontal face ((i + 1/2) h, j h)
+    FluxField.x_values[i, j]   <-> vertical face ((i + 1) h, (j + 1/2) h),
+                                   shape (N - 1, N)
+    FluxField.y_values[i, j]   <-> horizontal face ((i + 1/2) h, (j + 1) h),
+                                   shape (N, N - 1)
     BoundaryData.values        <-> bottom, right, top, left; each side in
                                    increasing coordinate order
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GridError(ValueError):
@@ -129,7 +133,10 @@ class ScalarField:
 
 @dataclass
 class FluxField:
-    """Face-centered vector field (p_x on vertical, p_y on horizontal faces)."""
+    """Interior-face vector field (p_x on vertical, p_y on horizontal faces).
+
+    Boundary-normal faces carry no entry: p.nu = 0 there by construction.
+    """
 
     grid: StaggeredGrid
     x_values: np.ndarray
@@ -137,29 +144,13 @@ class FluxField:
 
     def __post_init__(self):
         n = self.grid.n
-        self.x_values = _as_values(self.x_values, (n + 1, n), "FluxField.x_values")
-        self.y_values = _as_values(self.y_values, (n, n + 1), "FluxField.y_values")
+        self.x_values = _as_values(self.x_values, (n - 1, n), "FluxField.x_values")
+        self.y_values = _as_values(self.y_values, (n, n - 1), "FluxField.y_values")
 
     @classmethod
     def zeros(cls, grid: StaggeredGrid) -> "FluxField":
         n = grid.n
-        return cls(grid, np.zeros((n + 1, n)), np.zeros((n, n + 1)))
-
-    def is_admissible(self, tol: float = 0.0) -> bool:
-        """Whether the normal trace vanishes (the p.nu = 0 side constraint)."""
-        bx = max(np.abs(self.x_values[0]).max(), np.abs(self.x_values[-1]).max())
-        by = max(np.abs(self.y_values[:, 0]).max(), np.abs(self.y_values[:, -1]).max())
-        return bx <= tol and by <= tol
-
-    def projected_admissible(self) -> "FluxField":
-        """Copy with boundary-normal entries forced to zero."""
-        x = self.x_values.copy()
-        y = self.y_values.copy()
-        x[0, :] = 0.0
-        x[-1, :] = 0.0
-        y[:, 0] = 0.0
-        y[:, -1] = 0.0
-        return FluxField(self.grid, x, y)
+        return cls(grid, np.zeros((n - 1, n)), np.zeros((n, n - 1)))
 
     def copy(self) -> "FluxField":
         return FluxField(self.grid, self.x_values, self.y_values)
@@ -244,43 +235,28 @@ def _require_same_grid(a, b):
 # ---------------------------------------------------------------------------
 
 def gradient_to_faces(u: ScalarField) -> FluxField:
-    """Face gradient of a cell field; boundary-normal faces are zero.
+    """Face gradient of a cell field: adjacent-cell difference over h.
 
-    Interior faces hold the difference of the two adjacent cell values
-    divided by h, which keeps this operator the exact negative adjoint of
-    divergence_to_cells on admissible fluxes.
+    This is the exact negative adjoint of divergence_to_cells.
     """
-    n = u.grid.n
     h = u.grid.h
     v = u.values
-    gx = np.zeros((n + 1, n))
-    gy = np.zeros((n, n + 1))
-    gx[1:n, :] = (v[1:, :] - v[:-1, :]) / h
-    gy[:, 1:n] = (v[:, 1:] - v[:, :-1]) / h
-    return FluxField(u.grid, gx, gy)
+    return FluxField(u.grid, (v[1:, :] - v[:-1, :]) / h, (v[:, 1:] - v[:, :-1]) / h)
 
 
 def divergence_to_cells(p: FluxField) -> ScalarField:
-    """Cell divergence of a face field."""
+    """Cell divergence of a face field; boundary-normal faces count as zero."""
     h = p.grid.h
-    div = (p.x_values[1:, :] - p.x_values[:-1, :]) / h \
-        + (p.y_values[:, 1:] - p.y_values[:, :-1]) / h
+    px = np.pad(p.x_values, ((1, 1), (0, 0)))
+    py = np.pad(p.y_values, ((0, 0), (1, 1)))
+    div = (px[1:, :] - px[:-1, :]) / h + (py[:, 1:] - py[:, :-1]) / h
     return ScalarField(p.grid, div)
 
 
 def average_to_faces(q: ScalarField) -> FluxField:
-    """Arithmetic cell-to-face average; boundary faces copy the adjacent cell."""
-    n = q.grid.n
+    """Arithmetic mean of the two cells adjacent to each face."""
     v = q.values
-    ax = np.empty((n + 1, n))
-    ay = np.empty((n, n + 1))
-    ax[1:n, :] = 0.5 * (v[1:, :] + v[:-1, :])
-    ax[0, :] = v[0, :]
-    ax[n, :] = v[-1, :]
-    ay[:, 1:n] = 0.5 * (v[:, 1:] + v[:, :-1])
-    ay[:, 0] = v[:, 0]
-    ay[:, n] = v[:, -1]
-    return FluxField(q.grid, ax, ay)
+    return FluxField(q.grid, 0.5 * (v[1:, :] + v[:-1, :]), 0.5 * (v[:, 1:] + v[:, :-1]))
 
 
 def average_to_faces_adjoint(z: FluxField) -> ScalarField:
@@ -288,14 +264,10 @@ def average_to_faces_adjoint(z: FluxField) -> ScalarField:
     n = z.grid.n
     zx, zy = z.x_values, z.y_values
     out = np.zeros((n, n))
-    out[:-1, :] += 0.5 * zx[1:n, :]
-    out[1:, :] += 0.5 * zx[1:n, :]
-    out[0, :] += zx[0, :]
-    out[-1, :] += zx[n, :]
-    out[:, :-1] += 0.5 * zy[:, 1:n]
-    out[:, 1:] += 0.5 * zy[:, 1:n]
-    out[:, 0] += zy[:, 0]
-    out[:, -1] += zy[:, n]
+    out[:-1, :] += 0.5 * zx
+    out[1:, :] += 0.5 * zx
+    out[:, :-1] += 0.5 * zy
+    out[:, 1:] += 0.5 * zy
     return ScalarField(z.grid, out)
 
 

@@ -3,9 +3,11 @@
 The reconstruction works on the first-order system
 
     -div p + mu u = g        (cell equation)
-    p - sigma_face grad u = 0  (face equation, flux constrained to p.nu = 0)
+    p - sigma_face grad u = 0  (face equation on the interior faces)
 
-so that sigma and mu each enter exactly one linear equation.  This module
+so that sigma and mu each enter exactly one linear equation.  The flux
+lives on the interior faces only (grid.FluxField), so the side constraint
+p.nu = 0 holds by construction and needs no check.  This module
 evaluates the residuals, the total functional J (equation residuals +
 data misfit + both regularizers), the symmetric normal operator of the
 state block, and the misfit gradients of the coefficient block.  Every
@@ -26,15 +28,13 @@ from .regularization import RegConfig, eval_phi
 
 @dataclass
 class StatePair:
-    """State block v = (u, p); p must satisfy the zero normal trace."""
+    """State block v = (u, p) of cell values and interior-face fluxes."""
 
     u: ScalarField
     p: FluxField
 
     def __post_init__(self):
         _require_same_grid(self.u, self.p)
-        if not self.p.is_admissible():
-            raise ValueError("flux has nonzero boundary-normal entries")
 
     @classmethod
     def zeros(cls, grid) -> "StatePair":
@@ -155,7 +155,7 @@ def state_normal_apply(q: CoefficientPair, v: StatePair) -> StatePair:
     r1 = -divergence_to_cells(v.p).values + mu * v.u.values
     r2x = v.p.x_values - s_face.x_values * grad_u.x_values
     r2y = v.p.y_values - s_face.y_values * grad_u.y_values
-    # r2 is admissible: both p and grad u vanish on boundary-normal faces.
+    # Like p, r2 has no boundary-normal entries; the divergence reads them as 0.
     s_r2 = FluxField(grid, s_face.x_values * r2x, s_face.y_values * r2y)
 
     a_u = mu * r1 + divergence_to_cells(s_r2).values \

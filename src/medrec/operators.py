@@ -1,9 +1,10 @@
 """Assembled sparse forms of the MAC-grid operators; grid.py is their reference.
 
-Cell fields ravel in C order (values[i, j] -> i * n + j); face vectors
-hold the interior faces x_values[1:n, :] and y_values[:, 1:n], raveled
-in C order, since admissible fluxes vanish on boundary-normal faces.
-Boundary vectors use the 4n ordering of grid.BoundaryData.
+Both modules share one layout.  Cell fields ravel in C order
+(values[i, j] -> i * n + j); face vectors are grid.FluxField's
+x_values (n-1, n) and y_values (n, n-1), the interior faces only,
+raveled in C order.  Boundary vectors use the 4n ordering of
+grid.BoundaryData.
 """
 
 import numpy as np

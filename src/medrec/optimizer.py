@@ -125,22 +125,15 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 
 def pack_state(v: StatePair) -> np.ndarray:
-    n = v.u.grid.n
-    return np.concatenate([v.u.values.ravel(),
-                           v.p.x_values[1:n, :].ravel(),
-                           v.p.y_values[:, 1:n].ravel()])
+    return np.concatenate([v.u.values.ravel(), v.p.x_values.ravel(),
+                           v.p.y_values.ravel()])
 
 
 def unpack_state(x: np.ndarray, grid: StaggeredGrid) -> StatePair:
     n = grid.n
-    nu = n * n
-    nf = (n - 1) * n
-    u = ScalarField(grid, x[:nu].reshape(n, n))
-    px = np.zeros((n + 1, n))
-    py = np.zeros((n, n + 1))
-    px[1:n, :] = x[nu:nu + nf].reshape(n - 1, n)
-    py[:, 1:n] = x[nu + nf:nu + 2 * nf].reshape(n, n - 1)
-    return StatePair(u, FluxField(grid, px, py))
+    u, px, py = np.split(x, [n * n, (2 * n - 1) * n])
+    return StatePair(ScalarField(grid, u.reshape(n, n)),
+                     FluxField(grid, px.reshape(n - 1, n), py.reshape(n, n - 1)))
 
 
 class _StateSolver:
@@ -258,7 +251,7 @@ def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
     for v in states:
         u = v.u.values.ravel()
         blocks += [sp.diags(gx @ u) @ ax, sp.diags(gy @ u) @ ay]
-        targets += [v.p.x_values[1:n, :].ravel(), v.p.y_values[:, 1:n].ravel()]
+        targets += [v.p.x_values.ravel(), v.p.y_values.ravel()]
     return _CoefficientProblem(sp.vstack(blocks, format="csr"),
                                np.concatenate(targets), reg, n)
 
@@ -268,8 +261,7 @@ def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
     gx, gy = face_gradient(n)
     b_mat = sp.vstack([sp.diags(v.u.values.ravel()) for v in states], format="csr")
     target = np.concatenate([
-        g.values.ravel() - gx.T @ v.p.x_values[1:n, :].ravel()
-        - gy.T @ v.p.y_values[:, 1:n].ravel()
+        g.values.ravel() - gx.T @ v.p.x_values.ravel() - gy.T @ v.p.y_values.ravel()
         for v, g in zip(states, sources)])
     return _CoefficientProblem(b_mat, target, reg, n)
 

@@ -29,9 +29,8 @@ def random_scalar(grid, rng):
 
 def random_admissible_flux(grid, rng):
     n = grid.n
-    raw = FluxField(grid, rng.standard_normal((n + 1, n)),
-                    rng.standard_normal((n, n + 1)))
-    return raw.projected_admissible()
+    return FluxField(grid, rng.standard_normal((n - 1, n)),
+                     rng.standard_normal((n, n - 1)))
 
 
 def random_boundary(grid, rng):

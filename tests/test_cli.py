@@ -200,6 +200,41 @@ def test_config_directory_is_config_error(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
 
 
+def test_repeated_geometry_key_is_config_error(tmp_path):
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nsigma_square_0=0.25,0.65,0.1,20.0\n"
+                    "sigma_square_0=0.75,0.35,0.1,15.0\n")
+    out = tmp_path / "o"
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
+                   "--out", str(out)) == 2
+    assert not (out / "truth_sigma.field").exists()
+
+
+def test_repeated_config_key_is_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    for text in ("grid=12\ngrid=20\n", "max-outer=3\nmax_outer=5\n"):
+        cfg.write_text("version=1\n" + text)
+        assert run_cli("generate", "--config", str(cfg), "--out", str(out)) == 2
+    assert not (out / "run.cfg").exists()
+
+
+@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
+def test_dsm_oversample_must_match_generate(tmp_path, capsys):
+    out = tmp_path / "o"
+    common = ("--example", "ex1", "--grid", "12", "--out", str(out))
+    assert run_cli("generate", "--oversample", "1", *common) == 0
+    capsys.readouterr()
+    assert run_cli("dsm", *common) == 2
+    err = capsys.readouterr().err
+    assert "oversample=2" in err and "oversample=1" in err
+    assert not (out / "init_sigma.field").exists()
+    assert run_cli("dsm", "--oversample", "1", *common) == 0
+    # without the record of generate, dsm takes its own value as before
+    (out / "run.cfg").unlink()
+    assert run_cli("dsm", *common) == 0
+
+
 @pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
 def test_cli_and_library_reconstruct_identically(tmp_path):
     # n=16 leaves the sigma mask empty; the mu mask still seeds stage two

@@ -24,8 +24,8 @@ def test_gradient_matches_grid(n, seed):
     u = ScalarField(grid, np.random.default_rng(seed).standard_normal((n, n)))
     gx, gy = ops.face_gradient(n)
     free = gr.gradient_to_faces(u)
-    assert_close(gx @ u.values.ravel(), free.x_values[1:n, :].ravel())
-    assert_close(gy @ u.values.ravel(), free.y_values[:, 1:n].ravel())
+    assert_close(gx @ u.values.ravel(), free.x_values.ravel())
+    assert_close(gy @ u.values.ravel(), free.y_values.ravel())
 
 
 @property_settings
@@ -35,8 +35,8 @@ def test_averaging_matches_grid_on_interior_faces(n, seed):
     q = ScalarField(grid, np.random.default_rng(seed).standard_normal((n, n)))
     ax, ay = ops.face_average(n)
     free = gr.average_to_faces(q)
-    assert_close(ax @ q.values.ravel(), free.x_values[1:n, :].ravel())
-    assert_close(ay @ q.values.ravel(), free.y_values[:, 1:n].ravel())
+    assert_close(ax @ q.values.ravel(), free.x_values.ravel())
+    assert_close(ay @ q.values.ravel(), free.y_values.ravel())
 
 
 @property_settings
