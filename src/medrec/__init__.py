@@ -12,8 +12,7 @@ from .grid import (BoundaryData, FluxField, GridError, GridMismatchError,
                    boundary_trace, cell_inner, cell_norm, divergence_to_cells,
                    face_inner, face_norm, gradient_to_faces, neumann_to_source,
                    prolong_cells, restrict_cells)
-from .forward import (ForwardProblem, ForwardSolverError,
-                      IncompatibleProblemError, MeasurementSet,
+from .forward import (ForwardProblem, ForwardSolverError, MeasurementSet,
                       check_measurements, default_excitations,
                       generate_measurements, solve_forward)
 from .regularization import (RegConfig, bregman_distance, eval_phi,

@@ -23,8 +23,8 @@ from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
                           add_noise, background_deviation, compute_metrics,
                           deserialize_field, example_names, make_example,
                           render_pgm, serialize_field)
-from .forward import (ForwardSolverError, IncompatibleProblemError,
-                      MeasurementSet, default_excitations, generate_measurements)
+from .forward import (ForwardSolverError, MeasurementSet, default_excitations,
+                      generate_measurements)
 from .grid import BoundaryData, GridError, ScalarField, StaggeredGrid
 from .model import CoefficientPair
 from .optimizer import AdiConfig, SubproblemFailure, adi_reconstruct
@@ -263,21 +263,33 @@ def _load_measurements(out: Path) -> list[MeasurementSet]:
     return sets
 
 
-def _check_generated_oversample(cfg: RunConfig, out: Path) -> None:
-    """The DSM reference must be synthesized as generate synthesized the data."""
+def _check_generated(command: str, keys: tuple[str, ...], cfg: RunConfig,
+                     out: Path) -> None:
+    """Exit 2 unless `keys` agree with the run.cfg that generate wrote to out.
+
+    dsm synthesizes its reference, and reconstruct picks its weights, for
+    the medium, grid, refinement and noise level they are given; these
+    must be the ones the data were generated with.  Geometry files are
+    compared as resolved paths.  Without a run.cfg nothing is checked.
+    """
     path = out / "run.cfg"
     if not path.exists():
         return
-    recorded = _coerce("oversample", _parse_kv_file(path).get("oversample", ""))
-    if recorded != cfg.oversample:
-        raise ConfigError(f"dsm oversample={cfg.oversample} differs from the "
-                          f"oversample={recorded} that generate recorded in {path}")
+    recorded = _parse_kv_file(path)
+    for key in keys:
+        mine, theirs = getattr(cfg, key), _coerce(key, recorded.get(key, ""))
+        same = mine == theirs
+        if key == "geometry" and mine and theirs:
+            same = Path(mine).resolve() == Path(theirs).resolve()
+        if not same:
+            raise ConfigError(f"{command} {key}={mine} differs from the "
+                              f"{key}={theirs} that generate recorded in {path}")
 
 
 def cmd_dsm(cfg: RunConfig) -> None:
     spec = _example_for(cfg)
     out = _outdir(cfg)
-    _check_generated_oversample(cfg, out)
+    _check_generated("dsm", ("example", "geometry", "grid", "oversample"), cfg, out)
     sets = _load_measurements(out)
     grid = sets[0].grid
     loc = DirectSamplingLocator(spec.sigma_background, spec.mu_background,
@@ -297,6 +309,7 @@ def cmd_dsm(cfg: RunConfig) -> None:
 def cmd_reconstruct(cfg: RunConfig) -> None:
     spec = _example_for(cfg)
     out = _outdir(cfg)
+    _check_generated("reconstruct", ("example", "geometry", "grid", "noise"), cfg, out)
     sets = _load_measurements(out)
     grid = sets[0].grid
     a_s, b_s, a_m, b_m = _reg_params(cfg, spec)
@@ -434,9 +447,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         _COMMANDS[args.command](cfg)
-    # IncompatibleProblemError is a ValueError, so this clause goes first.
-    except (SubproblemFailure, ForwardSolverError,
-            IncompatibleProblemError) as exc:
+    except (SubproblemFailure, ForwardSolverError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, FieldFormatError, GridError, ValueError) as exc:

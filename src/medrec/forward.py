@@ -5,10 +5,13 @@ Solves the five-point staggered discretization of
     -div(sigma grad u) + mu u = g_vol + (boundary flux h spread onto the
                                 boundary cell layer)
 
-by one sparse LU factorization of the assembled operator, bordered by a
-mean-zero constraint when mu == 0.  The factorization depends on the
-medium alone, so generate_measurements factorizes once per medium and
-makes one residual-verified solve per excitation on that factor.  The
+by one sparse LU factorization of the assembled operator.  With
+sigma > 0 and mu >= 0 positive somewhere the operator is symmetric
+positive definite, so it is factored pivot-free under a symmetric
+minimum-degree ordering (operators.SPD_LU), like the state block and
+the sampling probes.  The factorization depends on the medium alone,
+so generate_measurements factorizes once per medium and makes one
+residual-verified solve per excitation on that factor.  The
 solver exists only to manufacture Cauchy pairs (h, f); the
 reconstruction itself never calls it.  Data generation runs on a grid
 refined by an integer `oversample` and restricts back, so inversion
@@ -18,18 +21,13 @@ never sees its own discretization.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grid import (BoundaryData, ScalarField, StaggeredGrid, average_to_faces,
                    boundary_trace, divergence_to_cells, gradient_to_faces,
                    neumann_to_source, prolong_boundary, prolong_cells,
                    restrict_cells, _require_same_grid)
-from .operators import diffusion_matrix
-
-
-class IncompatibleProblemError(ValueError):
-    """Pure-Neumann problem whose data violates the compatibility condition."""
+from .operators import SPD_LU, diffusion_matrix
 
 
 class ForwardSolverError(RuntimeError):
@@ -97,6 +95,8 @@ def _check_coefficients(sigma: ScalarField, mu: ScalarField) -> None:
         raise ValueError("diffusion coefficient must be strictly positive")
     if mu.values.min() < 0:
         raise ValueError("absorption coefficient must be nonnegative")
+    if mu.values.max() == 0:
+        raise ValueError("absorption coefficient must be positive somewhere")
 
 
 class _ForwardSolver:
@@ -109,19 +109,10 @@ class _ForwardSolver:
 
     def __init__(self, sigma: ScalarField, mu: ScalarField):
         _check_coefficients(sigma, mu)
-        n = sigma.grid.n
         self.grid = sigma.grid
         self.mu = mu
         self.sigma_faces = average_to_faces(sigma)
-        self.pure_neumann = mu.values.max() == 0.0
-        matrix = diffusion_matrix(sigma.values, mu.values)
-        if self.pure_neumann:
-            # Gauge: border the singular operator with the mean-zero constraint.
-            ones = sp.csc_matrix(np.ones((n * n, 1)))
-            matrix = sp.bmat([[matrix, ones], [ones.T, None]], format="csc")
-        # The operator is symmetric: minimum degree on A^T + A gives about
-        # half the LU fill of the default COLAMD ordering.
-        self.lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        self.lu = splu(diffusion_matrix(sigma.values, mu.values), **SPD_LU)
 
     def solve(self, neumann: BoundaryData,
               volumetric_source: ScalarField | None = None,
@@ -130,30 +121,13 @@ class _ForwardSolver:
         if tol <= 0:
             raise ValueError("tol must be positive")
         grid = self.grid
-        n, h = grid.n, grid.h
-
         rhs_field = neumann_to_source(neumann)
         if volumetric_source is not None:
             rhs_field = rhs_field + volumetric_source
         b = rhs_field.values
-
-        if self.pure_neumann:
-            total = float(b.sum()) * h * h
-            scale = h * np.abs(neumann.values).sum() \
-                + h * h * np.abs(b).sum() + 1.0
-            if abs(total) > 1e-10 * scale:
-                raise IncompatibleProblemError(
-                    f"mu == 0 with nonzero net source ({total:.3e}); "
-                    "the pure-Neumann problem has no solution")
-            b = b - b.mean()
-
         if not np.any(b):
             return ScalarField.zeros(grid)
-        rhs = b.ravel()
-        if self.pure_neumann:
-            rhs = np.append(rhs, 0.0)
-        x = self.lu.solve(rhs)
-        u = ScalarField(grid, x[:n * n].reshape(n, n))
+        u = ScalarField(grid, self.lu.solve(b.ravel()).reshape(b.shape))
 
         # Verify through the independent matrix-free operators of grid.py.
         r = self.mu * u - divergence_to_cells(self.sigma_faces * gradient_to_faces(u))
@@ -170,9 +144,9 @@ def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
 
     The solution is returned only if its relative residual, recomputed
     through the matrix-free operators of grid.py, is <= tol.  Raises
-    IncompatibleProblemError for a pure-Neumann problem (mu == 0) whose
-    total source does not vanish, and ForwardSolverError (carrying the
-    residual) when the direct solve misses tol.
+    ForwardSolverError (carrying the residual) when the direct solve
+    misses tol; ForwardProblem has already rejected sigma <= 0, mu < 0
+    and mu == 0 on every cell.
     """
     solver = _ForwardSolver(problem.sigma, problem.mu)
     return solver.solve(problem.neumann, problem.volumetric_source, tol)

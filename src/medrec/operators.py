@@ -10,11 +10,12 @@ grid.BoundaryData.
 import numpy as np
 import scipy.sparse as sp
 
-# splu(A, **SPD_LU) for the SPD matrices built from these maps (the state
-# block's normal matrix, the probe family's background operator): minimum
-# degree on A^T + A, diagonal pivots only.  For an SPD matrix that is
-# Cholesky up to a diagonal scaling, so it is stable without pivoting;
-# partial pivoting would discard the symmetric ordering and multiply the fill.
+# splu(A, **SPD_LU) for the three SPD matrices built from these maps (the
+# forward operator, the probe family's background operator and the state
+# block's normal matrix): minimum degree on A^T + A, diagonal pivots only.
+# For an SPD matrix that is Cholesky up to a diagonal scaling, so it is
+# stable without pivoting; partial pivoting would discard the symmetric
+# ordering and multiply the fill.
 SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
 
@@ -63,7 +64,8 @@ def diffusion_matrix(sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:
 
     sigma and mu are (n, n) cell arrays; Sx, Sy hold sigma averaged onto
     the interior faces.  With zero-flux boundary faces this is the
-    Neumann operator: symmetric, and singular exactly when mu == 0.
+    Neumann operator: symmetric, and for sigma > 0, mu >= 0 positive
+    definite exactly when mu is positive on some cell.
     """
     n = sigma.shape[0]
     gx, gy = face_gradient(n)

@@ -1,6 +1,7 @@
 """Alternating minimization of the total least-squares functional.
 
-Each outer iteration solves two convex subproblems:
+adi_reconstruct runs a fixed number of outer iterations (max_outer),
+each solving two convex subproblems:
 
   * state block: a linear-quadratic problem in (u, p) per excitation,
     solved through its normal equations.  The normal matrix M^T W M is
@@ -21,7 +22,9 @@ Each outer iteration solves two convex subproblems:
     (step 1/L with L from power iteration plus a 5% safety margin),
     accelerated with strong-convexity momentum and a monotone
     best-iterate safeguard so the functional can only descend.  The
-    closed-form prox handles the L1 term and the box.
+    closed-form prox handles the L1 term and the box.  Each solve stops
+    at the fixed-point tolerance COEFF_TOL or after COEFF_INNER_MAX
+    iterations (FINAL_INNER_CAP in the last outer iteration).
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
@@ -52,11 +55,11 @@ STATE_TOL = 1e-8             # verified state normal-equation residual
 POWER_ITERATIONS = 20
 POWER_SAFETY_MARGIN = 0.05
 _POWER_SEED = 1234
-STAGNATION_RTOL = 1e-12      # flat functional, relative to 1 + J0
+COEFF_TOL = 1e-8             # coefficient fixed-point residual
+COEFF_INNER_MAX = 200        # inner iterations of a coefficient solve
 FINAL_INNER_CAP = 10000      # inner iterations of the last coefficient solve
 
 STOP_MAX_ITERATIONS = "max_iterations"
-STOP_STAGNATION = "stagnation"
 STOP_SUBPROBLEM_FAILURE = "subproblem_failure"
 
 
@@ -71,21 +74,20 @@ class SubproblemFailure(RuntimeError):
 
 @dataclass
 class AdiConfig:
-    """Knobs of the alternating solver; sigma is always updated."""
+    """The method's parameters.
+
+    Each coefficient's regularization (L1/H1 weights and box), the number
+    of outer iterations, and whether mu is unknown; sigma always is.
+    """
 
     reg_sigma: RegConfig
     reg_mu: RegConfig
     max_outer: int = 50
-    coeff_inner_max: int = 200
-    coeff_tol: float = 1e-8
     update_mu: bool = True
-    stop_on_stagnation: bool = False
 
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.coeff_tol <= 0:
-            raise ValueError("coeff_tol must be positive")
 
 
 @dataclass
@@ -365,16 +367,16 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     if not states:
         raise ValueError("at least one state pair is required")
     n = warm_start.sigma.grid.n
-    cap = cfg.coeff_inner_max if inner_max is None else inner_max
+    cap = COEFF_INNER_MAX if inner_max is None else inner_max
 
     prob = _sigma_problem(states, cfg.reg_sigma, n)
     sigma, fp_sigma, iters, converged = _solve_one_coefficient(
-        prob, warm_start.sigma, cap, cfg.coeff_tol)
+        prob, warm_start.sigma, cap, COEFF_TOL)
     mu, fp_mu = warm_start.mu, math.nan
     if cfg.update_mu:
         prob = _mu_problem(states, sources, cfg.reg_mu, n)
         mu, fp_mu, it, ok = _solve_one_coefficient(
-            prob, warm_start.mu, cap, cfg.coeff_tol)
+            prob, warm_start.mu, cap, COEFF_TOL)
         iters = max(iters, it)
         converged &= ok
     return CoefficientUpdate(CoefficientPair(sigma, mu), fp_sigma, fp_mu,
@@ -430,11 +432,10 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     """Run the two-block alternation from a feasible initial coefficient pair.
 
     The state starts from zero, so j_history[0] is the functional of the
-    raw data against the initial coefficients.  Runs cfg.max_outer
-    alternations (the final coefficient solve gets the larger
+    raw data against the initial coefficients.  Always runs cfg.max_outer
+    alternations; the final coefficient solve gets the larger
     FINAL_INNER_CAP so the exit iterate satisfies its own fixed-point
-    tolerance); with stop_on_stagnation the loop exits early once the
-    functional is flat to STAGNATION_RTOL * (1 + J0).
+    tolerance.
     """
     measurements = check_measurements(measurements)
     grid = measurements[0].grid
@@ -447,8 +448,8 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     states = [StatePair.zeros(grid) for _ in measurements]
     coeffs = CoefficientPair(initial_q.sigma.copy(), initial_q.mu.copy())
 
-    j0 = eval_J(states, coeffs, sources, measurements, cfg.reg_sigma, cfg.reg_mu)
-    j_history = [j0]
+    j_history = [eval_J(states, coeffs, sources, measurements,
+                        cfg.reg_sigma, cfg.reg_mu)]
     j_after_state = []
     state_residuals = []
     coeff_res_sigma = []
@@ -457,7 +458,6 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     du_terms = []
     dq_terms = []
     inner_counts = []
-    stop_reason = STOP_MAX_ITERATIONS
 
     def _partial_report(reason):
         return ReconstructionReport(
@@ -486,9 +486,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
                                     cfg.reg_sigma, cfg.reg_mu))
 
         # -- coefficient half-step -------------------------------------------
-        last = k == cfg.max_outer - 1
-        cap = max(cfg.coeff_inner_max, FINAL_INNER_CAP) if last \
-            else cfg.coeff_inner_max
+        cap = FINAL_INNER_CAP if k == cfg.max_outer - 1 else COEFF_INNER_MAX
         update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
                                               inner_max=cap)
         new_coeffs = update.coefficients
@@ -505,22 +503,10 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         bregman_values.append(e_val)
 
         coeffs = new_coeffs
-        j_new = eval_J(states, coeffs, sources, measurements,
-                       cfg.reg_sigma, cfg.reg_mu)
-        # Stagnation: the functional is flat across the iteration and the
-        # coefficient block no longer moves.  The first iteration compares
-        # against the post-state value (the zero-state J_0 is an artifact
-        # of the cold start, so a restart from a minimizer stops here).
-        flat_outer = abs(j_history[-1] - j_new) <= STAGNATION_RTOL * (1.0 + j0)
-        flat_inner = abs(j_after_state[-1] - j_new) <= STAGNATION_RTOL * (1.0 + j0)
-        coeff_still = dq_terms[-1] <= STAGNATION_RTOL * (1.0 + j0)
-        stagnated = flat_inner and coeff_still and (flat_outer or k == 0)
-        j_history.append(j_new)
-        if cfg.stop_on_stagnation and stagnated:
-            stop_reason = STOP_STAGNATION
-            break
+        j_history.append(eval_J(states, coeffs, sources, measurements,
+                                cfg.reg_sigma, cfg.reg_mu))
 
-    return _partial_report(stop_reason)
+    return _partial_report(STOP_MAX_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -160,12 +160,13 @@ def test_unknown_example_is_config_error(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
 
 
-def test_incompatible_pure_neumann_geometry_is_numerical_failure(tmp_path):
-    # mu == 0 with the default influx has no solution: exit 3, not 2
+def test_incompatible_pure_neumann_geometry_is_config_error(tmp_path, capsys):
+    # mu == 0 on every cell leaves the forward operator singular: exit 2
     geom = tmp_path / "geom.cfg"
     geom.write_text("version=1\nname=no_absorption\nmu_bg=0.0\n")
     assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
-                   "--out", str(tmp_path / "o")) == 3
+                   "--out", str(tmp_path / "o")) == 2
+    assert "absorption" in capsys.readouterr().err
 
 
 def test_state_factor_failure_is_numerical_failure(tmp_path, singular_factor):
@@ -233,6 +234,62 @@ def test_dsm_oversample_must_match_generate(tmp_path, capsys):
     # without the record of generate, dsm takes its own value as before
     (out / "run.cfg").unlink()
     assert run_cli("dsm", *common) == 0
+
+
+@pytest.fixture(scope="module")
+def generated_n12(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ex1n12")
+    assert run_cli("generate", "--example", "ex1", "--grid", "12",
+                   "--out", str(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage", ["dsm", "reconstruct"])
+def test_grid_must_match_generate(generated_n12, stage, capsys):
+    assert run_cli(stage, "--example", "ex1", "--grid", "20", "--max-outer", "1",
+                   "--out", str(generated_n12)) == 2
+    err = capsys.readouterr().err
+    assert "grid=20" in err and "grid=12" in err
+
+
+@pytest.mark.parametrize("stage", ["dsm", "reconstruct"])
+def test_example_must_match_generate(generated_n12, stage, capsys):
+    assert run_cli(stage, "--example", "ex4", "--grid", "12", "--max-outer", "1",
+                   "--out", str(generated_n12)) == 2
+    err = capsys.readouterr().err
+    assert "example=ex4" in err and "example=ex1" in err
+
+
+def test_geometry_must_match_generate(tmp_path, capsys):
+    base = "version=1\nsigma_square_0=0.25,0.65,0.1,20.0\n"
+    geom, other = tmp_path / "geom.cfg", tmp_path / "other.cfg"
+    geom.write_text(base)
+    other.write_text(base + "sigma_bg=2.0\n")
+    out = str(tmp_path / "o")
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "12",
+                   "--out", out) == 0
+    for stage in ("dsm", "reconstruct"):
+        assert run_cli(stage, "--geometry", str(other), "--grid", "12",
+                       "--max-outer", "1", "--out", out) == 2
+        assert "other.cfg" in capsys.readouterr().err
+    # the same file under another spelling of its path is the same geometry
+    same = str(tmp_path / "o" / ".." / "geom.cfg")
+    assert run_cli("dsm", "--geometry", same, "--grid", "12", "--out", out) == 0
+
+
+@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
+def test_reconstruct_noise_must_match_generate(tmp_path, capsys):
+    # the noise level selects the example's regularization column
+    out = str(tmp_path / "o")
+    common = ("--example", "ex1", "--grid", "12", "--out", out)
+    assert run_cli("generate", "--noise", "0.05", *common) == 0
+    assert run_cli("dsm", *common) == 0
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--max-outer", "1", *common) == 2
+    err = capsys.readouterr().err
+    assert "noise=0.0" in err and "noise=0.05" in err
+    assert not (tmp_path / "o" / "recon_sigma.field").exists()
+    assert run_cli("reconstruct", "--noise", "0.05", "--max-outer", "1", *common) == 0
 
 
 @pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")

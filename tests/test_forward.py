@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import medrec.forward as forward
 from medrec.dsm import homogeneous_reference
-from medrec.forward import (ForwardProblem, ForwardSolverError,
-                            IncompatibleProblemError, MeasurementSet,
-                            default_excitations, generate_measurements,
-                            solve_forward)
+from medrec.forward import (ForwardProblem, ForwardSolverError, MeasurementSet,
+                            _ForwardSolver, default_excitations,
+                            generate_measurements, solve_forward)
+from medrec.operators import diffusion_matrix
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
                          boundary_trace, cell_norm, prolong_boundary,
                          prolong_cells, restrict_cells)
@@ -55,15 +56,48 @@ def test_validation_errors():
         solve_forward(constant_problem(grid, g=ScalarField.constant(grid, 1.0)), tol=0.0)
 
 
-def test_pure_neumann_compatibility():
+def test_absorption_free_medium_is_rejected():
+    # mu == 0 on every cell leaves the Neumann operator singular
     grid = StaggeredGrid(8)
-    bad = constant_problem(grid, mu=0.0, h=BoundaryData(grid, np.ones(32)))
-    with pytest.raises(IncompatibleProblemError):
-        solve_forward(bad)
-    # compatible zero-mean data solves and returns a mean-free solution
-    h = BoundaryData.from_sides(grid, 0.0, -1.0, 0.0, 1.0)
-    u = solve_forward(constant_problem(grid, mu=0.0, h=h))
-    assert abs(u.values.mean()) < 1e-12
+    h = BoundaryData.from_sides(grid, 0.0, -1.0, 0.0, 1.0)   # zero net flux
+    with pytest.raises(ValueError, match="positive somewhere"):
+        constant_problem(grid, mu=0.0, h=h)
+    with pytest.raises(ValueError, match="positive somewhere"):
+        generate_measurements(ScalarField.constant(grid, 1.0),
+                              ScalarField.zeros(grid), [h])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=24),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       one_absorbing_cell=st.booleans())
+def test_forward_operator_is_factored_pivot_free(n, seed, one_absorbing_cell):
+    # The single absorbing cell is the accepted medium nearest to the
+    # singular mu == 0 one.  It holds mu = 30: the constant mode's
+    # eigenvalue is about mu / n^2, and two backward-stable solves differ
+    # by up to cond * eps, which at mu = 0.5 already exceeds 1e-10.
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    sigma = 0.5 + 29.5 * rng.random((n, n))
+    if one_absorbing_cell:
+        mu = np.zeros((n, n))
+        mu[rng.integers(n), rng.integers(n)] = 30.0
+    else:
+        mu = 30.0 * rng.random((n, n))
+    solver = _ForwardSolver(ScalarField(grid, sigma), ScalarField(grid, mu))
+    # equal row and column permutations: no row was pivoted
+    assert np.array_equal(solver.lu.perm_r, solver.lu.perm_c)
+    matrix = diffusion_matrix(sigma, mu)
+    b = rng.standard_normal(n * n)
+    x = solver.lu.solve(b)
+    colamd = splu(matrix)                  # COLAMD with partial pivoting
+    reference = colamd.solve(b)
+    assert np.abs(x - reference).max() <= 1e-10 * np.abs(reference).max()
+    # minimum degree fills less (measured at most 0.91x for n in [4, 24])
+    assert solver.lu.L.nnz + solver.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    # backward stable: residual at rounding level of |A| |x|
+    assert np.abs(matrix @ x - b).max() \
+        <= 1e-14 * abs(matrix).sum(axis=1).max() * np.abs(x).max()
 
 
 def test_residual_gate_rejects_unreachable_tolerance():
