@@ -347,6 +347,9 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
         f"final_coeff_residual_sigma={float(res_sigma)!r}",
         f"final_coeff_residual_mu={float(res_mu)!r}",
         "j_history=" + ",".join(repr(float(v)) for v in report.j_history),
+        f"state_factorizations={int(report.state_factorizations.sum())}",
+        "state_pcg_iterations=" + ",".join(str(int(k))
+                                           for k in report.state_pcg_iterations),
     ]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"reconstruct: {report.iterations} iterations, "

@@ -6,10 +6,15 @@ each solving two convex subproblems:
   * state block: a linear-quadratic problem in (u, p) per excitation,
     solved through its normal equations.  The normal matrix M^T W M is
     assembled sparse once per outer iteration (it depends only on the
-    current coefficients) and, being symmetric positive definite (M has
-    full column rank), factorized pivot-free under a symmetric
-    minimum-degree ordering (operators.SPD_LU), so every excitation
-    reuses the factor.  One half-step serves solve_state_subproblem and
+    current coefficients).  Being symmetric positive definite (M has
+    full column rank), it is factorized pivot-free under a symmetric
+    minimum-degree ordering (operators.SPD_LU) in the first outer
+    iteration only.  Later iterations keep that factor and solve each
+    excitation by conjugate gradients on the new matrix, preconditioned
+    by the factor (the coefficients move little between iterations).
+    When CG overruns STATE_PCG_MAX iterations, the old factor is freed
+    and the current matrix factored in its place; one factor is alive
+    at a time.  One half-step serves solve_state_subproblem and
     adi_reconstruct alike: the residual is recomputed through the
     matrix-free normal operator from the model module, keeping the two
     routes independent, and a zero pivot or a residual above STATE_TOL
@@ -28,11 +33,14 @@ each solving two convex subproblems:
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
-after the fact.  Every term of that certificate (J, the decrements, the
+after the fact, plus each state half-step's factorizations and PCG
+iterations; a DEBUG record on the "medrec" logger summarizes every
+outer iteration.  Every term of that certificate (J, the decrements, the
 misfit gradients and the Bregman distances) is evaluated matrix-free,
 independently of the assembled coefficient block.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -52,12 +60,20 @@ from .regularization import (RegConfig, box_feasible, bregman_distance,
                              prox_l1_box, prox_l1_box_array)
 
 STATE_TOL = 1e-8             # verified state normal-equation residual
+# PCG on a kept state factor stops four digits inside STATE_TOL.  The
+# state norm weights u and p alike by h^2, so the assembled relative
+# residual PCG measures equals the matrix-free one that judges the solve,
+# up to rounding.
+PCG_RTOL = 1e-4 * STATE_TOL
+STATE_PCG_MAX = 14           # PCG iterations on a kept factor before refactoring
 POWER_ITERATIONS = 20
 POWER_SAFETY_MARGIN = 0.05
 _POWER_SEED = 1234
 COEFF_TOL = 1e-8             # coefficient fixed-point residual
 COEFF_INNER_MAX = 200        # inner iterations of a coefficient solve
 FINAL_INNER_CAP = 10000      # inner iterations of the last coefficient solve
+
+logger = logging.getLogger("medrec")
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_SUBPROBLEM_FAILURE = "subproblem_failure"
@@ -106,6 +122,9 @@ class ReconstructionReport:
     state_decrement_terms: np.ndarray
     coeff_decrement_terms: np.ndarray
     coeff_inner_iterations: np.ndarray
+    state_factorizations: np.ndarray     # 1 where the state half-step factored
+    state_pcg_iterations: np.ndarray     # PCG iterations spent, most over
+                                         # excitations; 0 on a fresh factor
 
     @property
     def iterations(self) -> int:
@@ -123,7 +142,7 @@ class ReconstructionReport:
 
 
 # ---------------------------------------------------------------------------
-# State subproblem: assembled sparse normal equations, one factor per q
+# State subproblem: assembled sparse normal equations, one kept factor
 # ---------------------------------------------------------------------------
 
 def pack_state(v: StatePair) -> np.ndarray:
@@ -139,9 +158,22 @@ def unpack_state(x: np.ndarray, grid: StaggeredGrid) -> StatePair:
 
 
 class _StateSolver:
-    """Factorized normal equations L_q^T W L_q + C^T W C for fixed q."""
+    """Normal equations L_q^T W L_q + C^T W C of the state block, one kept factor.
+
+    The constructor assembles the normal matrix of q and factors it.
+    assemble() replaces the matrix by that of new coefficients and keeps
+    the factor, which from then on preconditions conjugate gradients on
+    the new matrix.  When CG overruns STATE_PCG_MAX iterations or loses
+    positive curvature, the old factor is freed, the current matrix is
+    factored and every right-hand side is solved on it directly.
+    """
 
     def __init__(self, q: CoefficientPair):
+        self.factorizations = 0
+        self.assemble(q)
+        self._factor()
+
+    def assemble(self, q: CoefficientPair) -> None:
         grid = q.sigma.grid
         n, h = grid.n, grid.h
         self.grid = grid
@@ -151,23 +183,27 @@ class _StateSolver:
         sy = ay @ q.sigma.values.ravel()
         nf = (n - 1) * n
         eye_f = sp.identity(nf, format="csr")
-        m_mat = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
-                         [-sp.diags(sx) @ gx, eye_f, None],
-                         [-sp.diags(sy) @ gy, None, eye_f],
-                         [trace(n), None, None]], format="csr")
+        self._m = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
+                           [-sp.diags(sx) @ gx, eye_f, None],
+                           [-sp.diags(sy) @ gy, None, eye_f],
+                           [trace(n), None, None]], format="csr")
+        self._w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
+                                  np.full(4 * n, h)])
+        self._normal = (self._m.T @ sp.diags(self._w) @ self._m).tocsc()
+        self._exact = False         # the factor, if any, is of an earlier q
 
-        w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
-                            np.full(4 * n, h)])
-        self._m = m_mat
-        self._w = w
+    def _factor(self) -> None:
+        self._lu = None             # free the old factor: never two alive at once
         try:
-            self._lu = splu(self.normal_matrix(), **SPD_LU)
+            self._lu = splu(self._normal, **SPD_LU)
         except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
             raise SubproblemFailure(f"state factorization failed: {exc}") from exc
+        self._exact = True
+        self.factorizations += 1
 
     def normal_matrix(self) -> sp.csc_matrix:
         """M^T W M, symmetric positive definite."""
-        return (self._m.T @ sp.diags(self._w) @ self._m).tocsc()
+        return self._normal
 
     def rhs(self, g: ScalarField, f) -> np.ndarray:
         n = self.grid.n
@@ -175,28 +211,72 @@ class _StateSolver:
         d = np.concatenate([g.values.ravel(), np.zeros(2 * nf), f.values])
         return self._m.T @ (self._w * d)
 
-    def solve(self, g: ScalarField, f) -> StatePair:
-        x = self._lu.solve(self.rhs(g, f))
-        return unpack_state(x, self.grid)
+    def solve(self, rhs: list) -> tuple[list, int]:
+        """Solutions of M^T W M x = b for each b, and the most PCG iterations."""
+        if self._exact:
+            return [self._lu.solve(b) for b in rhs], 0
+        solutions, most = [], 0
+        for b in rhs:
+            x, iterations = _pcg(self._normal, b, self._lu.solve)
+            most = max(most, iterations)
+            if x is None:
+                self._factor()
+                return [self._lu.solve(b) for b in rhs], most
+            solutions.append(x)
+        return solutions, most
 
 
-def _state_half_step(q: CoefficientPair, sources, traces) -> tuple[list, float]:
-    """Solve the state block of every excitation on one factor of q.
+def _pcg(a: sp.csc_matrix, b: np.ndarray, precondition) -> tuple:
+    """Conjugate gradients on a x = b, started from and preconditioned by
+    an approximate inverse.
 
-    Returns the states and their largest verified normal-equation
-    residual.  Raises SubproblemFailure when the factorization hits a
-    zero pivot or that residual misses STATE_TOL.  The factor is freed
-    on return, before the caller's next factorization.
+    Returns (x, iterations), with x None when STATE_PCG_MAX iterations do
+    not reach the relative residual PCG_RTOL or a direction has
+    p^T a p <= 0.
     """
-    solver = _StateSolver(q)
-    states = [solver.solve(g, f) for g, f in zip(sources, traces)]
+    x = precondition(b)
+    r = b - a @ x
+    stop = PCG_RTOL * np.linalg.norm(b)
+    if np.linalg.norm(r) <= stop:
+        return x, 0
+    z = precondition(r)
+    p = z
+    rz = r @ z
+    for k in range(1, STATE_PCG_MAX + 1):
+        ap = a @ p
+        curvature = p @ ap
+        if not curvature > 0.0:
+            return None, k
+        step = rz / curvature
+        x = x + step * p
+        r = r - step * ap
+        if np.linalg.norm(r) <= stop:
+            return x, k
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None, STATE_PCG_MAX
+
+
+def _state_half_step(q: CoefficientPair, sources, traces,
+                     solver: _StateSolver) -> tuple[list, float, int]:
+    """Solve the state block of every excitation on the solver's matrix of q.
+
+    Returns the states, their largest verified normal-equation residual
+    and the most PCG iterations an excitation took (0 on a factor of q's
+    own matrix).  Raises SubproblemFailure when a factorization hits a
+    zero pivot or that residual misses STATE_TOL.
+    """
+    solutions, pcg_iterations = solver.solve(
+        [solver.rhs(g, f) for g, f in zip(sources, traces)])
+    states = [unpack_state(x, solver.grid) for x in solutions]
     residual = max(state_normal_residual(q, v, g, f)
                    for v, g, f in zip(states, sources, traces))
     if not residual <= STATE_TOL:
         raise SubproblemFailure(
             f"state normal equations solved to {residual:.3e} > {STATE_TOL:.1e}",
             residual=residual)
-    return states, residual
+    return states, residual, pcg_iterations
 
 
 def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
@@ -204,7 +284,7 @@ def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
     """Minimize the state block for fixed coefficients, one excitation."""
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
-    states, _ = _state_half_step(q, [g], [f])
+    states, _, _ = _state_half_step(q, [g], [f], _StateSolver(q))
     return states[0]
 
 
@@ -458,6 +538,9 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     du_terms = []
     dq_terms = []
     inner_counts = []
+    factorizations = []
+    pcg_counts = []
+    solver = None
 
     def _partial_report(reason):
         return ReconstructionReport(
@@ -470,16 +553,26 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             bregman_values=np.asarray(bregman_values),
             state_decrement_terms=np.asarray(du_terms),
             coeff_decrement_terms=np.asarray(dq_terms),
-            coeff_inner_iterations=np.asarray(inner_counts, dtype=int))
+            coeff_inner_iterations=np.asarray(inner_counts, dtype=int),
+            state_factorizations=np.asarray(factorizations, dtype=int),
+            state_pcg_iterations=np.asarray(pcg_counts, dtype=int))
 
     for k in range(cfg.max_outer):
         # -- state half-step -------------------------------------------------
+        factored_before = 0 if solver is None else solver.factorizations
         try:
-            new_states, residual = _state_half_step(coeffs, sources, traces)
+            if solver is None:
+                solver = _StateSolver(coeffs)
+            else:
+                solver.assemble(coeffs)
+            new_states, residual, pcg_iterations = _state_half_step(
+                coeffs, sources, traces, solver)
         except SubproblemFailure as failure:
             failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
             raise
         state_residuals.append(residual)
+        factorizations.append(solver.factorizations - factored_before)
+        pcg_counts.append(pcg_iterations)
         du_terms.append(_state_decrement(new_states, states, coeffs, grid))
         states = new_states
         j_after_state.append(eval_J(states, coeffs, sources, measurements,
@@ -505,6 +598,10 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         coeffs = new_coeffs
         j_history.append(eval_J(states, coeffs, sources, measurements,
                                 cfg.reg_sigma, cfg.reg_mu))
+        logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
+                     "factored %s, coefficient inner %d", k + 1, j_history[-1],
+                     residual, pcg_iterations, factorizations[-1] == 1,
+                     update.inner_iterations)
 
     return _partial_report(STOP_MAX_ITERATIONS)
 

@@ -79,6 +79,19 @@ def test_reconstruct_and_report(generated_dir):
     assert (generated_dir / "recon_sigma.field").exists()
 
 
+def test_report_counts_state_factorizations_and_pcg(tmp_path):
+    assert run_cli("generate", "--example", "ex1", "--grid", "16",
+                   "--out", str(tmp_path)) == 0
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "16",
+                   "--max-outer", "3", "--out", str(tmp_path)) == 0
+    report = read_kv(tmp_path / "report.txt")
+    iterations = int(report["iterations"])
+    assert 1 <= int(report["state_factorizations"]) <= iterations
+    pcg = [int(k) for k in report["state_pcg_iterations"].split(",")]
+    assert len(pcg) == iterations
+    assert pcg[0] == 0 and min(pcg) >= 0
+
+
 def test_reconstruct_missing_measurements(tmp_path):
     out = tmp_path / "empty"
     out.mkdir()

@@ -1,9 +1,13 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
+
+import medrec.optimizer as optimizer
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
@@ -11,14 +15,15 @@ from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
 from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
                           eval_J, misfit_value, sources_from_measurements,
                           state_normal_apply, state_normal_residual)
-from medrec.optimizer import (COEFF_TOL, STATE_TOL, AdiConfig, SubproblemFailure,
-                              _StateSolver, _mu_problem, _sigma_problem,
-                              adi_reconstruct, bregman_diagnostics, pack_state,
+from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
+                              SubproblemFailure, _StateSolver, _mu_problem, _pcg,
+                              _sigma_problem, _state_half_step, adi_reconstruct,
+                              bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
 from medrec.regularization import RegConfig, eval_phi_smooth, smooth_grad_phi
 from medrec.experiments import make_example
-from conftest import random_admissible_flux, random_scalar
+from conftest import random_admissible_flux, random_boundary, random_scalar
 
 
 def small_problem(n=16, example="ex1", oversample=2):
@@ -82,6 +87,130 @@ def test_state_factor_fill_halves_against_colamd():
     solver = _StateSolver(random_box_coefficients(grid, np.random.default_rng(0)))
     # measured 0.45; minimum degree with partial pivoting fills far more
     assert lu_nnz(solver._lu) < 0.6 * lu_nnz(splu(solver.normal_matrix()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=24),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    q0 = random_box_coefficients(grid, rng)
+    q1 = CoefficientPair(*(
+        ScalarField(grid, np.clip(c.values * (1.0 + 0.2 * rng.uniform(-1, 1, (n, n))),
+                                  0.5, 30.0))
+        for c in (q0.sigma, q0.mu)))
+    g, f = random_scalar(grid, rng), random_boundary(grid, rng)
+    # The bound is lifted so that PCG itself is checked, not the refactor
+    # policy: extreme +-20% draws take up to about 21 iterations.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "STATE_PCG_MAX", 100)
+        solver = _StateSolver(q0)
+        solver.assemble(q1)
+        states, residual, iterations = _state_half_step(q1, [g], [f], solver)
+    assert solver.factorizations == 1 and iterations > 0
+    assert residual <= STATE_TOL
+
+    # x - x_direct = A^-1 (r_direct - r), so the two solutions differ by at
+    # most (||r|| + ||r_direct||) / lambda_min(A), with both residuals
+    # evaluated and lambda_min by shift-invert Lanczos.  Measured: 3e-4 of
+    # the bound; an unconverged or wrongly preconditioned PCG misses it.
+    fresh = _StateSolver(q1)
+    a, b = fresh.normal_matrix(), fresh.rhs(g, f)
+    x, x_direct = pack_state(states[0]), fresh._lu.solve(b)
+    lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+    bound = (np.linalg.norm(b - a @ x) + np.linalg.norm(b - a @ x_direct)) / lam_min
+    assert np.linalg.norm(x - x_direct) <= bound
+
+
+def test_stale_factor_past_the_bound_refactors():
+    grid = StaggeredGrid(16)
+    rng = np.random.default_rng(7)
+    g, f = random_scalar(grid, rng), random_boundary(grid, rng)
+    q = CoefficientPair.constant(grid, 30.0, 30.0)
+    solver = _StateSolver(CoefficientPair.constant(grid, 0.5, 0.5))
+    solver.assemble(q)
+    states, residual, iterations = _state_half_step(q, [g], [f], solver)
+    # PCG on the sigma = mu = 0.5 factor needs 18 iterations here
+    assert iterations == STATE_PCG_MAX
+    assert solver.factorizations == 2
+    assert residual <= STATE_TOL
+    direct = solve_state_subproblem(q, g, f, default_config())
+    assert_rel_close(pack_state(states[0]), pack_state(direct))
+
+
+def test_pcg_stops_on_nonpositive_curvature():
+    b = np.ones(3)
+    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r)
+    assert x is None and iterations == 1
+
+
+def test_failed_refactor_carries_the_partial_report(monkeypatch):
+    grid, truth, sets = small_problem(n=8)
+    real = optimizer.splu
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "splu", fail_second)
+    monkeypatch.setattr(optimizer, "STATE_PCG_MAX", 0)   # refactor every time
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    with pytest.raises(SubproblemFailure, match="exactly singular") as info:
+        adi_reconstruct(sets, init, default_config(max_outer=3))
+    report = info.value.report
+    assert len(calls) == 2
+    assert report.stop_reason == "subproblem_failure"
+    assert report.iterations == 1
+    assert report.state_factorizations.tolist() == [1]
+    assert report.state_pcg_iterations.tolist() == [0]
+    assert len(report.state_residuals) == 1
+
+
+class _TrackedFactor:
+    """A factor that can be weakly referenced (SuperLU cannot)."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
+    grid, truth, sets = small_problem(n=24)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    real = optimizer.splu
+    factors = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in factors), "an earlier factor is alive"
+        lu = _TrackedFactor(real(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(optimizer, "splu", tracked)
+    kept = adi_reconstruct(sets, init, default_config(max_outer=6))
+    # every later half-step converges on the first factor (5 or 6 PCG
+    # iterations against the bound of 14), so the run factors once
+    assert len(factors) == 1
+    assert kept.state_factorizations.tolist() == [1, 0, 0, 0, 0, 0]
+    assert kept.state_pcg_iterations[0] == 0
+    assert 0 < kept.state_pcg_iterations[1:].min()
+    assert kept.state_pcg_iterations.max() <= STATE_PCG_MAX
+    assert kept.state_residuals.max() <= STATE_TOL
+
+    factors.clear()
+    monkeypatch.setattr(optimizer, "STATE_PCG_MAX", 0)   # a factor per half-step
+    every = adi_reconstruct(sets, init, default_config(max_outer=6))
+    assert len(factors) == 6
+    assert every.state_factorizations.tolist() == [1] * 6
+    np.testing.assert_allclose(kept.j_history, every.j_history, rtol=1e-9, atol=0)
 
 
 def assert_rel_close(actual, reference, rtol=1e-12):
@@ -316,3 +445,15 @@ def test_frozen_mu_stays_put():
     report = adi_reconstruct(sets, init, cfg)
     assert np.all(report.coefficients.mu.values == 1.0)
     assert math.isnan(report.final_coeff_residuals[1])
+
+
+def test_one_debug_record_per_outer_iteration(caplog):
+    grid, truth, sets = small_problem(n=8)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    with caplog.at_level("DEBUG", logger="medrec"):
+        report = adi_reconstruct(sets, init, default_config(max_outer=3))
+    records = [r for r in caplog.records if r.name == "medrec"]
+    assert len(records) == report.iterations == 3
+    assert "factored True" in records[0].getMessage()
+    assert "factored False" in records[1].getMessage()
