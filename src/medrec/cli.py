@@ -303,7 +303,16 @@ def cmd_dsm(cfg: RunConfig) -> None:
                     out / "mask_mu.field")
     serialize_field(loc.initial_sigma_, out / "init_sigma.field")
     serialize_field(loc.initial_mu_, out / "init_mu.field")
-    print(f"dsm: wrote index fields, masks and initial guesses to {out}")
+    lines = [f"version={CONFIG_VERSION}",
+             "# atom_<excitation>_<k>=kind,x,y,share,coefficients"]
+    for e, atoms in enumerate(loc.atoms_):
+        for k, atom in enumerate(atoms):
+            values = (atom.kind, *atom.centre, atom.share, *atom.coef)
+            lines.append(f"atom_{e:03d}_{k}=" + ",".join(
+                v if isinstance(v, str) else repr(v) for v in values))
+    (out / "dsm_report.txt").write_text("\n".join(lines) + "\n")
+    print(f"dsm: wrote index fields, masks, initial guesses and the fitted "
+          f"atoms to {out}")
 
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
@@ -427,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("generate", "synthesize measurement and truth files"),
-            ("dsm", "index fields, masks and initial guesses"),
+            ("dsm", "index fields, masks, initial guesses and fitted atoms"),
             ("reconstruct", "run the alternating least-squares solver"),
             ("evaluate", "compare reconstruction against the truth"),
             ("render", "emit one PGM per field file")):

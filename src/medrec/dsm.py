@@ -4,13 +4,16 @@ Scattered boundary data (measured trace minus the homogeneous-background
 trace) is decomposed against two probe families evaluated on the
 boundary: discrete Green's functions of the background medium (monopole,
 sensitive to absorption-type scatterers) and their spatial gradients
-(dipole, sensitive to diffusion-type scatterers).  All monopole probes
-come from a single sparse factorization of the background operator:
-ceil(n/2) adjoint solves for half of one boundary side, and the square's
-symmetries (which a constant background keeps exactly) for every other
-face.  With positive background coefficients that operator is symmetric
-positive definite, so it is factorized pivot-free under a symmetric
-minimum-degree ordering (operators.SPD_LU).
+(dipole, sensitive to diffusion-type scatterers).  Everything comes from
+one sparse factorization of the background operator, which with positive
+background coefficients is symmetric positive definite and so is
+factorized pivot-free under a symmetric minimum-degree ordering
+(operators.SPD_LU).  The 4n-column probe block is never formed: the
+pairing of the data with every probe is one solve on that factor, and
+the few probe rows the fit needs, as well as every probe's norm, come
+from the Green's functions of the bottom side's n faces, ceil(n/2) of
+them solved and the rest mirrored, by the square's symmetries (which a
+constant background keeps exactly).  Memory is n^3 doubles, not 12 n^3.
 
 Because the two families are far from orthogonal on the boundary, the
 raw normalized pairings alone mislocate whichever coefficient carries
@@ -27,7 +30,7 @@ background initial guess.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -51,12 +54,34 @@ class EmptyDataError(ValueError):
     """All scattered-data vectors are identically zero; nothing to image."""
 
 
+@dataclass(frozen=True)
+class Atom:
+    """One source fitted to an excitation's scattered data.
+
+    kind is "m" (monopole) or "d" (dipole), centre the (x, y) centre of
+    its cell.  coef holds its joint least-squares coefficients: one for a
+    monopole, the x and y components for a dipole.  share is the squared
+    norm of its fitted boundary part over that of the (low-passed) data;
+    the atoms are not orthogonal, so shares need not add up to one.
+    """
+
+    kind: str
+    centre: tuple[float, float]
+    coef: tuple[float, ...]
+    share: float
+
+
 @dataclass
 class IndexResult:
-    """Normalized index fields in [0, 1], one per coefficient family."""
+    """Normalized index fields in [0, 1], one per coefficient family.
+
+    atoms lists, per excitation, the atoms the fit kept (empty where the
+    excitation's data are zero).
+    """
 
     phi_sigma: ScalarField
     phi_mu: ScalarField
+    atoms: list[list[Atom]] = field(default_factory=list)
 
 
 @dataclass
@@ -103,7 +128,32 @@ def scattered_data(measurements: list[MeasurementSet],
 
 
 class _ProbeFamily:
-    """Boundary signatures of background Green's functions and gradients."""
+    """Background Green's functions of the 4n boundary faces, kept compact.
+
+    Column k of the monopole family is G_k = A^-1 N e_k, the discrete
+    Green's function of boundary face k on the constant background (A the
+    background operator, N = neumann_source(n)); the dipole family is
+    its gradient, np.gradient with spacing h along x, then along y.  No
+    (n^2, 4n) block is stored:
+
+    * a pairing with a boundary vector r needs only the field A^-1 (N r)
+      and its gradient, i.e. one solve on the kept factor `lu`;
+    * the rows at one cell, and the per-cell norms of the rows, follow
+      from the bottom-side block `bottom[i, j, k] = G_k(i, j)` alone,
+      because the square's symmetries (x <-> y, x -> 1 - x, y -> 1 - y),
+      which a constant background keeps exactly, map every other side
+      onto the bottom one.  By the x-mirror only ceil(n/2) bottom faces
+      are solved.
+
+    With B = bottom, the monopole row at cell (i, j) is
+    [B[i, j], B[j, n-1-i], B[i, n-1-j], B[j, i]] over the sides (bottom,
+    right, top, left), and the dipole rows take the matching gradients
+    of B, from its neighbouring rows only (with a sign flip wherever a
+    mirror reverses the differentiated axis).  These are the same
+    floating-point operations as on a full block, so rows come out
+    bit-identical to one; the norms and pairings agree with it to
+    rounding.  Memory is one (n, n, n) block, plus the rows fetched.
+    """
 
     def __init__(self, grid: StaggeredGrid, background_sigma: float,
                  background_mu: float):
@@ -111,42 +161,59 @@ class _ProbeFamily:
         self.grid = grid
         operator = diffusion_matrix(np.full((n, n), background_sigma),
                                     np.full((n, n), background_mu))
-        # One source column per boundary face: value 1/h on the adjacent
-        # cell.  With constant coefficients the operator commutes with the
-        # square's symmetries (x <-> y, x -> 1 - x, y -> 1 - y), so the
-        # Green's function of a mirrored source is the mirrored Green's
-        # function: solve the first ceil(n/2) bottom faces (cells (i, 0))
-        # and map every other face onto them.
+        self.source = neumann_source(n)
+        self.lu = splu(operator, **SPD_LU)
+        # Bottom face k is the source 1/h on cell (k, 0); face n - 1 - k
+        # is its mirror image under x -> 1 - x.
         half = (n + 1) // 2
-        solved = splu(operator, **SPD_LU).solve(
-            neumann_source(n)[:, :half].toarray()).reshape(n, n, half)
-        self.mono = np.empty((n * n, 4 * n), order="F")
-        stacked = self.mono.reshape(n, n, 4 * n)
-        bottom, right, top, left = (stacked[:, :, k * n:(k + 1) * n]
-                                    for k in range(4))
-        bottom[:, :, :half] = solved
-        bottom[:, :, half:] = solved[::-1, :, :n - half][:, :, ::-1]
-        left[...] = bottom.transpose(1, 0, 2)
-        right[...] = left[::-1]
-        top[...] = bottom[:, ::-1]
-        self.dip_x = np.gradient(stacked, h, axis=0).reshape(n * n, 4 * n)
-        self.dip_y = np.gradient(stacked, h, axis=1).reshape(n * n, 4 * n)
-        self._mm = (self.mono * self.mono).sum(axis=1)
-        self._xx = (self.dip_x * self.dip_x).sum(axis=1)
-        self._yy = (self.dip_y * self.dip_y).sum(axis=1)
-        self._xy = (self.dip_x * self.dip_y).sum(axis=1)
+        solved = self.lu.solve(
+            self.source[:, :half].toarray()).reshape(n, n, half)
+        self.bottom = b = np.empty((n, n, n))
+        b[:, :, :half] = solved
+        b[:, :, half:] = solved[::-1, :, :n - half][:, :, ::-1]
+        del solved
+        s = np.einsum("ijk,ijk->ij", b, b)
+        sxx, syy, sxy = (np.empty((n, n)) for _ in range(3))
+        for i in range(n):  # one x-row at a time: no n^3 temporaries
+            dx = self._slope(b, i)
+            dy = np.gradient(b[i], h, axis=0)
+            sxx[i] = np.einsum("jk,jk->j", dx, dx)
+            syy[i] = np.einsum("jk,jk->j", dy, dy)
+            sxy[i] = np.einsum("jk,jk->j", dx, dy)
+        # Squared row norms summed over the four sides (see columns()).
+        self._mm = (s + s.T[::-1] + s[:, ::-1] + s.T).ravel()
+        self._xx = (sxx + syy.T + syy.T[::-1] + sxx[:, ::-1]).ravel()
+        self._yy = (syy + sxx.T + sxx.T[::-1] + syy[:, ::-1]).ravel()
+        self._xy = (sxy + sxy.T - sxy.T[::-1] - sxy[:, ::-1]).ravel()
+        self._rows = {}  # (kind, cell) -> rows, filled by columns()
         x, y = grid.cell_centers()
         m = SAMPLING_MARGIN
         self.interior = ((x > m) & (x < 1 - m) & (y > m) & (y < 1 - m)).ravel()
 
+    def _slope(self, block: np.ndarray, i: int) -> np.ndarray:
+        """np.gradient(block, h, axis=0)[i], from the rows next to i only."""
+        h, last = self.grid.h, len(block) - 1
+        if i == 0:
+            return (block[1] - block[0]) / h
+        if i == last:
+            return (block[last] - block[last - 1]) / h
+        return (block[i + 1] - block[i - 1]) / (2.0 * h)
+
+    def _pairings(self, r: np.ndarray):
+        """(mono @ r, dip_x @ r, dip_y @ r) per cell, by one solve."""
+        n, h = self.grid.n, self.grid.h
+        u = self.lu.solve(self.source @ r).reshape(n, n)
+        return (u.ravel(), np.gradient(u, h, axis=0).ravel(),
+                np.gradient(u, h, axis=1).ravel())
+
     def mono_gain(self, r: np.ndarray) -> np.ndarray:
-        out = (self.mono @ r) ** 2 / self._mm
+        pm, _, _ = self._pairings(r)
+        out = pm ** 2 / self._mm
         out[~self.interior] = 0.0
         return out
 
     def dip_gain(self, r: np.ndarray) -> np.ndarray:
-        px = self.dip_x @ r
-        py = self.dip_y @ r
+        _, px, py = self._pairings(r)
         det = np.maximum(self._xx * self._yy - self._xy ** 2, 1e-300)
         out = (self._yy * px * px - 2 * self._xy * px * py
                + self._xx * py * py) / det
@@ -155,36 +222,52 @@ class _ProbeFamily:
 
     def mono_pairing(self, r: np.ndarray) -> np.ndarray:
         """Normalized |<r, G_x>| per sampling cell (zero in the margin)."""
+        pm, _, _ = self._pairings(r)
         r_norm = math.sqrt(float(r @ r))
-        out = np.abs(self.mono @ r) / (r_norm * np.sqrt(self._mm))
+        out = np.abs(pm) / (r_norm * np.sqrt(self._mm))
         out[~self.interior] = 0.0
         return out
 
     def dip_pairing(self, r: np.ndarray) -> np.ndarray:
         """Larger of the two normalized dipole-component pairings."""
+        _, px, py = self._pairings(r)
         r_norm = math.sqrt(float(r @ r))
-        px = np.abs(self.dip_x @ r) / (r_norm * np.sqrt(self._xx))
-        py = np.abs(self.dip_y @ r) / (r_norm * np.sqrt(self._yy))
+        px = np.abs(px) / (r_norm * np.sqrt(self._xx))
+        py = np.abs(py) / (r_norm * np.sqrt(self._yy))
         out = np.maximum(px, py)
         out[~self.interior] = 0.0
         return out
 
     def columns(self, picks):
+        """Boundary rows of the picked atoms: one per monopole, two per dipole."""
         cols, owners = [], []
         for kind, cell in picks:
-            if kind == "m":
-                cols.append(self.mono[cell])
-                owners.append("m")
-            else:
-                cols.extend([self.dip_x[cell], self.dip_y[cell]])
-                owners.extend(["d", "d"])
+            rows = self._rows.get((kind, cell))
+            if rows is None:
+                rows = self._rows[kind, cell] = self._atom_rows(kind, cell)
+            cols.extend(rows)
+            owners.extend([kind] * len(rows))
         return cols, owners
 
+    def _atom_rows(self, kind: str, cell: int):
+        b, n = self.bottom, self.grid.n
+        i, j = divmod(cell, n)
+        ri, rj = n - 1 - i, n - 1 - j
+        if kind == "m":
+            return [np.concatenate((b[i, j], b[j, ri], b[i, rj], b[j, i]))]
+        dx = lambda a, c: self._slope(b[:, c], a)  # gradient of B along x
+        dy = lambda a, c: self._slope(b[a], c)     # ... and along y
+        return [np.concatenate((dx(i, j), -dy(j, ri), dx(i, rj), dy(j, i))),
+                np.concatenate((dy(i, j), dx(j, ri), -dy(i, rj), dx(j, i)))]
+
     def joint_parts(self, v: np.ndarray, picks):
-        """Joint least-squares split of v into (monopole, dipole, residual)."""
+        """Joint least-squares split of v into (monopole, dipole, residual).
+
+        The fitted coefficients, in columns() order, come fourth.
+        """
         cols, owners = self.columns(picks)
         if not cols:
-            return np.zeros_like(v), np.zeros_like(v), v
+            return np.zeros_like(v), np.zeros_like(v), v, np.zeros(0)
         basis = np.array(cols).T
         coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
         mono = np.zeros_like(v)
@@ -194,7 +277,7 @@ class _ProbeFamily:
                 mono += c * col
             else:
                 dip += c * col
-        return mono, dip, v - mono - dip
+        return mono, dip, v - mono - dip, coef
 
     def joint_residual(self, v, picks):
         return self.joint_parts(v, picks)[2]
@@ -284,6 +367,22 @@ def _fit_sources(probes: _ProbeFamily, v: np.ndarray):
     return _refine_positions(probes, v, kept) if kept else kept
 
 
+def _describe(probes: _ProbeFamily, v: np.ndarray, picks, coef) -> list[Atom]:
+    """Atom records of one excitation's fit, from joint_parts' coefficients."""
+    total = float(v @ v)
+    n, h = probes.grid.n, probes.grid.h
+    atoms, k = [], 0
+    for kind, cell in picks:
+        cols, _ = probes.columns([(kind, cell)])
+        c = coef[k:k + len(cols)]
+        k += len(cols)
+        part = np.array(cols).T @ c
+        i, j = divmod(cell, n)
+        atoms.append(Atom(kind, ((i + 0.5) * h, (j + 0.5) * h),
+                          tuple(float(x) for x in c), float(part @ part) / total))
+    return atoms
+
+
 def _rescale_unit(values: np.ndarray) -> np.ndarray:
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
@@ -311,29 +410,36 @@ def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
     family) are summed over excitations, rescaled to [0, 1] and
     sharpened.  phi_mu collects the monopole response, phi_sigma the
     dipole response; a family absent from every excitation comes back
-    identically zero.
+    identically zero.  The fitted atoms are returned with the fields.
     """
     if background_sigma <= 0 or background_mu <= 0:
         raise ValueError("background coefficients must be positive")
     if not delta_f:
         raise EmptyDataError("no scattered data supplied")
+    grid = delta_f[0].grid
+    for d in delta_f[1:]:
+        if d.grid != grid:
+            raise ValueError(f"scattered data mix grids: n={grid.n} and "
+                             f"n={d.grid.n}")
     if all(np.abs(d.values).max() == 0.0 for d in delta_f):
         raise EmptyDataError("scattered data is identically zero")
 
-    grid = delta_f[0].grid
     probes = _ProbeFamily(grid, background_sigma, background_mu)
     n = grid.n
     acc_mu = np.zeros(n * n)
     acc_sigma = np.zeros(n * n)
     any_mu = any_sigma = False
+    atoms = []
     for d in delta_f:
         v = _lowpass(d.values)
         if float(v @ v) == 0.0:
+            atoms.append([])
             continue
         picks = _fit_sources(probes, v)
         has_mono = any(kind == "m" for kind, _ in picks)
         has_dip = any(kind == "d" for kind, _ in picks)
-        mono_part, dip_part, resid = probes.joint_parts(v, picks)
+        mono_part, dip_part, resid, coef = probes.joint_parts(v, picks)
+        atoms.append(_describe(probes, v, picks, coef))
         v_mu = mono_part + resid
         v_sigma = dip_part + resid
         if has_mono and float(v_mu @ v_mu) > 0:
@@ -346,7 +452,8 @@ def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
     phi_mu = _sharpen(_rescale_unit(acc_mu)) if any_mu else np.zeros(n * n)
     phi_sigma = _sharpen(_rescale_unit(acc_sigma)) if any_sigma else np.zeros(n * n)
     return IndexResult(phi_sigma=ScalarField(grid, phi_sigma.reshape(n, n)),
-                       phi_mu=ScalarField(grid, phi_mu.reshape(n, n)))
+                       phi_mu=ScalarField(grid, phi_mu.reshape(n, n)),
+                       atoms=atoms)
 
 
 def threshold_subdomain(phi: ScalarField, theta: float) -> SubdomainMask:

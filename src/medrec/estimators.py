@@ -74,6 +74,7 @@ class DirectSamplingLocator(BaseEstimator):
                                   self.background_mu)
         self.index_sigma_ = index.phi_sigma
         self.index_mu_ = index.phi_mu
+        self.atoms_ = index.atoms
         self.mask_sigma_ = dsm.threshold_subdomain(index.phi_sigma, self.theta)
         self.mask_mu_ = dsm.threshold_subdomain(index.phi_mu, self.theta)
         init_sigma = dsm.build_initial_guess(

@@ -67,6 +67,20 @@ def test_dsm_outputs_and_theta_validation(generated_dir):
                    "--out", str(generated_dir)) == 2
 
 
+def test_dsm_report_lists_fitted_atoms(tmp_path):
+    out = tmp_path / "ex1"
+    for command in ("generate", "dsm"):
+        assert run_cli(command, "--example", "ex1", "--grid", "24",
+                       "--out", str(out)) == 0
+    report = read_kv(out / "dsm_report.txt")
+    atoms = [v.split(",") for k, v in report.items() if k.startswith("atom_000_")]
+    assert sorted(a[0] for a in atoms) == ["d", "m"]
+    for kind, x, y, share, *coef in atoms:
+        assert 0.0 < float(x) < 1.0 and 0.0 < float(y) < 1.0
+        assert 0.0 < float(share) <= 1.0
+        assert len(coef) == (1 if kind == "m" else 2)
+
+
 def test_reconstruct_and_report(generated_dir):
     assert run_cli("reconstruct", "--example", "ex1", "--grid", "20",
                    "--max-outer", "4", "--out", str(generated_dir)) == 0
