@@ -357,6 +357,7 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
         f"final_coeff_residual_mu={float(res_mu)!r}",
         "j_history=" + ",".join(repr(float(v)) for v in report.j_history),
         f"state_factorizations={int(report.state_factorizations.sum())}",
+        "state_lu_fill=" + ",".join(str(int(k)) for k in report.state_lu_fill if k),
         "state_pcg_iterations=" + ",".join(str(int(k))
                                            for k in report.state_pcg_iterations),
     ]

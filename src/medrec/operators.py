@@ -5,7 +5,19 @@ Both modules share one layout.  Cell fields ravel in C order
 x_values (n-1, n) and y_values (n, n-1), the interior faces only,
 raveled in C order.  Boundary vectors use the 4n ordering of
 grid.BoundaryData.
+
+grid_operators(n) is the one operator layer of grid size n, built once
+per process and shared: the maps Gx, Gy, Ax, Ay, T and N, each built on
+first use with its arrays frozen, and the fixed five-point pattern.  The
+matrices that change with the coefficients are face-weighted five-point
+products filled by value on that pattern (GridOperators.five_point), in
+O(nnz) with no sparse-sparse product: the forward operator
+(diffusion_matrix), the probe family's background operator, the
+coefficient Hessians of optimizer.py and the (u, u) block of its state
+normal matrix, whose other blocks it fills on a pattern of its own.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,43 +32,181 @@ SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
 
 
+def _frozen(m):
+    """m in canonical form with its data, indices and indptr made read-only.
+
+    Canonical (sorted, no duplicates), so no later scipy call sorts the
+    frozen arrays in place.  Returns m.
+    """
+    m.sum_duplicates()
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
+def with_pattern(fmt, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple):
+    """A matrix of class fmt on a shared, sorted, duplicate-free pattern.
+
+    The flag spares scipy a format check, which would sort the shared
+    (read-only) index arrays in place.
+    """
+    m = fmt((data, indices, indptr), shape=shape)
+    m.has_canonical_format = True
+    return m
+
+
 def _two_point(n: int, left: float, right: float) -> sp.csr_matrix:
     """(n-1) x n map u -> left * u[k] + right * u[k+1]."""
     return sp.diags([np.full(n - 1, left), np.full(n - 1, right)], [0, 1],
                     shape=(n - 1, n), format="csr")
 
 
+def _faces(w, shape: tuple) -> np.ndarray:
+    """A scalar or a raveled face vector as a (rows, cols) face array."""
+    return np.broadcast_to(w, (shape[0] * shape[1],)).reshape(shape)
+
+
+class GridOperators:
+    """The read-only operator layer of one grid size n.
+
+    Each map is built on first use and then shared; an in-place write to
+    its arrays raises ValueError.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.h = 1.0 / n
+
+    @functools.cached_property
+    def gx(self) -> sp.csr_matrix:
+        """Cell values to x-face differences divided by h."""
+        n = self.n
+        return _frozen(sp.kron(_two_point(n, -1.0, 1.0), sp.identity(n),
+                              format="csr") / self.h)
+
+    @functools.cached_property
+    def gy(self) -> sp.csr_matrix:
+        n = self.n
+        return _frozen(sp.kron(sp.identity(n), _two_point(n, -1.0, 1.0),
+                              format="csr") / self.h)
+
+    @functools.cached_property
+    def ax(self) -> sp.csr_matrix:
+        """Cell values to their arithmetic mean on the x-faces."""
+        n = self.n
+        return _frozen(sp.kron(_two_point(n, 0.5, 0.5), sp.identity(n), format="csr"))
+
+    @functools.cached_property
+    def ay(self) -> sp.csr_matrix:
+        n = self.n
+        return _frozen(sp.kron(sp.identity(n), _two_point(n, 0.5, 0.5), format="csr"))
+
+    @functools.cached_property
+    def trace(self) -> sp.csr_matrix:
+        """T: the 4n boundary-adjacent cell values (bottom, right, top, left)."""
+        n = self.n
+        cols = np.concatenate([
+            np.arange(n) * n,                 # bottom: u[i, 0]
+            (n - 1) * n + np.arange(n),       # right:  u[n-1, j]
+            np.arange(n) * n + (n - 1),       # top:    u[i, n-1]
+            np.arange(n),                     # left:   u[0, j]
+        ])
+        return _frozen(sp.csr_matrix((np.ones(4 * n), (np.arange(4 * n), cols)),
+                                    shape=(4 * n, n * n)))
+
+    @functools.cached_property
+    def source(self) -> sp.csr_matrix:
+        """N = T^T / h: boundary flux spread onto the adjacent cell layer."""
+        return _frozen((self.trace.T / self.h).tocsr())
+
+    @functools.cached_property
+    def grad(self) -> sp.csr_matrix:
+        """[Gx; Gy]: cell values to all interior-face differences."""
+        return _frozen(sp.vstack([self.gx, self.gy], format="csr"))
+
+    @functools.cached_property
+    def avg_grad(self) -> sp.csr_matrix:
+        """[Ax; Ay; Gx; Gy]: face means and differences in one map."""
+        return _frozen(sp.vstack([self.ax, self.ay, self.gx, self.gy], format="csr"))
+
+    @functools.cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mask, indices, indptr) of the n^2 x n^2 five-point pattern.
+
+        mask[i, j, k] says whether row (i, j) stores slot k, the column
+        offsets (-n, -1, 0, 1, n) in that order: sorted CSR, and, the
+        pattern being symmetric, equally its CSC.
+        """
+        n = self.n
+        mask = np.ones((n, n, 5), dtype=bool)
+        mask[0, :, 0] = mask[:, 0, 1] = mask[:, -1, 3] = mask[-1, :, 4] = False
+        cells = np.arange(n * n).reshape(n, n, 1)
+        indices = (cells + np.array([-n, -1, 0, 1, n]))[mask].astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=2).ravel())])
+        stencil = mask, indices, indptr.astype(np.int32)
+        for a in stencil:
+            a.flags.writeable = False
+        return stencil
+
+    def five_point(self, cell, grad=(0.0, 0.0), avg=(0.0, 0.0), fmt=sp.csr_matrix):
+        """Gx^T Wx Gx + Gy^T Wy Gy + Ax^T Vx Ax + Ay^T Vy Ay + diag(cell).
+
+        grad = (wx, wy) and avg = (vx, vy) are face weights, cell the cell
+        diagonal, each a scalar or a raveled vector.  The data is filled in
+        O(nnz) on the fixed five-point pattern, which keeps an entry that
+        comes out zero as an explicit zero.  The matrix is symmetric, so
+        fmt may be csr_matrix or csc_matrix alike.
+        """
+        n, inv_h2 = self.n, 1.0 / self.h ** 2
+        x_shape, y_shape = (n - 1, n), (n, n - 1)
+        # A two-point row (l0, l1) adds w l0 l1 off the diagonal and w l0^2
+        # = w l1^2 to both of its cells: -1/h^2 and 1/h^2 for G, 1/4 for A.
+        a_x, g_x = 0.25 * _faces(avg[0], x_shape), inv_h2 * _faces(grad[0], x_shape)
+        a_y, g_y = 0.25 * _faces(avg[1], y_shape), inv_h2 * _faces(grad[1], y_shape)
+        off_x, off_y, on_x, on_y = a_x - g_x, a_y - g_y, a_x + g_x, a_y + g_y
+        diag = np.array(np.broadcast_to(cell, (n * n,)), dtype=float).reshape(n, n)
+        diag[:-1, :] += on_x
+        diag[1:, :] += on_x
+        diag[:, :-1] += on_y
+        diag[:, 1:] += on_y
+
+        mask, indices, indptr = self.stencil
+        full = np.empty((n, n, 5))
+        full[1:, :, 0] = off_x
+        full[:, 1:, 1] = off_y
+        full[:, :, 2] = diag
+        full[:, :-1, 3] = off_y
+        full[:-1, :, 4] = off_x
+        return with_pattern(fmt, full[mask], indices, indptr, (n * n, n * n))
+
+
+@functools.lru_cache(maxsize=8)
+def grid_operators(n: int) -> GridOperators:
+    """The shared operator layer of grid size n (the last few sizes are kept)."""
+    return GridOperators(n)
+
+
 def face_gradient(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(Gx, Gy): cell values to interior-face differences divided by h."""
-    h = 1.0 / n
-    diff = _two_point(n, -1.0, 1.0)
-    return (sp.kron(diff, sp.identity(n), format="csr") / h,
-            sp.kron(sp.identity(n), diff, format="csr") / h)
+    ops = grid_operators(n)
+    return ops.gx, ops.gy
 
 
 def face_average(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(Ax, Ay): cell values to their arithmetic mean on interior faces."""
-    avg = _two_point(n, 0.5, 0.5)
-    return (sp.kron(avg, sp.identity(n), format="csr"),
-            sp.kron(sp.identity(n), avg, format="csr"))
+    ops = grid_operators(n)
+    return ops.ax, ops.ay
 
 
 def trace(n: int) -> sp.csr_matrix:
     """T: the 4n boundary-adjacent cell values (bottom, right, top, left)."""
-    cols = np.concatenate([
-        np.arange(n) * n,                 # bottom: u[i, 0]
-        (n - 1) * n + np.arange(n),       # right:  u[n-1, j]
-        np.arange(n) * n + (n - 1),       # top:    u[i, n-1]
-        np.arange(n),                     # left:   u[0, j]
-    ])
-    return sp.csr_matrix((np.ones(4 * n), (np.arange(4 * n), cols)),
-                         shape=(4 * n, n * n))
+    return grid_operators(n).trace
 
 
 def neumann_source(n: int) -> sp.csr_matrix:
     """N = T^T / h: boundary flux spread onto the adjacent cell layer."""
-    h = 1.0 / n
-    return (trace(n).T / h).tocsr()
+    return grid_operators(n).source
 
 
 def diffusion_matrix(sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:
@@ -67,9 +217,7 @@ def diffusion_matrix(sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:
     Neumann operator: symmetric, and for sigma > 0, mu >= 0 positive
     definite exactly when mu is positive on some cell.
     """
-    n = sigma.shape[0]
-    gx, gy = face_gradient(n)
-    ax, ay = face_average(n)
+    ops = grid_operators(sigma.shape[0])
     s = sigma.ravel()
-    return (gx.T @ sp.diags(ax @ s) @ gx + gy.T @ sp.diags(ay @ s) @ gy
-            + sp.diags(mu.ravel())).tocsc()
+    return ops.five_point(mu.ravel(), grad=(ops.ax @ s, ops.ay @ s),
+                          fmt=sp.csc_matrix)

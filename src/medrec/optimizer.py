@@ -4,11 +4,14 @@ adi_reconstruct runs a fixed number of outer iterations (max_outer),
 each solving two convex subproblems:
 
   * state block: a linear-quadratic problem in (u, p) per excitation,
-    solved through its normal equations.  The normal matrix M^T W M is
-    assembled sparse once per outer iteration (it depends only on the
-    current coefficients).  Being symmetric positive definite (M has
-    full column rank), it is factorized pivot-free under a symmetric
-    minimum-degree ordering (operators.SPD_LU) in the first outer
+    solved through its normal equations.  The normal matrix M^T W M has
+    a fixed sparsity pattern, built once per run from the grid's
+    operator layer (operators.grid_operators); each outer iteration only
+    refills its values from the current coefficients, with no
+    sparse-sparse product and M never formed.  Being symmetric positive
+    definite (M has full column rank), it is factorized pivot-free under
+    a symmetric minimum-degree ordering (operators.SPD_LU), on a copy
+    without the entries that cancel exactly, in the first outer
     iteration only.  Later iterations keep that factor and solve each
     excitation by conjugate gradients on the new matrix, preconditioned
     by the factor (the coefficients move little between iterations).
@@ -21,21 +24,23 @@ each solving two convex subproblems:
     raises SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
-    least-squares problem plus the L1/H1/box penalty.  Its misfit matrix
-    and Hessian are assembled sparse once per outer iteration, and the
-    minimization runs on raw cell arrays: a proximal-gradient iteration
-    (step 1/L with L from power iteration plus a 5% safety margin),
-    accelerated with strong-convexity momentum and a monotone
-    best-iterate safeguard so the functional can only descend.  The
-    closed-form prox handles the L1 term and the box.  Each solve stops
-    at the fixed-point tolerance COEFF_TOL or after COEFF_INNER_MAX
-    iterations (FINAL_INNER_CAP in the last outer iteration).
+    least-squares problem plus the L1/H1/box penalty.  Its Hessian is
+    filled by value on the layer's five-point pattern once per outer
+    iteration, its misfit matrix stays row scales of a fixed map of the
+    layer, and the minimization runs on raw cell arrays: a
+    proximal-gradient iteration (step 1/L with L from power iteration
+    plus a 5% safety margin), accelerated with strong-convexity momentum
+    and a monotone best-iterate safeguard so the functional can only
+    descend.  The closed-form prox handles the L1 term and the box.
+    Each solve stops at the fixed-point tolerance COEFF_TOL or after
+    COEFF_INNER_MAX iterations (FINAL_INNER_CAP in the last outer
+    iteration).
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
-after the fact, plus each state half-step's factorizations and PCG
-iterations; a DEBUG record on the "medrec" logger summarizes every
-outer iteration.  Every term of that certificate (J, the decrements, the
+after the fact, plus each state half-step's factorizations, their LU
+fill and PCG iterations; a DEBUG record on the "medrec" logger
+summarizes every outer iteration.  Every term of that certificate (J, the decrements, the
 misfit gradients and the Bregman distances) is evaluated matrix-free,
 independently of the assembled coefficient block.
 """
@@ -55,7 +60,7 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
-from .operators import SPD_LU, face_average, face_gradient, trace
+from .operators import SPD_LU, grid_operators, with_pattern
 from .regularization import (RegConfig, box_feasible, bregman_distance,
                              prox_l1_box, prox_l1_box_array)
 
@@ -125,6 +130,9 @@ class ReconstructionReport:
     state_factorizations: np.ndarray     # 1 where the state half-step factored
     state_pcg_iterations: np.ndarray     # PCG iterations spent, most over
                                          # excitations; 0 on a fresh factor
+    state_lu_fill: np.ndarray            # entries SuperLU stores for L and U
+                                         # of the factor the half-step took;
+                                         # 0 where it took none
 
     @property
     def iterations(self) -> int:
@@ -157,59 +165,146 @@ def unpack_state(x: np.ndarray, grid: StaggeredGrid) -> StatePair:
                      FluxField(grid, px.reshape(n - 1, n), py.reshape(n, n - 1)))
 
 
+class _NormalPattern:
+    """The fixed pattern of the state block's normal matrix M^T W M on grid n.
+
+    With the unknowns (u, px, py), M = [[D_mu, Gx^T, Gy^T], [-Sx Gx, I, 0],
+    [-Sy Gy, 0, I], [T, 0, 0]] and W = h^2 on its first three block rows
+    and h on the trace rows, the blocks of M^T W M are
+
+      (u, u)   Gx^T h^2 Sx^2 Gx + Gy^T h^2 Sy^2 Gy + h^2 D_mu^2 + h T^T T,
+      (u, px)  h^2 (D_mu Gx^T - Gx^T Sx): -h (mu_a - sx_f) at the cell a
+               below face f, h (mu_b - sx_f) at the cell b above it,
+      (px, px) h^2 (Gx Gx^T + I), (px, py) h^2 Gx Gy^T, and their
+               y-counterparts.
+
+    Only the first two change with the coefficients.  The pattern is
+    built once: every stored entry is tagged with its slot in the value
+    vector [(u, u) data, (u, px) couplings, (u, py) couplings, the few
+    distinct (p, p) values], so fill() is one gather.
+    """
+
+    def __init__(self, n: int):
+        ops = grid_operators(n)
+        h = ops.h
+        nf = (n - 1) * n
+        self.n, self.h = n, h
+        self._boundary = h * (ops.trace.T @ np.ones(4 * n))     # h diag(T^T T)
+        _, five_indices, five_indptr = ops.stencil
+        eye_f = sp.identity(nf, format="csr")
+        const = [(h * h * (ops.gx @ ops.gx.T + eye_f)).tocsr(),
+                 (h * h * (ops.gx @ ops.gy.T)).tocsr(),
+                 (h * h * (ops.gy @ ops.gy.T + eye_f)).tocsr()]
+        # The (p, p) blocks hold a handful of distinct values: keep those.
+        self._const, slots = np.unique(np.concatenate([c.data for c in const]),
+                                       return_inverse=True)
+        sizes = [five_indices.size, 2 * nf, 2 * nf]
+        starts = np.cumsum([0] + sizes, dtype=np.int32)
+        tags = [start + np.arange(size, dtype=np.int32)
+                for start, size in zip(starts, sizes)]
+        tags += np.split(starts[-1] + slots.astype(np.int32),
+                         np.cumsum([c.nnz for c in const[:2]]))
+
+        cells = np.arange(n * n).reshape(n, n)
+        faces = np.tile(np.arange(nf), 2)
+        uu = sp.csc_matrix((tags[0], five_indices, five_indptr), shape=(n * n, n * n))
+        ux = sp.csc_matrix((tags[1], (np.concatenate(
+            [cells[:-1, :].ravel(), cells[1:, :].ravel()]), faces)), shape=(n * n, nf))
+        uy = sp.csc_matrix((tags[2], (np.concatenate(
+            [cells[:, :-1].ravel(), cells[:, 1:].ravel()]), faces)), shape=(n * n, nf))
+        xx, xy, yy = (sp.csr_matrix((t, c.indices, c.indptr), shape=c.shape).tocsc()
+                      for t, c in zip(tags[3:], const))
+        # All blocks CSC: scipy stacks them without a COO detour.
+        pattern = sp.bmat([[uu, ux, uy], [ux.T.tocsc(), xx, xy],
+                           [uy.T.tocsc(), xy.T.tocsc(), yy]], format="csc")
+        self._take = pattern.data
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self.shape = pattern.shape
+        for a in (self._take, self._const, self._indices, self._indptr):
+            a.flags.writeable = False
+
+    def fill(self, sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:
+        """M^T W M of raveled cell arrays sigma and mu, explicit zeros kept.
+
+        A coupling h (mu_a - sx_f) is an exact zero wherever the face mean
+        of sigma equals mu on the cell; such entries stay stored.
+        """
+        n, h = self.n, self.h
+        ops = grid_operators(n)
+        sx, sy = ops.ax @ sigma, ops.ay @ sigma
+        uu = ops.five_point(h * h * mu * mu + self._boundary,
+                            grad=(h * h * sx * sx, h * h * sy * sy)).data
+        m = mu.reshape(n, n)
+        values = np.concatenate([
+            uu, -h * (m[:-1, :].ravel() - sx), h * (m[1:, :].ravel() - sx),
+            -h * (m[:, :-1].ravel() - sy), h * (m[:, 1:].ravel() - sy),
+            self._const])
+        return with_pattern(sp.csc_matrix, values[self._take], self._indices,
+                            self._indptr, self.shape)
+
+
+def _without_zeros(m: sp.csc_matrix) -> sp.csc_matrix:
+    """m without its explicit zeros (m itself when it stores none)."""
+    keep = m.data != 0.0
+    if keep.all():
+        return m
+    stored = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
+    return sp.csc_matrix((m.data[keep], m.indices[keep], stored[m.indptr]),
+                         shape=m.shape)
+
+
 class _StateSolver:
     """Normal equations L_q^T W L_q + C^T W C of the state block, one kept factor.
 
-    The constructor assembles the normal matrix of q and factors it.
-    assemble() replaces the matrix by that of new coefficients and keeps
-    the factor, which from then on preconditions conjugate gradients on
-    the new matrix.  When CG overruns STATE_PCG_MAX iterations or loses
-    positive curvature, the old factor is freed, the current matrix is
-    factored and every right-hand side is solved on it directly.
+    The constructor builds the normal matrix's fixed pattern, fills it for
+    q and factors it.  assemble() refills the matrix for new coefficients
+    and keeps the factor, which from then on preconditions conjugate
+    gradients on the new matrix.  When CG overruns STATE_PCG_MAX
+    iterations or loses positive curvature, the old factor is freed, the
+    current matrix is factored and every right-hand side is solved on it
+    directly.  The factor is taken on a zero-pruned copy, so exact
+    cancellations add no fill.
     """
 
     def __init__(self, q: CoefficientPair):
         self.factorizations = 0
+        self.lu_fill = 0            # entries stored for L and U of the factor
+        self.grid = q.sigma.grid
+        self._pattern = _NormalPattern(self.grid.n)
         self.assemble(q)
         self._factor()
 
     def assemble(self, q: CoefficientPair) -> None:
-        grid = q.sigma.grid
-        n, h = grid.n, grid.h
-        self.grid = grid
-        gx, gy = face_gradient(n)
-        ax, ay = face_average(n)
-        sx = ax @ q.sigma.values.ravel()
-        sy = ay @ q.sigma.values.ravel()
-        nf = (n - 1) * n
-        eye_f = sp.identity(nf, format="csr")
-        self._m = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
-                           [-sp.diags(sx) @ gx, eye_f, None],
-                           [-sp.diags(sy) @ gy, None, eye_f],
-                           [trace(n), None, None]], format="csr")
-        self._w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
-                                  np.full(4 * n, h)])
-        self._normal = (self._m.T @ sp.diags(self._w) @ self._m).tocsc()
+        self._sigma, self._mu = q.sigma.values.ravel(), q.mu.values.ravel()
+        self._normal = self._pattern.fill(self._sigma, self._mu)
         self._exact = False         # the factor, if any, is of an earlier q
 
     def _factor(self) -> None:
         self._lu = None             # free the old factor: never two alive at once
+        # Only the pruned copy is kept while SuperLU works; normal_matrix()
+        # refills the full pattern when asked.
+        pruned, self._normal = _without_zeros(self._normal), None
         try:
-            self._lu = splu(self._normal, **SPD_LU)
+            self._lu = splu(pruned, **SPD_LU)
         except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
             raise SubproblemFailure(f"state factorization failed: {exc}") from exc
         self._exact = True
         self.factorizations += 1
+        self.lu_fill = int(self._lu.nnz)
 
     def normal_matrix(self) -> sp.csc_matrix:
-        """M^T W M, symmetric positive definite."""
+        """M^T W M, symmetric positive definite, on the fixed pattern."""
+        if self._normal is None:
+            self._normal = self._pattern.fill(self._sigma, self._mu)
         return self._normal
 
     def rhs(self, g: ScalarField, f) -> np.ndarray:
-        n = self.grid.n
-        nf = (n - 1) * n
-        d = np.concatenate([g.values.ravel(), np.zeros(2 * nf), f.values])
-        return self._m.T @ (self._w * d)
+        """M^T W (g, 0, 0, f) = h^2 (mu g + N f, Gx g, Gy g)."""
+        ops = grid_operators(self.grid.n)
+        h = self.grid.h
+        hg = h * h * g.values.ravel()
+        return np.concatenate([self._mu * hg + ops.trace.T @ (h * f.values),
+                               ops.grad @ hg])
 
     def solve(self, rhs: list) -> tuple[list, int]:
         """Solutions of M^T W M x = b for each b, and the most PCG iterations."""
@@ -298,54 +393,78 @@ class _CoefficientProblem:
     With the states fixed the misfit is linear least squares in q, so the
     smooth part h^2 (||B q - t||^2 + alpha/2 (||G q||^2 + ||q||^2)) has the
     constant Hessian 2 B^T B + alpha (G^T G + I) in the h^2-weighted cell
-    product; it is assembled once.  The L1 term and the box go to the prox.
+    product; it is filled once on the layer's five-point pattern, and the
+    shift 2 B^T t is computed once.  B is never formed: it stacks
+    diag(scale_e) P over the excitations e, with P a fixed map of the
+    layer, the face average [Ax; Ay] for sigma and the identity for mu.
+    maps is [P; G] with P in its first p_rows rows (p_rows = 0: P is the
+    identity and maps is G alone), so a value costs one sparse matvec.
+    The L1 term and the box go to the prox.
     """
 
-    def __init__(self, b_mat: sp.csr_matrix, target: np.ndarray,
+    def __init__(self, hess: sp.csr_matrix, shift: np.ndarray, maps: sp.csr_matrix,
+                 p_rows: int, scales: np.ndarray, target: np.ndarray,
                  reg: RegConfig, n: int):
-        gx, gy = face_gradient(n)
+        self.hess = hess
         self.reg = reg
         self.n = n
         self.h = 1.0 / n
-        self._b = b_mat
+        self._shift = shift
+        self._maps = maps
+        self._p_rows = p_rows
+        self._scales = scales       # (excitations, rows of P)
         self._t = target
-        self._g = sp.vstack([gx, gy], format="csr")
-        self.hess = (2.0 * (b_mat.T @ b_mat) + reg.alpha * (
-            self._g.T @ self._g + sp.identity(n * n))).tocsr()
-        self._shift = 2.0 * (b_mat.T @ target)
 
     def smooth_grad(self, q: np.ndarray) -> np.ndarray:
         return self.hess @ q - self._shift
 
     def total_value(self, q: np.ndarray) -> float:
         # Residual form: expanding the quadratic would cancel digits.
-        r = self._b @ q - self._t
-        gq = self._g @ q
+        mapped = self._maps @ q
+        if self._p_rows:
+            pq, gq = mapped[:self._p_rows], mapped[self._p_rows:]
+        else:
+            pq, gq = q, mapped
+        r = (self._scales * pq).ravel() - self._t
         return float(self.h ** 2 * (r @ r + 0.5 * self.reg.alpha * (gq @ gq + q @ q)
                                     + self.reg.beta * np.abs(q).sum()))
 
 
 def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
-    """Flux residual p - sigma_face grad u = t - B sigma on interior faces."""
-    gx, gy = face_gradient(n)
-    ax, ay = face_average(n)
-    blocks, targets = [], []
-    for v in states:
-        u = v.u.values.ravel()
-        blocks += [sp.diags(gx @ u) @ ax, sp.diags(gy @ u) @ ay]
-        targets += [v.p.x_values.ravel(), v.p.y_values.ravel()]
-    return _CoefficientProblem(sp.vstack(blocks, format="csr"),
-                               np.concatenate(targets), reg, n)
+    """Flux residual p - sigma_face grad u = t - B sigma on interior faces.
+
+    B = diag(G u) [Ax; Ay] per excitation, so B^T B = Ax^T diag((Gx u)^2) Ax
+    + Ay^T diag((Gy u)^2) Ay summed over the excitations.
+    """
+    ops = grid_operators(n)
+    nf = (n - 1) * n
+    scales = np.array([ops.grad @ v.u.values.ravel() for v in states])
+    target = np.concatenate([np.concatenate([v.p.x_values.ravel(),
+                                             v.p.y_values.ravel()]) for v in states])
+    w = 2.0 * (scales * scales).sum(axis=0)
+    hess = ops.five_point(reg.alpha, grad=(reg.alpha, reg.alpha),
+                          avg=(w[:nf], w[nf:]))
+    st = (scales * target.reshape(scales.shape)).sum(axis=0)
+    shift = 2.0 * (ops.ax.T @ st[:nf] + ops.ay.T @ st[nf:])
+    return _CoefficientProblem(hess, shift, ops.avg_grad, 2 * nf, scales, target,
+                               reg, n)
 
 
 def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
-    """Divergence residual -div p + mu u - g = B mu - t, div p = -G^T p."""
-    gx, gy = face_gradient(n)
-    b_mat = sp.vstack([sp.diags(v.u.values.ravel()) for v in states], format="csr")
+    """Divergence residual -div p + mu u - g = B mu - t, div p = -G^T p.
+
+    B = diag(u) per excitation, so B^T B = diag(sum of u^2).
+    """
+    ops = grid_operators(n)
+    scales = np.array([v.u.values.ravel() for v in states])
     target = np.concatenate([
-        g.values.ravel() - gx.T @ v.p.x_values.ravel() - gy.T @ v.p.y_values.ravel()
+        g.values.ravel() - ops.gx.T @ v.p.x_values.ravel()
+        - ops.gy.T @ v.p.y_values.ravel()
         for v, g in zip(states, sources)])
-    return _CoefficientProblem(b_mat, target, reg, n)
+    hess = ops.five_point(2.0 * (scales * scales).sum(axis=0) + reg.alpha,
+                          grad=(reg.alpha, reg.alpha))
+    shift = 2.0 * (scales * target.reshape(scales.shape)).sum(axis=0)
+    return _CoefficientProblem(hess, shift, ops.grad, 0, scales, target, reg, n)
 
 
 def _power_iteration(hess: sp.csr_matrix) -> float:
@@ -540,6 +659,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     inner_counts = []
     factorizations = []
     pcg_counts = []
+    lu_fills = []
     solver = None
 
     def _partial_report(reason):
@@ -555,7 +675,8 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             coeff_decrement_terms=np.asarray(dq_terms),
             coeff_inner_iterations=np.asarray(inner_counts, dtype=int),
             state_factorizations=np.asarray(factorizations, dtype=int),
-            state_pcg_iterations=np.asarray(pcg_counts, dtype=int))
+            state_pcg_iterations=np.asarray(pcg_counts, dtype=int),
+            state_lu_fill=np.asarray(lu_fills, dtype=int))
 
     for k in range(cfg.max_outer):
         # -- state half-step -------------------------------------------------
@@ -573,6 +694,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         state_residuals.append(residual)
         factorizations.append(solver.factorizations - factored_before)
         pcg_counts.append(pcg_iterations)
+        lu_fills.append(solver.lu_fill if factorizations[-1] else 0)
         du_terms.append(_state_decrement(new_states, states, coeffs, grid))
         states = new_states
         j_after_state.append(eval_J(states, coeffs, sources, measurements,
@@ -599,9 +721,11 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         j_history.append(eval_J(states, coeffs, sources, measurements,
                                 cfg.reg_sigma, cfg.reg_mu))
         logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
-                     "factored %s, coefficient inner %d", k + 1, j_history[-1],
-                     residual, pcg_iterations, factorizations[-1] == 1,
-                     update.inner_iterations)
+                     "factored %s, LU fill %d, coefficient inner %d, "
+                     "decrements %.3e (state) %.3e (coefficient), E %.3e",
+                     k + 1, j_history[-1], residual, pcg_iterations,
+                     factorizations[-1] == 1, solver.lu_fill,
+                     update.inner_iterations, du_terms[-1], dq_terms[-1], e_val)
 
     return _partial_report(STOP_MAX_ITERATIONS)
 

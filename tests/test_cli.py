@@ -104,6 +104,9 @@ def test_report_counts_state_factorizations_and_pcg(tmp_path):
     pcg = [int(k) for k in report["state_pcg_iterations"].split(",")]
     assert len(pcg) == iterations
     assert pcg[0] == 0 and min(pcg) >= 0
+    fills = [int(k) for k in report["state_lu_fill"].split(",")]
+    assert len(fills) == int(report["state_factorizations"])
+    assert min(fills) > 0
 
 
 def test_reconstruct_missing_measurements(tmp_path):

@@ -14,7 +14,8 @@ from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
                          average_to_faces, gradient_to_faces)
 from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
                           eval_J, misfit_value, sources_from_measurements,
-                          state_normal_apply, state_normal_residual)
+                          state_normal_apply, state_normal_residual,
+                          state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               SubproblemFailure, _StateSolver, _mu_problem, _pcg,
                               _sigma_problem, _state_half_step, adi_reconstruct,
@@ -23,7 +24,9 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               solve_state_subproblem)
 from medrec.regularization import RegConfig, eval_phi_smooth, smooth_grad_phi
 from medrec.experiments import make_example
-from conftest import random_admissible_flux, random_boundary, random_scalar
+from medrec.operators import SPD_LU, face_average, face_gradient, trace
+from conftest import (assert_matrix_close, draw_coefficients,
+                      random_admissible_flux, random_boundary, random_scalar)
 
 
 def small_problem(n=16, example="ex1", oversample=2):
@@ -46,12 +49,95 @@ def test_assembled_matches_matrix_free(rng):
     q = CoefficientPair(ScalarField(grid, 1.0 + rng.random((12, 12))),
                         ScalarField(grid, 0.5 + rng.random((12, 12))))
     solver = _StateSolver(q)
+    h2 = grid.h ** 2
     for _ in range(5):
         v = StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
-        x = pack_state(v)
-        assembled = solver._m.T @ (solver._w * (solver._m @ x))
-        free = pack_state(state_normal_apply(q, v)) * grid.h ** 2
+        assembled = solver.normal_matrix() @ pack_state(v)
+        free = pack_state(state_normal_apply(q, v)) * h2
         assert np.allclose(assembled, free, rtol=1e-12, atol=1e-12)
+        g, f = random_scalar(grid, rng), random_boundary(grid, rng)
+        free = pack_state(state_normal_rhs(q, g, f)) * h2
+        assert np.allclose(solver.rhs(g, f), free, rtol=1e-12, atol=1e-12)
+
+
+def product_normal_matrix(q: CoefficientPair) -> sp.csc_matrix:
+    """M^T W M as scipy products of the assembled M: the oracle of the fill.
+
+    Its products drop the entries that cancel exactly.
+    """
+    grid = q.sigma.grid
+    n, h = grid.n, grid.h
+    gx, gy = face_gradient(n)
+    ax, ay = face_average(n)
+    sx = ax @ q.sigma.values.ravel()
+    sy = ay @ q.sigma.values.ravel()
+    nf = (n - 1) * n
+    eye_f = sp.identity(nf, format="csr")
+    m = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
+                 [-sp.diags(sx) @ gx, eye_f, None],
+                 [-sp.diags(sy) @ gy, None, eye_f],
+                 [trace(n), None, None]], format="csr")
+    w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
+                        np.full(4 * n, h)])
+    return (m.T @ sp.diags(w) @ m).tocsc()
+
+
+def product_hessians(states, reg, n):
+    """2 B^T B + alpha (G^T G + I) of sigma and of mu as scipy products."""
+    gx, gy = face_gradient(n)
+    ax, ay = face_average(n)
+    g = sp.vstack([gx, gy], format="csr")
+    blocks = []
+    for v in states:
+        u = v.u.values.ravel()
+        blocks += [sp.diags(gx @ u) @ ax, sp.diags(gy @ u) @ ay]
+    b_sigma = sp.vstack(blocks, format="csr")
+    b_mu = sp.vstack([sp.diags(v.u.values.ravel()) for v in states], format="csr")
+    return [2.0 * (b.T @ b) + reg.alpha * (g.T @ g + sp.identity(n * n))
+            for b in (b_sigma, b_mu)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       piecewise=st.booleans())
+def test_filled_blocks_equal_the_products(n, seed, piecewise):
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    q = CoefficientPair(*(ScalarField(grid, c)
+                          for c in draw_coefficients(n, rng, piecewise)))
+    normal = _StateSolver(q).normal_matrix()
+    assert normal.format == "csc"
+    assert_matrix_close(normal, product_normal_matrix(q))
+    one = _StateSolver(CoefficientPair.constant(grid, 1.0, 1.0)).normal_matrix()
+    assert np.array_equal(one.indptr, normal.indptr)
+    assert np.array_equal(one.indices, normal.indices)
+
+    states = [StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
+              for _ in range(2)]
+    sources = [random_scalar(grid, rng) for _ in states]
+    reg = RegConfig(float(rng.random()), 0.1, 0.5, 30.0)
+    filled = (_sigma_problem(states, reg, n).hess,
+              _mu_problem(states, sources, reg, n).hess)
+    for hess, product in zip(filled, product_hessians(states, reg, n)):
+        assert_matrix_close(hess, product)
+
+
+def test_exact_cancellations_add_no_fill():
+    # At sigma = mu = 1 every (u, p) coupling h^2 (mu - sigma_face) is an
+    # exact zero.  The filled matrix stores them; the factor, taken on the
+    # pruned copy, has the fill of the pruned scipy product.
+    grid = StaggeredGrid(80)
+    q = CoefficientPair.constant(grid, 1.0, 1.0)
+    solver = _StateSolver(q)
+    product = product_normal_matrix(q)
+    assert product.nnz == 119208
+    assert solver.normal_matrix().nnz > product.nnz
+    fill = lu_nnz(splu(product, **SPD_LU))
+    assert lu_nnz(solver._lu) == solver._lu.nnz == solver.lu_fill == fill
+    # Factored with its stored zeros, the same matrix stores half as much
+    # fill again (SuperLU's nnz; L.nnz + U.nnz leaves out stored zeros).
+    assert splu(solver.normal_matrix(), **SPD_LU).nnz > 1.4 * fill
 
 
 def random_box_coefficients(grid, rng):
@@ -200,6 +286,7 @@ def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
     # iterations against the bound of 14), so the run factors once
     assert len(factors) == 1
     assert kept.state_factorizations.tolist() == [1, 0, 0, 0, 0, 0]
+    assert kept.state_lu_fill[0] > 0 and not kept.state_lu_fill[1:].any()
     assert kept.state_pcg_iterations[0] == 0
     assert 0 < kept.state_pcg_iterations[1:].min()
     assert kept.state_pcg_iterations.max() <= STATE_PCG_MAX
@@ -457,3 +544,11 @@ def test_one_debug_record_per_outer_iteration(caplog):
     assert len(records) == report.iterations == 3
     assert "factored True" in records[0].getMessage()
     assert "factored False" in records[1].getMessage()
+    fill = report.state_lu_fill[0]
+    assert fill > 0
+    for k, record in enumerate(records):
+        message = record.getMessage()
+        assert f"LU fill {fill}," in message
+        assert f"E {report.bregman_values[k]:.3e}" in message
+        assert (f"decrements {report.state_decrement_terms[k]:.3e} (state) "
+                f"{report.coeff_decrement_terms[k]:.3e} (coefficient)") in message
