@@ -360,6 +360,10 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
         "state_lu_fill=" + ",".join(str(int(k)) for k in report.state_lu_fill if k),
         "state_pcg_iterations=" + ",".join(str(int(k))
                                            for k in report.state_pcg_iterations),
+        "coeff_newton_steps=" + ",".join(str(int(k))
+                                         for k in report.coeff_inner_iterations),
+        "coeff_pcg_iterations=" + ",".join(str(int(k))
+                                           for k in report.coeff_pcg_iterations),
     ]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"reconstruct: {report.iterations} iterations, "

@@ -21,15 +21,27 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-# splu(A, **SPD_LU) for the three SPD matrices built from these maps (the
-# forward operator, the probe family's background operator and the state
-# block's normal matrix): minimum degree on A^T + A, diagonal pivots only.
+# splu(A, **SPD_LU) for the SPD matrices built from these maps (the forward
+# operator, the probe family's background operator, the state block's
+# normal matrix and the coefficient blocks' shifted Hessians): minimum
+# degree on A^T + A, diagonal pivots only.
 # For an SPD matrix that is Cholesky up to a diagonal scaling, so it is
 # stable without pivoting; partial pivoting would discard the symmetric
 # ordering and multiply the fill.
 SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
+
+
+def factor_spd(a: sp.csc_matrix):
+    """splu(a, **SPD_LU) for the coefficient blocks of optimizer.py.
+
+    A name of its own, apart from the state block's splu, so that either
+    factorization can be traced or replaced alone.  Raises RuntimeError on
+    a zero pivot, as splu does.
+    """
+    return splu(a, **SPD_LU)
 
 
 def _frozen(m):
@@ -148,6 +160,17 @@ class GridOperators:
         for a in stencil:
             a.flags.writeable = False
         return stencil
+
+    @functools.cached_property
+    def stencil_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, diagonal): the row of each entry of five_point's data, and
+        the positions of its diagonal entries."""
+        _, indices, indptr = self.stencil
+        rows = np.repeat(np.arange(self.n * self.n, dtype=np.int32), np.diff(indptr))
+        diagonal = np.flatnonzero(rows == indices)
+        for a in (rows, diagonal):
+            a.flags.writeable = False
+        return rows, diagonal
 
     def five_point(self, cell, grad=(0.0, 0.0), avg=(0.0, 0.0), fmt=sp.csr_matrix):
         """Gx^T Wx Gx + Gy^T Wy Gy + Ax^T Vx Ax + Ay^T Vy Ay + diag(cell).

@@ -27,20 +27,26 @@ each solving two convex subproblems:
     least-squares problem plus the L1/H1/box penalty.  Its Hessian is
     filled by value on the layer's five-point pattern once per outer
     iteration, its misfit matrix stays row scales of a fixed map of the
-    layer, and the minimization runs on raw cell arrays: a
-    proximal-gradient iteration (step 1/L with L from power iteration
-    plus a 5% safety margin), accelerated with strong-convexity momentum
-    and a monotone best-iterate safeguard so the functional can only
-    descend.  The closed-form prox handles the L1 term and the box.
-    Each solve stops at the fixed-point tolerance COEFF_TOL or after
-    COEFF_INNER_MAX iterations (FINAL_INNER_CAP in the last outer
-    iteration).
+    layer, and the minimization runs on raw cell arrays.  The box has
+    q_lo >= 0, where the L1 term is linear, so each block is a convex
+    box QP with a constant Hessian H, solved by projected Newton
+    (Bertsekas 1982): cells within eps of a bound that the gradient
+    pushes out move onto it, the free block's Newton system is solved
+    on H + rho I (rho = HESSIAN_SHIFT times the Gershgorin bound of H,
+    which keeps it definite at alpha = 0), and an Armijo search on the
+    projection arc keeps the subproblem value descending.  That system
+    is solved by PCG preconditioned with one factor per coefficient
+    (operators.factor_spd), taken in the first outer iteration and kept
+    for the run; when PCG overruns COEFF_PCG_MAX iterations on it, it is
+    freed and the current system factored and solved in its place.  A
+    solve takes one to a few steps and stops at the fixed-point
+    tolerance COEFF_TOL, or after NEWTON_MAX steps, a safety cap.
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
-after the fact, plus each state half-step's factorizations, their LU
-fill and PCG iterations; a DEBUG record on the "medrec" logger
-summarizes every outer iteration.  Every term of that certificate (J, the decrements, the
+after the fact, plus each half-step's factorizations and PCG
+iterations, and the state factors' LU fill; a DEBUG record on the
+"medrec" logger summarizes every outer iteration.  Every term of that certificate (J, the decrements, the
 misfit gradients and the Bregman distances) is evaluated matrix-free,
 independently of the assembled coefficient block.
 """
@@ -60,9 +66,8 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
-from .operators import SPD_LU, grid_operators, with_pattern
-from .regularization import (RegConfig, box_feasible, bregman_distance,
-                             prox_l1_box, prox_l1_box_array)
+from .operators import SPD_LU, factor_spd, grid_operators, with_pattern
+from .regularization import RegConfig, box_feasible, bregman_distance, prox_l1_box
 
 STATE_TOL = 1e-8             # verified state normal-equation residual
 # PCG on a kept state factor stops four digits inside STATE_TOL.  The
@@ -71,12 +76,17 @@ STATE_TOL = 1e-8             # verified state normal-equation residual
 # up to rounding.
 PCG_RTOL = 1e-4 * STATE_TOL
 STATE_PCG_MAX = 14           # PCG iterations on a kept factor before refactoring
-POWER_ITERATIONS = 20
-POWER_SAFETY_MARGIN = 0.05
-_POWER_SEED = 1234
 COEFF_TOL = 1e-8             # coefficient fixed-point residual
-COEFF_INNER_MAX = 200        # inner iterations of a coefficient solve
-FINAL_INNER_CAP = 10000      # inner iterations of the last coefficient solve
+# The coefficient blocks' Newton systems are solved on H + rho I, rho =
+# HESSIAN_SHIFT times the Gershgorin bound of H: with alpha = 0 the sigma
+# Hessian is singular (a checkerboard has zero face means).
+HESSIAN_SHIFT = 1e-8
+NEWTON_MAX = 50              # safety cap on projected-Newton steps of one solve
+COEFF_PCG_MAX = 30           # PCG iterations on a kept coefficient factor before
+                             # refactoring
+ACTIVE_EPS = 1e-3            # Bertsekas' eps_0, as a fraction of the box width
+ARMIJO = 1e-4                # sufficient-decrease fraction on the projection arc
+ARMIJO_MAX = 30              # halvings of the arc step before a gradient step
 
 logger = logging.getLogger("medrec")
 
@@ -109,6 +119,10 @@ class AdiConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        for reg in (self.reg_sigma, self.reg_mu):
+            # The coefficient solve takes beta |q| as the linear beta q.
+            if reg.beta > 0 and reg.q_lo < 0:
+                raise ValueError("an L1 weight needs a box with q_lo >= 0")
 
 
 @dataclass
@@ -126,13 +140,16 @@ class ReconstructionReport:
     bregman_values: np.ndarray
     state_decrement_terms: np.ndarray
     coeff_decrement_terms: np.ndarray
-    coeff_inner_iterations: np.ndarray
+    coeff_inner_iterations: np.ndarray   # projected-Newton steps, most over
+                                         # sigma and mu
     state_factorizations: np.ndarray     # 1 where the state half-step factored
     state_pcg_iterations: np.ndarray     # PCG iterations spent, most over
                                          # excitations; 0 on a fresh factor
     state_lu_fill: np.ndarray            # entries SuperLU stores for L and U
                                          # of the factor the half-step took;
                                          # 0 where it took none
+    coeff_factorizations: np.ndarray     # coefficient factors the half-step took
+    coeff_pcg_iterations: np.ndarray     # PCG iterations, summed over sigma and mu
 
     @property
     def iterations(self) -> int:
@@ -205,8 +222,8 @@ class _NormalPattern:
         tags += np.split(starts[-1] + slots.astype(np.int32),
                          np.cumsum([c.nnz for c in const[:2]]))
 
-        cells = np.arange(n * n).reshape(n, n)
-        faces = np.tile(np.arange(nf), 2)
+        cells = np.arange(n * n, dtype=np.int32).reshape(n, n)
+        faces = np.tile(np.arange(nf, dtype=np.int32), 2)
         uu = sp.csc_matrix((tags[0], five_indices, five_indptr), shape=(n * n, n * n))
         ux = sp.csc_matrix((tags[1], (np.concatenate(
             [cells[:-1, :].ravel(), cells[1:, :].ravel()]), faces)), shape=(n * n, nf))
@@ -214,12 +231,10 @@ class _NormalPattern:
             [cells[:, :-1].ravel(), cells[:, 1:].ravel()]), faces)), shape=(n * n, nf))
         xx, xy, yy = (sp.csr_matrix((t, c.indices, c.indptr), shape=c.shape).tocsc()
                       for t, c in zip(tags[3:], const))
-        # All blocks CSC: scipy stacks them without a COO detour.
-        pattern = sp.bmat([[uu, ux, uy], [ux.T.tocsc(), xx, xy],
-                           [uy.T.tocsc(), xy.T.tocsc(), yy]], format="csc")
-        self._take = pattern.data
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-        self.shape = pattern.shape
+        del tags, slots, const
+        self._take, self._indices, self._indptr = _stack_csc(
+            [[uu, ux.T.tocsc(), uy.T.tocsc()], [ux, xx, xy.T.tocsc()], [uy, xy, yy]])
+        self.shape = (n * n + 2 * nf,) * 2
         for a in (self._take, self._const, self._indices, self._indptr):
             a.flags.writeable = False
 
@@ -241,6 +256,36 @@ class _NormalPattern:
             self._const])
         return with_pattern(sp.csc_matrix, values[self._take], self._indices,
                             self._indptr, self.shape)
+
+
+def _stack_csc(columns: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of a block matrix as int32 CSC arrays.
+
+    columns lists the block columns, each its CSC blocks from top to
+    bottom, every block of a column as wide as the others.  The arrays
+    are allocated once and written one block column at a time, so the
+    transient memory stays that of one block: the result equals
+    sp.bmat(..., format="csc") of the same blocks, without its copies.
+    """
+    counts = [sum(np.diff(block.indptr) for block in column) for column in columns]
+    indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    first = 0
+    for column, count in zip(columns, counts):
+        start = indptr[first:first + count.size].copy()     # next free slot per column
+        row = 0
+        for block in column:
+            per_column = np.diff(block.indptr).astype(np.int32)
+            slots = np.repeat(start - block.indptr[:-1], per_column) \
+                + np.arange(block.nnz, dtype=np.int32)
+            indices[slots] = block.indices + row
+            data[slots] = block.data
+            start += per_column
+            row += block.shape[0]
+        first += count.size
+    return data, indices, indptr
 
 
 def _without_zeros(m: sp.csc_matrix) -> sp.csc_matrix:
@@ -312,7 +357,7 @@ class _StateSolver:
             return [self._lu.solve(b) for b in rhs], 0
         solutions, most = [], 0
         for b in rhs:
-            x, iterations = _pcg(self._normal, b, self._lu.solve)
+            x, iterations = _pcg(self._normal, b, self._lu.solve, STATE_PCG_MAX)
             most = max(most, iterations)
             if x is None:
                 self._factor()
@@ -321,23 +366,23 @@ class _StateSolver:
         return solutions, most
 
 
-def _pcg(a: sp.csc_matrix, b: np.ndarray, precondition) -> tuple:
+def _pcg(a, b: np.ndarray, precondition, cap: int = STATE_PCG_MAX,
+         rtol: float = PCG_RTOL) -> tuple:
     """Conjugate gradients on a x = b, started from and preconditioned by
-    an approximate inverse.
+    an approximate inverse; a is any operator with a @ x.
 
-    Returns (x, iterations), with x None when STATE_PCG_MAX iterations do
-    not reach the relative residual PCG_RTOL or a direction has
-    p^T a p <= 0.
+    Returns (x, iterations), with x None when cap iterations do not reach
+    the relative residual rtol or a direction has p^T a p <= 0.
     """
     x = precondition(b)
     r = b - a @ x
-    stop = PCG_RTOL * np.linalg.norm(b)
+    stop = rtol * np.linalg.norm(b)
     if np.linalg.norm(r) <= stop:
         return x, 0
     z = precondition(r)
     p = z
     rz = r @ z
-    for k in range(1, STATE_PCG_MAX + 1):
+    for k in range(1, cap + 1):
         ap = a @ p
         curvature = p @ ap
         if not curvature > 0.0:
@@ -350,7 +395,7 @@ def _pcg(a: sp.csc_matrix, b: np.ndarray, precondition) -> tuple:
         z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    return None, STATE_PCG_MAX
+    return None, cap
 
 
 def _state_half_step(q: CoefficientPair, sources, traces,
@@ -384,7 +429,7 @@ def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
 
 
 # ---------------------------------------------------------------------------
-# Coefficient subproblem: accelerated monotone proximal gradient
+# Coefficient subproblem: projected Newton on a kept, shifted factor
 # ---------------------------------------------------------------------------
 
 class _CoefficientProblem:
@@ -399,24 +444,23 @@ class _CoefficientProblem:
     layer, the face average [Ax; Ay] for sigma and the identity for mu.
     maps is [P; G] with P in its first p_rows rows (p_rows = 0: P is the
     identity and maps is G alone), so a value costs one sparse matvec.
-    The L1 term and the box go to the prox.
     """
 
     def __init__(self, hess: sp.csr_matrix, shift: np.ndarray, maps: sp.csr_matrix,
                  p_rows: int, scales: np.ndarray, target: np.ndarray,
                  reg: RegConfig, n: int):
         self.hess = hess
+        self.shift = shift
         self.reg = reg
         self.n = n
         self.h = 1.0 / n
-        self._shift = shift
         self._maps = maps
         self._p_rows = p_rows
         self._scales = scales       # (excitations, rows of P)
         self._t = target
 
     def smooth_grad(self, q: np.ndarray) -> np.ndarray:
-        return self.hess @ q - self._shift
+        return self.hess @ q - self.shift
 
     def total_value(self, q: np.ndarray) -> float:
         # Residual form: expanding the quadratic would cancel digits.
@@ -467,82 +511,122 @@ def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
     return _CoefficientProblem(hess, shift, ops.grad, 0, scales, target, reg, n)
 
 
-def _power_iteration(hess: sp.csr_matrix) -> float:
-    x = np.random.default_rng(_POWER_SEED).standard_normal(hess.shape[0])
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        y = hess @ x
-        lam = (y @ x) / (x @ x)
-        y_norm = np.linalg.norm(y)
-        if y_norm == 0.0:
-            return 0.0
-        x = y / y_norm
-    return float(lam)
+class _CoefficientFactor:
+    """One coefficient's kept factor, preconditioning PCG on its Newton systems.
+
+    The factor is of a masked shifted Hessian: H + rho I with the
+    couplings to the cells held on their bounds removed.  It is taken
+    when the run's first Newton system is solved and kept for the run.
+    When PCG overruns COEFF_PCG_MAX iterations on a later system, the old
+    factor is freed, that system's matrix factored in its place, and the
+    system solved on it directly.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+
+    def _factor(self, matrix: sp.csc_matrix) -> None:
+        self.lu = None              # free the old factor: never two alive at once
+        try:
+            self.lu = factor_spd(matrix)
+        except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
+            raise SubproblemFailure(f"coefficient factorization failed: {exc}") from exc
+        self.factorizations += 1
+
+    def solve(self, masked: sp.csc_matrix, b: np.ndarray, keep: np.ndarray,
+              rtol: float) -> tuple[np.ndarray, int]:
+        """x with masked x = b to the relative residual rtol, and the PCG
+        iterations spent; keep is 1 on the free cells and 0 on the others,
+        where b and x vanish."""
+        iterations = 0
+        if self.lu is not None:
+            x, iterations = _pcg(masked, b, lambda r: keep * self.lu.solve(r),
+                                 COEFF_PCG_MAX, rtol)
+            if x is not None:
+                return x, iterations
+        self._factor(masked)
+        return keep * self.lu.solve(b), iterations
 
 
-def _fixed_point_residual(problem: _CoefficientProblem, q: np.ndarray,
-                          tau: float) -> float:
-    reg = problem.reg
-    z = prox_l1_box_array(q - tau * problem.smooth_grad(q),
-                          tau * reg.beta, reg.q_lo, reg.q_hi)
-    h = problem.h
-    return h * float(np.linalg.norm(q - z)) / (1.0 + h * float(np.linalg.norm(q)))
+def _fixed_point_residual(step: np.ndarray, q: np.ndarray, h: float) -> float:
+    """h ||q - P(q - tau g)|| / (1 + h ||q||), from the projected-gradient step."""
+    return h * float(np.linalg.norm(step)) / (1.0 + h * float(np.linalg.norm(q)))
 
 
 def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
-                           inner_max: int, tol: float):
-    """Monotone accelerated proximal gradient for one coefficient.
+                           factor: _CoefficientFactor, tol: float):
+    """Projected Newton (Bertsekas 1982) on one coefficient's box QP.
 
-    Returns (best iterate, fixed-point residual, iterations, converged).
-    The best iterate never has a larger subproblem value than the
-    (clipped) warm start, which is what the outer descent relies on.
+    On the box q >= q_lo >= 0 the L1 term is linear, so the block is
+    min 1/2 q^T H q - (shift - beta)^T q over [q_lo, q_hi].  Each step
+    takes Bertsekas' eps-active set, eps = min(ACTIVE_EPS (q_hi - q_lo),
+    ||q - P(q - g/L)||) with L the Gershgorin bound of H: those cells move
+    straight onto their bound.  The free block's Newton system is solved
+    on H + rho I, rho = HESSIAN_SHIFT L (with alpha = 0, H is only
+    semidefinite), by PCG with the kept factor, to the accuracy the
+    stopping test needs; the other cells' couplings are dropped from the
+    matrix.  An Armijo search on the projection arc accepts the step; if
+    it finds none, the projected-gradient step 1/L is taken.  So every
+    step lowers the subproblem value, from the clipped warm start.
+
+    Returns (iterate, fixed-point residual, Newton steps, PCG iterations,
+    converged); the residual is that of the projected-gradient map with
+    step 1/L.
     """
-    reg = problem.reg
-    lam = _power_iteration(problem.hess)
-    lam = max(lam, 1e-12)
-    l_eff = (1.0 + POWER_SAFETY_MARGIN) * lam
-    tau = 1.0 / l_eff
+    reg, hess, h, n = problem.reg, problem.hess, problem.h, problem.n
+    lo, hi = reg.q_lo, reg.q_hi
+    rows, diagonal = grid_operators(n).stencil_rows
+    # (the floor only matters for H = 0: zero states and alpha = 0)
+    bound = max(float(np.add.reduceat(np.abs(hess.data), hess.indptr[:-1]).max()), 1e-12)
+    tau = 1.0 / bound
+    data = hess.data.copy()
+    data[diagonal] += HESSIAN_SHIFT * bound
+    linear = reg.beta - problem.shift
 
-    x = prox_l1_box(warm, 0.0, reg.q_lo, reg.q_hi).values.ravel()  # clip into the box
-    fx = problem.total_value(x)
-    best, f_best = x, fx
-    y = x
-    z_prev, fz_prev = x, fx
-    t = 1.0
-    if reg.alpha > 0 and reg.alpha < l_eff:
-        ratio = math.sqrt(reg.alpha / l_eff)
-        beta_mom = (1.0 - ratio) / (1.0 + ratio)
-    else:
-        beta_mom = None
-
-    iterations = 0
-    converged = False
-    for j in range(inner_max):
-        iterations += 1
-        z = prox_l1_box_array(y - tau * problem.smooth_grad(y),
-                              tau * reg.beta, reg.q_lo, reg.q_hi)
-        fz = problem.total_value(z)
-        if fz <= f_best:
-            best, f_best = z, fz
-        if beta_mom is not None:
-            if fz > fz_prev:       # function-value restart
-                y = z
-            else:
-                y = z + beta_mom * (z - z_prev)
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = z + ((t - 1.0) / t_next) * (z - z_prev)
-            t = t_next
-        z_prev, fz_prev = z, fz
-        if (j + 1) % 10 == 0:
-            if _fixed_point_residual(problem, best, tau) <= tol:
-                converged = True
+    q = prox_l1_box(warm, 0.0, lo, hi).values.ravel()    # clip into the box
+    eps_max = ACTIVE_EPS * (hi - lo)
+    steps = pcg_iterations = 0
+    while True:
+        g = hess @ q + linear
+        step = q - np.clip(q - tau * g, lo, hi)
+        residual = _fixed_point_residual(step, q, h)
+        if residual <= tol or steps == NEWTON_MAX:
+            break
+        steps += 1
+        eps = min(eps_max, float(np.linalg.norm(step)))
+        lower = (q <= lo + eps) & (g > 0.0)
+        upper = (q >= hi - eps) & (g < 0.0)
+        keep = (~(lower | upper)).astype(float)
+        d = np.where(lower, lo - q, np.where(upper, hi - q, 0.0))
+        b = -keep * (g + hess @ d)
+        # Inexact Newton: the free gradient left after a full step is PCG's
+        # residual, so a tenth of the tolerance's worth of it suffices.
+        stop = 0.1 * tol * (1.0 + h * float(np.linalg.norm(q))) / (h * tau)
+        norm_b = float(np.linalg.norm(b))
+        if norm_b > stop:
+            # H + rho I without the couplings to the held cells; H is
+            # symmetric, so its CSR arrays read as CSC are the same matrix.
+            masked = data * (keep[rows] * keep[hess.indices])
+            masked[diagonal] = data[diagonal]
+            x, iterations = factor.solve(
+                with_pattern(sp.csc_matrix, masked, hess.indices, hess.indptr,
+                             hess.shape), b, keep, stop / norm_b)
+            d += x
+            pcg_iterations += iterations
+        t, delta = 1.0, -step       # the gradient step unless the arc gives one
+        for _ in range(ARMIJO_MAX):
+            trial = np.clip(q + t * d, lo, hi) - q
+            slope = g @ trial
+            # the exact change of a quadratic, free of cancellation
+            if slope < 0.0 and slope + 0.5 * (trial @ (hess @ trial)) <= ARMIJO * slope:
+                delta = trial
                 break
+            t *= 0.5
+        q = q + delta
 
-    residual = _fixed_point_residual(problem, best, tau)
-    n = problem.n
-    return (ScalarField(warm.grid, best.reshape(n, n)), residual, iterations,
-            converged or residual <= tol)
+    return (ScalarField(warm.grid, q.reshape(n, n)), residual, steps, pcg_iterations,
+            residual <= tol)
 
 
 @dataclass
@@ -550,36 +634,44 @@ class CoefficientUpdate:
     coefficients: CoefficientPair
     fp_residual_sigma: float
     fp_residual_mu: float
-    inner_iterations: int
+    inner_iterations: int           # projected-Newton steps, most over sigma and mu
     converged: bool
+    pcg_iterations: int             # PCG iterations, summed over sigma and mu
+    factorizations: int             # coefficient factorizations taken
 
 
 def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
                                  warm_start: CoefficientPair,
-                                 inner_max: int | None = None) -> CoefficientUpdate:
+                                 factors: dict | None = None) -> CoefficientUpdate:
     """Minimize the coefficient block for fixed states.
 
     sigma and mu decouple (sigma only enters the flux residual, mu only
     the divergence residual) and are solved independently; mu frozen by
     the config keeps its warm-start value and reports a NaN residual.
+    factors maps "sigma" and "mu" to a run's kept factors; without it
+    each block is factored afresh.
     """
     if not states:
         raise ValueError("at least one state pair is required")
     n = warm_start.sigma.grid.n
-    cap = COEFF_INNER_MAX if inner_max is None else inner_max
+    if factors is None:
+        factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
+    factored_before = sum(f.factorizations for f in factors.values())
 
     prob = _sigma_problem(states, cfg.reg_sigma, n)
-    sigma, fp_sigma, iters, converged = _solve_one_coefficient(
-        prob, warm_start.sigma, cap, COEFF_TOL)
+    sigma, fp_sigma, steps, pcg_iterations, converged = _solve_one_coefficient(
+        prob, warm_start.sigma, factors["sigma"], COEFF_TOL)
     mu, fp_mu = warm_start.mu, math.nan
     if cfg.update_mu:
         prob = _mu_problem(states, sources, cfg.reg_mu, n)
-        mu, fp_mu, it, ok = _solve_one_coefficient(
-            prob, warm_start.mu, cap, COEFF_TOL)
-        iters = max(iters, it)
+        mu, fp_mu, more_steps, more_pcg, ok = _solve_one_coefficient(
+            prob, warm_start.mu, factors["mu"], COEFF_TOL)
+        steps = max(steps, more_steps)
+        pcg_iterations += more_pcg
         converged &= ok
+    factored = sum(f.factorizations for f in factors.values()) - factored_before
     return CoefficientUpdate(CoefficientPair(sigma, mu), fp_sigma, fp_mu,
-                             iters, converged)
+                             steps, converged, pcg_iterations, factored)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +724,9 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
     The state starts from zero, so j_history[0] is the functional of the
     raw data against the initial coefficients.  Always runs cfg.max_outer
-    alternations; the final coefficient solve gets the larger
-    FINAL_INNER_CAP so the exit iterate satisfies its own fixed-point
-    tolerance.
+    alternations.  Each coefficient keeps one factor of its shifted
+    Hessian for the run; the factors are freed when the run returns or
+    raises.
     """
     measurements = check_measurements(measurements)
     grid = measurements[0].grid
@@ -660,7 +752,10 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     factorizations = []
     pcg_counts = []
     lu_fills = []
+    coeff_factorizations = []
+    coeff_pcg_counts = []
     solver = None
+    coeff_factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
 
     def _partial_report(reason):
         return ReconstructionReport(
@@ -676,56 +771,65 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             coeff_inner_iterations=np.asarray(inner_counts, dtype=int),
             state_factorizations=np.asarray(factorizations, dtype=int),
             state_pcg_iterations=np.asarray(pcg_counts, dtype=int),
-            state_lu_fill=np.asarray(lu_fills, dtype=int))
+            state_lu_fill=np.asarray(lu_fills, dtype=int),
+            coeff_factorizations=np.asarray(coeff_factorizations, dtype=int),
+            coeff_pcg_iterations=np.asarray(coeff_pcg_counts, dtype=int))
 
-    for k in range(cfg.max_outer):
-        # -- state half-step -------------------------------------------------
-        factored_before = 0 if solver is None else solver.factorizations
-        try:
+    try:
+        for k in range(cfg.max_outer):
+            # -- state half-step ---------------------------------------------
+            factored_before = 0 if solver is None else solver.factorizations
             if solver is None:
                 solver = _StateSolver(coeffs)
             else:
                 solver.assemble(coeffs)
             new_states, residual, pcg_iterations = _state_half_step(
                 coeffs, sources, traces, solver)
-        except SubproblemFailure as failure:
-            failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
-            raise
-        state_residuals.append(residual)
-        factorizations.append(solver.factorizations - factored_before)
-        pcg_counts.append(pcg_iterations)
-        lu_fills.append(solver.lu_fill if factorizations[-1] else 0)
-        du_terms.append(_state_decrement(new_states, states, coeffs, grid))
-        states = new_states
-        j_after_state.append(eval_J(states, coeffs, sources, measurements,
+            state_residuals.append(residual)
+            factorizations.append(solver.factorizations - factored_before)
+            pcg_counts.append(pcg_iterations)
+            lu_fills.append(solver.lu_fill if factorizations[-1] else 0)
+            du_terms.append(_state_decrement(new_states, states, coeffs, grid))
+            states = new_states
+            j_after_state.append(eval_J(states, coeffs, sources, measurements,
+                                        cfg.reg_sigma, cfg.reg_mu))
+
+            # -- coefficient half-step ---------------------------------------
+            update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
+                                                  factors=coeff_factors)
+            new_coeffs = update.coefficients
+            coeff_res_sigma.append(update.fp_residual_sigma)
+            coeff_res_mu.append(update.fp_residual_mu)
+            inner_counts.append(update.inner_iterations)
+            coeff_factorizations.append(update.factorizations)
+            coeff_pcg_counts.append(update.pcg_iterations)
+            dq_terms.append(_coeff_decrement(states, new_coeffs, coeffs, grid))
+
+            grad_sigma, grad_mu = _summed_misfit_gradients(states, new_coeffs, sources)
+            e_val = bregman_distance(coeffs.sigma, new_coeffs.sigma,
+                                     -1.0 * grad_sigma, cfg.reg_sigma) \
+                + bregman_distance(coeffs.mu, new_coeffs.mu,
+                                   -1.0 * grad_mu, cfg.reg_mu)
+            bregman_values.append(e_val)
+
+            coeffs = new_coeffs
+            j_history.append(eval_J(states, coeffs, sources, measurements,
                                     cfg.reg_sigma, cfg.reg_mu))
-
-        # -- coefficient half-step -------------------------------------------
-        cap = FINAL_INNER_CAP if k == cfg.max_outer - 1 else COEFF_INNER_MAX
-        update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
-                                              inner_max=cap)
-        new_coeffs = update.coefficients
-        coeff_res_sigma.append(update.fp_residual_sigma)
-        coeff_res_mu.append(update.fp_residual_mu)
-        inner_counts.append(update.inner_iterations)
-        dq_terms.append(_coeff_decrement(states, new_coeffs, coeffs, grid))
-
-        grad_sigma, grad_mu = _summed_misfit_gradients(states, new_coeffs, sources)
-        e_val = bregman_distance(coeffs.sigma, new_coeffs.sigma,
-                                 -1.0 * grad_sigma, cfg.reg_sigma) \
-            + bregman_distance(coeffs.mu, new_coeffs.mu,
-                               -1.0 * grad_mu, cfg.reg_mu)
-        bregman_values.append(e_val)
-
-        coeffs = new_coeffs
-        j_history.append(eval_J(states, coeffs, sources, measurements,
-                                cfg.reg_sigma, cfg.reg_mu))
-        logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
-                     "factored %s, LU fill %d, coefficient inner %d, "
-                     "decrements %.3e (state) %.3e (coefficient), E %.3e",
-                     k + 1, j_history[-1], residual, pcg_iterations,
-                     factorizations[-1] == 1, solver.lu_fill,
-                     update.inner_iterations, du_terms[-1], dq_terms[-1], e_val)
+            logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
+                         "factored %s, LU fill %d, coefficient Newton steps %d, "
+                         "coefficient PCG %d, coefficient factors %d, "
+                         "decrements %.3e (state) %.3e (coefficient), E %.3e",
+                         k + 1, j_history[-1], residual, pcg_iterations,
+                         factorizations[-1] == 1, solver.lu_fill,
+                         update.inner_iterations, update.pcg_iterations,
+                         update.factorizations, du_terms[-1], dq_terms[-1], e_val)
+    except SubproblemFailure as failure:
+        failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
+        raise
+    finally:
+        # The traceback of a failure keeps this frame alive; the factors go now.
+        for factor in coeff_factors.values():
+            factor.lu = None
 
     return _partial_report(STOP_MAX_ITERATIONS)
 

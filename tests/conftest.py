@@ -23,6 +23,14 @@ def singular_factor(monkeypatch):
     monkeypatch.setattr(optimizer, "splu", fail)
 
 
+@pytest.fixture
+def singular_coefficient_factor(monkeypatch):
+    """Every coefficient-block factorization hits a zero pivot."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(optimizer, "factor_spd", fail)
+
+
 def random_scalar(grid, rng):
     return ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
 

@@ -6,6 +6,7 @@ from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstruc
 from medrec.experiments import deserialize_field, make_example, serialize_field
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import BoundaryData, StaggeredGrid
+from medrec.optimizer import COEFF_TOL
 
 
 def run_cli(*args):
@@ -107,6 +108,23 @@ def test_report_counts_state_factorizations_and_pcg(tmp_path):
     fills = [int(k) for k in report["state_lu_fill"].split(",")]
     assert len(fills) == int(report["state_factorizations"])
     assert min(fills) > 0
+    steps = [int(k) for k in report["coeff_newton_steps"].split(",")]
+    coeff_pcg = [int(k) for k in report["coeff_pcg_iterations"].split(",")]
+    assert len(steps) == len(coeff_pcg) == iterations
+    assert min(steps) >= 0 and min(coeff_pcg) >= 0
+
+
+def test_alpha_sigma_zero_reconstructs_to_tolerance(tmp_path):
+    # alpha = 0 leaves the sigma Hessian semidefinite (a checkerboard has
+    # zero face means); the shifted Newton systems still solve the block.
+    out = str(tmp_path / "o")
+    for stage in ("generate", "dsm"):
+        assert run_cli(stage, "--example", "ex4", "--grid", "24", "--out", out) == 0
+    assert run_cli("reconstruct", "--example", "ex4", "--grid", "24",
+                   "--alpha-sigma", "0", "--out", out) == 0
+    report = read_kv(tmp_path / "o" / "report.txt")
+    assert float(report["final_coeff_residual_sigma"]) <= COEFF_TOL
+    assert max(int(k) for k in report["coeff_newton_steps"].split(",")) <= 5
 
 
 def test_reconstruct_missing_measurements(tmp_path):
@@ -201,6 +219,14 @@ def test_incompatible_pure_neumann_geometry_is_config_error(tmp_path, capsys):
 
 def test_state_factor_failure_is_numerical_failure(tmp_path, singular_factor):
     # generate factors through forward.splu, which stays unpatched
+    out = str(tmp_path / "o")
+    assert run_cli("generate", "--example", "ex1", "--grid", "12", "--out", out) == 0
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "12",
+                   "--max-outer", "2", "--out", out) == 3
+
+
+def test_coefficient_factor_failure_is_numerical_failure(tmp_path,
+                                                       singular_coefficient_factor):
     out = str(tmp_path / "o")
     assert run_cli("generate", "--example", "ex1", "--grid", "12", "--out", out) == 0
     assert run_cli("reconstruct", "--example", "ex1", "--grid", "12",

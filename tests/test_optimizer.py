@@ -11,20 +11,24 @@ import medrec.optimizer as optimizer
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
-                         average_to_faces, gradient_to_faces)
+                         average_to_faces, divergence_to_cells, gradient_to_faces)
 from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
                           eval_J, misfit_value, sources_from_measurements,
                           state_normal_apply, state_normal_residual,
                           state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
-                              SubproblemFailure, _StateSolver, _mu_problem, _pcg,
-                              _sigma_problem, _state_half_step, adi_reconstruct,
+                              SubproblemFailure, _CoefficientFactor,
+                              _CoefficientProblem, _NormalPattern, _StateSolver,
+                              _mu_problem, _pcg, _sigma_problem, _solve_one_coefficient,
+                              _state_half_step, adi_reconstruct,
                               bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
-from medrec.regularization import RegConfig, eval_phi_smooth, smooth_grad_phi
+from medrec.regularization import (RegConfig, eval_phi_smooth, prox_l1_box_array,
+                                   smooth_grad_phi)
 from medrec.experiments import make_example
-from medrec.operators import SPD_LU, face_average, face_gradient, trace
+from medrec.operators import (SPD_LU, face_average, face_gradient, grid_operators,
+                              trace)
 from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
@@ -138,6 +142,37 @@ def test_exact_cancellations_add_no_fill():
     # Factored with its stored zeros, the same matrix stores half as much
     # fill again (SuperLU's nnz; L.nnz + U.nnz leaves out stored zeros).
     assert splu(solver.normal_matrix(), **SPD_LU).nnz > 1.4 * fill
+
+
+def bmat_pattern(n: int) -> sp.csc_matrix:
+    """The state normal matrix's pattern stacked by sp.bmat: the oracle of
+    _NormalPattern's block-column writer."""
+    ops = grid_operators(n)
+    nf = (n - 1) * n
+    _, indices, indptr = ops.stencil
+    cells = np.arange(n * n).reshape(n, n)
+    faces = np.tile(np.arange(nf), 2)
+    uu = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n * n, n * n))
+    ux = sp.csc_matrix((np.ones(2 * nf), (np.concatenate(
+        [cells[:-1, :].ravel(), cells[1:, :].ravel()]), faces)), shape=(n * n, nf))
+    uy = sp.csc_matrix((np.ones(2 * nf), (np.concatenate(
+        [cells[:, :-1].ravel(), cells[:, 1:].ravel()]), faces)), shape=(n * n, nf))
+    eye = sp.identity(nf, format="csr")
+    xx, xy, yy = (m.tocsc() for m in (ops.gx @ ops.gx.T + eye, ops.gx @ ops.gy.T,
+                                      ops.gy @ ops.gy.T + eye))
+    return sp.bmat([[uu, ux, uy], [ux.T.tocsc(), xx, xy],
+                    [uy.T.tocsc(), xy.T.tocsc(), yy]], format="csc")
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 31])
+def test_normal_pattern_is_the_bmat_pattern(n):
+    pattern = _NormalPattern(n)
+    oracle = bmat_pattern(n)
+    assert pattern.shape == oracle.shape
+    for a in (pattern._take, pattern._indices, pattern._indptr):
+        assert a.dtype == np.int32
+    assert np.array_equal(pattern._indptr, oracle.indptr)
+    assert np.array_equal(pattern._indices, oracle.indices)
 
 
 def random_box_coefficients(grid, rng):
@@ -300,6 +335,84 @@ def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
     np.testing.assert_allclose(kept.j_history, every.j_history, rtol=1e-9, atol=0)
 
 
+def test_state_factor_sees_only_state_matrices(monkeypatch):
+    grid, truth, sets = small_problem(n=12)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    real = optimizer.splu
+    shapes = []
+
+    def recorded(a, **kwargs):
+        shapes.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(optimizer, "splu", recorded)
+    monkeypatch.setattr(optimizer, "STATE_PCG_MAX", 0)   # a factor per half-step
+    monkeypatch.setattr(optimizer, "COEFF_PCG_MAX", 0)
+    report = adi_reconstruct(sets, init, default_config(max_outer=3))
+    unknowns = 12 * 12 + 2 * 11 * 12
+    assert shapes == [(unknowns, unknowns)] * 3
+    assert report.coeff_factorizations.sum() > 2
+
+
+def test_one_coefficient_factor_each_and_none_left_after_the_run(monkeypatch):
+    grid, truth, sets = small_problem(n=12)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    real = optimizer.factor_spd
+    factors = []
+
+    def tracked(*args, **kwargs):
+        # sigma's and mu's factors alternate: one other may be alive
+        assert sum(ref() is not None for ref in factors) <= 1, "a stale factor is alive"
+        lu = _TrackedFactor(real(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(optimizer, "factor_spd", tracked)
+    kept = adi_reconstruct(sets, init, default_config(max_outer=4))
+    assert len(factors) == 2
+    assert kept.coeff_factorizations.tolist() == [2, 0, 0, 0]
+    assert all(ref() is None for ref in factors)
+
+    factors.clear()
+    monkeypatch.setattr(optimizer, "COEFF_PCG_MAX", 0)   # refactor on every system
+    every = adi_reconstruct(sets, init, default_config(max_outer=4))
+    assert len(factors) == every.coeff_factorizations.sum() >= 2 * 4
+    assert all(ref() is None for ref in factors)
+    # Direct solves against PCG stopped at what COEFF_TOL needs: measured
+    # 7e-9 apart.
+    np.testing.assert_allclose(kept.j_history, every.j_history, rtol=1e-7, atol=0)
+
+
+def test_coefficient_zero_pivot_carries_the_partial_report(monkeypatch):
+    grid, truth, sets = small_problem(n=8)
+    real = optimizer.factor_spd
+    factors = []
+
+    def fail_third(*args, **kwargs):
+        if len(factors) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        lu = _TrackedFactor(real(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(optimizer, "factor_spd", fail_third)
+    monkeypatch.setattr(optimizer, "COEFF_PCG_MAX", 0)   # refactor on every system
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    with pytest.raises(SubproblemFailure, match="coefficient factorization failed"
+                       ".*exactly singular") as info:
+        adi_reconstruct(sets, init, default_config(max_outer=3))
+    report = info.value.report
+    assert report.stop_reason == "subproblem_failure"
+    assert report.iterations == 1
+    assert report.coeff_factorizations.tolist() == [2]
+    assert len(report.state_residuals) == 2
+    # the traceback still holds the run's frame, but not its factors
+    assert all(ref() is None for ref in factors)
+
+
 def assert_rel_close(actual, reference, rtol=1e-12):
     np.testing.assert_allclose(actual, reference, rtol=0,
                                atol=rtol * np.abs(reference).max())
@@ -339,6 +452,154 @@ def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
         + sum(eval_phi_smooth(f, reg) + beta * grid.h ** 2 * np.abs(f.values).sum()
               for f in fields)
     assert abs(assembled - free) <= 1e-12 * abs(free)
+
+
+def apg_oracle(problem, q0, iterations=10000):
+    """The accelerated monotone proximal gradient this package used before
+    projected Newton: step 1/L with L from 20 power iterations plus 5%,
+    strong-convexity momentum with function-value restarts (FISTA when
+    alpha = 0) and the best iterate kept; it stops at COEFF_TOL, checked
+    every 10 iterations.  Returns the best iterate."""
+    reg, hess = problem.reg, problem.hess
+    x = np.random.default_rng(1234).standard_normal(hess.shape[0])
+    lam = 0.0
+    for _ in range(20):
+        y = hess @ x
+        lam = (y @ x) / (x @ x)
+        x = y / np.linalg.norm(y)
+    l_eff = 1.05 * max(lam, 1e-12)
+    tau = 1.0 / l_eff
+
+    def prox_step(y):
+        return prox_l1_box_array(y - tau * problem.smooth_grad(y), tau * reg.beta,
+                                 reg.q_lo, reg.q_hi)
+
+    def residual(q):
+        h = problem.h
+        return h * np.linalg.norm(q - prox_step(q)) / (1.0 + h * np.linalg.norm(q))
+
+    best = z_prev = y = np.clip(q0, reg.q_lo, reg.q_hi)
+    f_best = fz_prev = problem.total_value(best)
+    t = 1.0
+    ratio = math.sqrt(reg.alpha / l_eff) if 0 < reg.alpha < l_eff else None
+    for j in range(iterations):
+        z = prox_step(y)
+        fz = problem.total_value(z)
+        if fz <= f_best:
+            best, f_best = z, fz
+        if ratio is not None:
+            y = z if fz > fz_prev else z + (1.0 - ratio) / (1.0 + ratio) * (z - z_prev)
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = z + ((t - 1.0) / t_next) * (z - z_prev)
+            t = t_next
+        z_prev, fz_prev = z, fz
+        if (j + 1) % 10 == 0 and residual(best) <= COEFF_TOL:
+            break
+    return best
+
+
+def box_qp(n, rng, alpha, mu_block):
+    """A coefficient block whose misfit vanishes at a field drawn beyond both
+    bounds of [0.5, 30], so that at the minimizer cells sit on each bound.
+
+    sigma: fluxes p = mean(q~) G u on the faces; mu: sources
+    g = u q~ + G^T p, for random u and p.
+    """
+    grid = StaggeredGrid(n)
+    q_target = ScalarField(grid, rng.uniform(-30.0, 60.0, (n, n)))
+    reg = RegConfig(alpha, float(rng.uniform(0.0, 2.0)), 0.5, 30.0)
+    states, sources = [], []
+    for _ in range(2):
+        u = random_scalar(grid, rng)
+        if mu_block:
+            p = random_admissible_flux(grid, rng)
+            sources.append(ScalarField(grid, u.values * q_target.values
+                                       - divergence_to_cells(p).values))
+        else:
+            mean, grad = average_to_faces(q_target), gradient_to_faces(u)
+            p = FluxField(grid, mean.x_values * grad.x_values,
+                          mean.y_values * grad.y_values)
+        states.append(StatePair(u, p))
+    if mu_block:
+        return grid, _mu_problem(states, sources, reg, n)
+    return grid, _sigma_problem(states, reg, n)
+
+
+def assert_kkt(problem, q):
+    """Optimality of q on the box, each cell's gradient measured against the
+    tolerance its share of the fixed-point residual allows."""
+    reg, h = problem.reg, problem.h
+    g = problem.smooth_grad(q) + reg.beta
+    bound = abs(problem.hess).sum(axis=1).max()
+    tol = COEFF_TOL * (1.0 + h * np.linalg.norm(q)) * bound / h
+    at_lo, at_hi = q == reg.q_lo, q == reg.q_hi
+    assert at_lo.any() and at_hi.any()
+    assert (g[at_lo] >= -tol).all()
+    assert (g[at_hi] <= tol).all()
+    assert (np.abs(g[~(at_lo | at_hi)]) <= tol).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=20),
+       alpha=st.sampled_from([0.0, 1e-6, 1e-2]),
+       mu_block=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_block,
+                                                                   seed):
+    rng = np.random.default_rng(seed)
+    grid, problem = box_qp(n, rng, alpha, mu_block)
+    warm = ScalarField(grid, rng.uniform(0.5, 30.0, (n, n)))
+    field, residual, steps, _, converged = _solve_one_coefficient(
+        problem, warm, _CoefficientFactor(), COEFF_TOL)
+    q = field.values.ravel()
+    assert converged and residual <= COEFF_TOL
+    assert q.min() >= 0.5 and q.max() <= 30.0
+    assert_kkt(problem, q)
+    value = problem.total_value(q)
+    oracle = problem.total_value(apg_oracle(problem, warm.values.ravel()))
+    assert value <= oracle + 1e-12 * abs(oracle)
+
+
+def test_gradient_fallback_descends(monkeypatch):
+    # With no arc step allowed, every step is the projected-gradient one.
+    monkeypatch.setattr(optimizer, "ARMIJO_MAX", 0)
+    grid, problem = box_qp(10, np.random.default_rng(3), 1e-2, False)
+    warm = ScalarField(grid, np.full((10, 10), 15.0))
+    solved, _, steps, pcg_iterations, _ = _solve_one_coefficient(
+        problem, warm, _CoefficientFactor(), COEFF_TOL)
+    assert steps == optimizer.NEWTON_MAX and pcg_iterations > 0
+    assert problem.total_value(solved.values.ravel()) \
+        < 0.5 * problem.total_value(warm.values.ravel())
+
+
+def test_cells_creeping_onto_the_bound_land_in_one_step():
+    # Two neighbouring cells sit just above q_lo, the gradient pushing them
+    # down, in a strongly coupled block (alpha G^T G dominates).  A scaled
+    # gradient step on them stalls short of the bound and zigzags; moved
+    # straight onto it, the block is solved by a single Newton step.
+    n = 6
+    grid = StaggeredGrid(n)
+    ops = grid_operators(n)
+    reg = RegConfig(1.0, 0.0, 0.5, 30.0)
+    hess = ops.five_point(1.0 + reg.alpha, grad=(reg.alpha, reg.alpha))
+    target = np.full(n * n, 2.0)
+    pair = [14, 15]
+    target[pair] = -40.0
+    problem = _CoefficientProblem(hess, hess @ target, ops.grad, 0,
+                                  np.ones((1, n * n)), np.zeros(n * n), reg, n)
+    solution, _, _, _, converged = _solve_one_coefficient(
+        problem, ScalarField.constant(grid, 2.0), _CoefficientFactor(), COEFF_TOL)
+    q = solution.values.ravel()
+    assert converged and np.array_equal(np.flatnonzero(q == 0.5), pair)
+
+    warm = q.copy()
+    warm[pair] = 0.5 + 1e-4
+    solved, residual, steps, _, converged = _solve_one_coefficient(
+        problem, ScalarField(grid, warm.reshape(n, n)), _CoefficientFactor(), COEFF_TOL)
+    assert converged and residual <= COEFF_TOL
+    assert steps == 1
+    assert np.array_equal(np.flatnonzero(solved.values.ravel() == 0.5), pair)
 
 
 def test_state_subproblem_zero_data_gives_zero(grid16):
@@ -450,6 +711,15 @@ def test_adi_monotone_descent_small():
     assert report.iterations == 8
 
 
+def test_l1_weight_needs_a_nonnegative_box():
+    # The coefficient solve takes beta |q| as beta q, which needs q >= 0.
+    with pytest.raises(ValueError, match="q_lo >= 0"):
+        AdiConfig(reg_sigma=RegConfig(1e-2, 1e-2, -1.0, 30.0),
+                  reg_mu=RegConfig(1e-2, 0.0, 0.5, 30.0))
+    AdiConfig(reg_sigma=RegConfig(1e-2, 0.0, -1.0, 30.0),
+              reg_mu=RegConfig(1e-2, 1e-2, 0.0, 30.0))
+
+
 def test_adi_rejects_infeasible_start(grid16):
     grid, truth, sets = small_problem()
     cfg = default_config()
@@ -549,6 +819,9 @@ def test_one_debug_record_per_outer_iteration(caplog):
     for k, record in enumerate(records):
         message = record.getMessage()
         assert f"LU fill {fill}," in message
+        assert (f"coefficient Newton steps {report.coeff_inner_iterations[k]}, "
+                f"coefficient PCG {report.coeff_pcg_iterations[k]}, "
+                f"coefficient factors {report.coeff_factorizations[k]},") in message
         assert f"E {report.bregman_values[k]:.3e}" in message
         assert (f"decrements {report.state_decrement_terms[k]:.3e} (state) "
                 f"{report.coeff_decrement_terms[k]:.3e} (coefficient)") in message
