@@ -4,16 +4,16 @@ Scattered boundary data (measured trace minus the homogeneous-background
 trace) is decomposed against two probe families evaluated on the
 boundary: discrete Green's functions of the background medium (monopole,
 sensitive to absorption-type scatterers) and their spatial gradients
-(dipole, sensitive to diffusion-type scatterers).  Everything comes from
-one sparse factorization of the background operator, which with positive
-background coefficients is symmetric positive definite and so is
-factorized pivot-free under a symmetric minimum-degree ordering
-(operators.SPD_LU).  The 4n-column probe block is never formed: the
-pairing of the data with every probe is one solve on that factor, and
-the few probe rows the fit needs, as well as every probe's norm, come
-from the Green's functions of the bottom side's n faces, ceil(n/2) of
-them solved and the rest mirrored, by the square's symmetries (which a
-constant background keeps exactly).  Memory is n^3 doubles, not 12 n^3.
+(dipole, sensitive to diffusion-type scatterers).  The background is
+constant, so its operator is solved exactly by the 2-D DCT
+(operators.ConstantDiffusionSolver) and nothing is factored, neither
+here nor for the homogeneous reference traces.  The 4n-column probe
+block is never formed: the pairing of the data with every probe is one
+background solve, and the few probe rows the fit needs, as well as
+every probe's norm, come from the Green's functions of the bottom
+side's n faces, ceil(n/2) of them solved and the rest mirrored, by the
+square's symmetries (which a constant background keeps exactly).
+Memory is n^3 doubles, not 12 n^3.
 
 Because the two families are far from orthogonal on the boundary, the
 raw normalized pairings alone mislocate whichever coefficient carries
@@ -33,11 +33,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+# Not called here; kept because the traced benchmark
+# (bench/run.py --trace 1) wraps dsm.splu by name.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .forward import MeasurementSet, generate_measurements
 from .grid import BoundaryData, ScalarField, StaggeredGrid
-from .operators import SPD_LU, diffusion_matrix, neumann_source
+from .operators import ConstantDiffusionSolver, neumann_source
 
 # Tuning constants of the sampling stage (validated on the benchmark media).
 SAMPLING_MARGIN = 0.1        # probes/index restricted to this interior margin
@@ -109,6 +111,8 @@ def homogeneous_reference(background_sigma: float, background_mu: float,
 
     Must be generated through the same oversampled pipeline as the
     measurements so the discretization bias cancels in the difference.
+    The medium is constant, so its forward solver is the DCT: nothing is
+    factored.
     """
     if background_sigma <= 0 or background_mu <= 0:
         raise ValueError("background coefficients must be positive")
@@ -132,12 +136,12 @@ class _ProbeFamily:
 
     Column k of the monopole family is G_k = A^-1 N e_k, the discrete
     Green's function of boundary face k on the constant background (A the
-    background operator, N = neumann_source(n)); the dipole family is
-    its gradient, np.gradient with spacing h along x, then along y.  No
-    (n^2, 4n) block is stored:
+    background operator, N = neumann_source(n)), solved by the DCT; the
+    dipole family is its gradient, np.gradient with spacing h along x,
+    then along y.  No (n^2, 4n) block is stored:
 
     * a pairing with a boundary vector r needs only the field A^-1 (N r)
-      and its gradient, i.e. one solve on the kept factor `lu`;
+      and its gradient, i.e. one background solve;
     * the rows at one cell, and the per-cell norms of the rows, follow
       from the bottom-side block `bottom[i, j, k] = G_k(i, j)` alone,
       because the square's symmetries (x <-> y, x -> 1 - x, y -> 1 - y),
@@ -159,14 +163,13 @@ class _ProbeFamily:
                  background_mu: float):
         n, h = grid.n, grid.h
         self.grid = grid
-        operator = diffusion_matrix(np.full((n, n), background_sigma),
-                                    np.full((n, n), background_mu))
         self.source = neumann_source(n)
-        self.lu = splu(operator, **SPD_LU)
+        self.background = ConstantDiffusionSolver(n, background_sigma,
+                                                  background_mu)
         # Bottom face k is the source 1/h on cell (k, 0); face n - 1 - k
         # is its mirror image under x -> 1 - x.
         half = (n + 1) // 2
-        solved = self.lu.solve(
+        solved = self.background.solve(
             self.source[:, :half].toarray()).reshape(n, n, half)
         self.bottom = b = np.empty((n, n, n))
         b[:, :, :half] = solved
@@ -202,7 +205,7 @@ class _ProbeFamily:
     def _pairings(self, r: np.ndarray):
         """(mono @ r, dip_x @ r, dip_y @ r) per cell, by one solve."""
         n, h = self.grid.n, self.grid.h
-        u = self.lu.solve(self.source @ r).reshape(n, n)
+        u = self.background.solve(self.source @ r).reshape(n, n)
         return (u.ravel(), np.gradient(u, h, axis=0).ravel(),
                 np.gradient(u, h, axis=1).ravel())
 

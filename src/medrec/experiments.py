@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import BoundaryData, ScalarField, StaggeredGrid
 from .model import CoefficientPair
@@ -185,6 +184,7 @@ def _support_threshold(truth: np.ndarray) -> tuple[float, float]:
 
 def _centers_of_mass(values: np.ndarray, support: np.ndarray, bg: float,
                      grid: StaggeredGrid) -> list[tuple[float, float]]:
+    from scipy import ndimage  # on first use: a slow import only metrics need
     labels, count = ndimage.label(support)
     x, y = grid.cell_centers()
     centers = []
@@ -244,6 +244,7 @@ def background_deviation(rec: ScalarField, tru: ScalarField,
     The true supports are dilated by a few cells before carving out the
     background region, so edge smearing does not count against it.
     """
+    from scipy import ndimage  # as in _centers_of_mass
     bg, thr = _support_threshold(tru.values)
     support = tru.values > thr
     if support.any() and dilate_cells > 0:

@@ -8,14 +8,15 @@ Solves the five-point staggered discretization of
 by one sparse LU factorization of the assembled operator.  With
 sigma > 0 and mu >= 0 positive somewhere the operator is symmetric
 positive definite, so it is factored pivot-free under a symmetric
-minimum-degree ordering (operators.SPD_LU), like the state block and
-the sampling probes.  The factorization depends on the medium alone,
-so generate_measurements factorizes once per medium and makes one
-residual-verified solve per excitation on that factor.  The
-solver exists only to manufacture Cauchy pairs (h, f); the
-reconstruction itself never calls it.  Data generation runs on a grid
-refined by an integer `oversample` and restricts back, so inversion
-never sees its own discretization.
+minimum-degree ordering (operators.SPD_LU), like the state block.  A
+constant medium, such as the sampling stage's homogeneous background,
+is not factored: operators.ConstantDiffusionSolver solves it exactly
+by the 2-D DCT.  The solver depends on the medium alone, so
+generate_measurements sets it up once per medium and makes one
+residual-verified solve per excitation.  The solver exists only to
+manufacture Cauchy pairs (h, f); the reconstruction itself never calls
+it.  Data generation runs on a grid refined by an integer `oversample`
+and restricts back, so inversion never sees its own discretization.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .grid import (BoundaryData, ScalarField, StaggeredGrid, average_to_faces,
                    boundary_trace, divergence_to_cells, gradient_to_faces,
                    neumann_to_source, prolong_boundary, prolong_cells,
                    restrict_cells, _require_same_grid)
-from .operators import SPD_LU, diffusion_matrix
+from .operators import SPD_LU, ConstantDiffusionSolver, diffusion_matrix
 
 
 class ForwardSolverError(RuntimeError):
@@ -104,7 +105,8 @@ class _ForwardSolver:
 
     The operator depends on the coefficients alone, so every excitation
     of a medium is solved on the same factor; each solve is still
-    verified on its own.
+    verified on its own.  A constant medium, whose mu the checks leave
+    positive, is solved by the DCT instead, with nothing factored.
     """
 
     def __init__(self, sigma: ScalarField, mu: ScalarField):
@@ -112,7 +114,12 @@ class _ForwardSolver:
         self.grid = sigma.grid
         self.mu = mu
         self.sigma_faces = average_to_faces(sigma)
-        self.lu = splu(diffusion_matrix(sigma.values, mu.values), **SPD_LU)
+        s, m = sigma.values, mu.values
+        if (s == s.flat[0]).all() and (m == m.flat[0]).all():
+            self.lu = ConstantDiffusionSolver(self.grid.n, float(s.flat[0]),
+                                              float(m.flat[0]))
+        else:
+            self.lu = splu(diffusion_matrix(s, m), **SPD_LU)
 
     def solve(self, neumann: BoundaryData,
               volumetric_source: ScalarField | None = None,
@@ -140,7 +147,8 @@ class _ForwardSolver:
 
 
 def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
-    """Solve the staggered discretization by one sparse LU factorization.
+    """Solve the staggered discretization by one sparse LU factorization,
+    or by the DCT where sigma and mu are constant.
 
     The solution is returned only if its relative residual, recomputed
     through the matrix-free operators of grid.py, is <= tol.  Raises
@@ -186,9 +194,9 @@ def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
     Each forward solve runs on a grid refined by `oversample`; the fine
     solution is block-averaged back before taking the trace, so the
     measured f carries genuine discretization mismatch relative to the
-    inversion grid.  The fine-grid operator is factorized once for the
-    medium and every excitation is one solve on that factor, verified
-    against tol on its own exactly as solve_forward verifies it.  With
+    inversion grid.  The fine-grid solver is set up once for the medium
+    and every excitation is one solve on it, verified against tol on its
+    own exactly as solve_forward verifies it.  With
     oversample == 1 the trace of the direct solve is returned unchanged.
     """
     if oversample < 1:

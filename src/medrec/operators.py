@@ -12,21 +12,23 @@ first use with its arrays frozen, and the fixed five-point pattern.  The
 matrices that change with the coefficients are face-weighted five-point
 products filled by value on that pattern (GridOperators.five_point), in
 O(nnz) with no sparse-sparse product: the forward operator
-(diffusion_matrix), the probe family's background operator, the
-coefficient Hessians of optimizer.py and the (u, u) block of its state
-normal matrix, whose other blocks it fills on a pattern of its own.
+(diffusion_matrix), the coefficient Hessians of optimizer.py and the
+(u, u) block of its state normal matrix, whose other blocks it fills on
+a pattern of its own.  The forward operator of a constant medium is not
+factored at all: ConstantDiffusionSolver solves it by the 2-D DCT.
 """
 
 import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import splu
 
 # splu(A, **SPD_LU) for the SPD matrices built from these maps (the forward
-# operator, the probe family's background operator, the state block's
-# normal matrix and the coefficient blocks' shifted Hessians): minimum
-# degree on A^T + A, diagonal pivots only.
+# operator of a medium that is not constant, the state block's normal
+# matrix and the coefficient blocks' shifted Hessians): minimum degree on
+# A^T + A, diagonal pivots only.
 # For an SPD matrix that is Cholesky up to a diagonal scaling, so it is
 # stable without pivoting; partial pivoting would discard the symmetric
 # ordering and multiply the fill.
@@ -42,6 +44,30 @@ def factor_spd(a: sp.csc_matrix):
     a zero pivot, as splu does.
     """
     return splu(a, **SPD_LU)
+
+
+class ConstantDiffusionSolver:
+    """Exact solver of diffusion_matrix for constant sigma > 0, mu > 0.
+
+    On the n x n Neumann grid that matrix is sigma n^2 (L x I + I x L)
+    + mu I, L the 1-D Neumann second difference, which the orthonormal
+    DCT-II diagonalizes along each axis (Schumann & Sweet, J. Comput.
+    Phys. 20, 1976) with eigenvalues 2 - 2 cos(pi k / n).  A solve is
+    one forward and one inverse 2-D transform, O(n^2 log n) per
+    right-hand side, with nothing factored and n^2 doubles kept.
+    """
+
+    def __init__(self, n: int, sigma: float, mu: float):
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        self.n = n
+        self.eigenvalues = sigma * n * n * (lam[:, None] + lam[None, :]) + mu
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for b of shape (n^2,) or (n^2, k), as SuperLU.solve."""
+        n = self.n
+        coef = dctn(b.reshape(n, n, -1), type=2, norm="ortho", axes=(0, 1))
+        coef /= self.eigenvalues[:, :, None]
+        return idctn(coef, type=2, norm="ortho", axes=(0, 1)).reshape(b.shape)
 
 
 def _frozen(m):

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import medrec.dsm as dsm
+import medrec.forward as forward
+import medrec.operators as operators
+import medrec.optimizer as optimizer
 from medrec.dsm import (EmptyDataError, IndexResult, SubdomainMask,
                         argmax_location, build_initial_guess, compute_index,
                         homogeneous_reference, scattered_data,
@@ -46,7 +49,8 @@ def test_inclusions_scatter_and_contrast_monotonicity():
 
 
 def test_nonpositive_background_rejected():
-    # the probe operator must be SPD for its pivot-free factorization
+    # the background operator must be SPD: its DCT solve divides by its
+    # eigenvalues
     grid = StaggeredGrid(16)
     delta = [BoundaryData(grid, np.ones(4 * 16))]
     for bg in ((0.0, 1.0), (1.0, 0.0)):
@@ -54,18 +58,24 @@ def test_nonpositive_background_rejected():
             compute_index(delta, *bg)
 
 
-def test_probe_factor_fill_below_colamd(monkeypatch):
-    factors = []
+def test_sampling_stage_factors_nothing(monkeypatch):
+    # The background is constant, so the reference traces and every probe
+    # solve are DCTs: past generate, no module of the package runs a
+    # sparse factorization.
+    grid = StaggeredGrid(24)
+    truth = make_example("ex1").rasterize(grid)
+    excitations = default_excitations(grid, 1)
+    sets = generate_measurements(truth.sigma, truth.mu, excitations)
 
-    def record(operator, **kwargs):
-        factors.append((operator, splu(operator, **kwargs)))
-        return factors[-1][1]
-    monkeypatch.setattr(dsm, "splu", record)
-    dsm._ProbeFamily(StaggeredGrid(32), 2.0, 0.5)
-    (operator, lu), = factors
-    colamd = splu(operator)
-    # measured 0.62: minimum degree on the symmetric operator
-    assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization in the sampling stage")
+    for module in (dsm, forward, operators, optimizer):
+        monkeypatch.setattr(module, "splu", refuse)
+    reference = homogeneous_reference(1.0, 1.0, excitations)
+    result = compute_index(scattered_data(sets, reference))
+    assert result.atoms[0]
+    probes = dsm._ProbeFamily(grid, 1.0, 1.0)
+    assert isinstance(probes.background, operators.ConstantDiffusionSolver)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,10 +8,10 @@ from medrec.dsm import homogeneous_reference
 from medrec.forward import (ForwardProblem, ForwardSolverError, MeasurementSet,
                             _ForwardSolver, default_excitations,
                             generate_measurements, solve_forward)
-from medrec.operators import diffusion_matrix
+from medrec.operators import SPD_LU, diffusion_matrix
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
-                         boundary_trace, cell_norm, prolong_boundary,
-                         prolong_cells, restrict_cells)
+                         boundary_trace, cell_norm, neumann_to_source,
+                         prolong_boundary, prolong_cells, restrict_cells)
 from medrec.experiments import make_example
 
 
@@ -195,9 +195,18 @@ def test_one_factorization_per_medium(forward_factors):
         assert np.array_equal(m.f.values,
                               boundary_trace(restrict_cells(alone, 2)).values)
 
+    # A constant medium is solved by the DCT, with nothing factored; the
+    # splu route it replaced is the oracle.
     forward_factors.clear()
     reference = homogeneous_reference(1.0, 1.0, excitations, oversample=2)
-    assert len(forward_factors) == 1 and len(reference) == 2
+    assert len(forward_factors) == 0 and len(reference) == 2
+    fine = StaggeredGrid(32)
+    lu = splu(diffusion_matrix(np.ones((32, 32)), np.ones((32, 32))), **SPD_LU)
+    for f, h in zip(reference, excitations):
+        b = neumann_to_source(prolong_boundary(h, 2)).values.ravel()
+        u = ScalarField(fine, lu.solve(b).reshape(32, 32))
+        oracle = boundary_trace(restrict_cells(u, 2)).values
+        assert np.linalg.norm(f.values - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_shared_factor_keeps_the_residual_gate():
