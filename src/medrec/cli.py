@@ -360,6 +360,8 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
         "state_lu_fill=" + ",".join(str(int(k)) for k in report.state_lu_fill if k),
         "state_pcg_iterations=" + ",".join(str(int(k))
                                            for k in report.state_pcg_iterations),
+        "state_start_residual=" + ",".join(repr(float(v))
+                                           for v in report.state_start_residuals),
         "coeff_newton_steps=" + ",".join(str(int(k))
                                          for k in report.coeff_inner_iterations),
         "coeff_pcg_iterations=" + ",".join(str(int(k))

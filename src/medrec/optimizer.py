@@ -12,12 +12,18 @@ each solving two convex subproblems:
     definite (M has full column rank), it is factorized pivot-free under
     a symmetric minimum-degree ordering (operators.SPD_LU), on a copy
     without the entries that cancel exactly, in the first outer
-    iteration only.  Later iterations keep that factor and solve each
-    excitation by conjugate gradients on the new matrix, preconditioned
-    by the factor (the coefficients move little between iterations).
-    When CG overruns STATE_PCG_MAX iterations, the old factor is freed
-    and the current matrix factored in its place; one factor is alive
-    at a time.  One half-step serves solve_state_subproblem and
+    iteration only.  Later iterations keep that factor and solve by
+    conjugate gradients on the new matrix, preconditioned by the factor
+    (the coefficients move little between iterations).  The excitations'
+    right-hand sides are the columns of one array in one CG loop: each
+    iteration makes one multi-column solve on the factor, and converged
+    columns drop out.  Each column starts from the Galerkin projection
+    onto the span of the last HISTORY half-steps' states, pooled over
+    the excitations (Fischer 1998).  When CG overruns STATE_PCG_MAX
+    iterations, the old factor is freed and the current matrix factored
+    in its place; one factor is alive at a time.  A direct solve, on the
+    first factor or right after a refactor, is one multi-column solve.
+    One half-step serves solve_state_subproblem and
     adi_reconstruct alike: the residual is recomputed through the
     matrix-free normal operator from the model module, keeping the two
     routes independent, and a zero pivot or a residual above STATE_TOL
@@ -44,8 +50,9 @@ each solving two convex subproblems:
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
-after the fact, plus each half-step's factorizations and PCG
-iterations, and the state factors' LU fill; a DEBUG record on the
+after the fact, plus each half-step's factorizations, PCG iterations
+(the shared loop's count, the most over the excitations) and projected
+start residual, and the state factors' LU fill; a DEBUG record on the
 "medrec" logger summarizes every outer iteration.  Every term of that certificate (J, the decrements, the
 misfit gradients and the Bregman distances) is evaluated matrix-free,
 independently of the assembled coefficient block.
@@ -76,6 +83,7 @@ STATE_TOL = 1e-8             # verified state normal-equation residual
 # up to rounding.
 PCG_RTOL = 1e-4 * STATE_TOL
 STATE_PCG_MAX = 14           # PCG iterations on a kept factor before refactoring
+HISTORY = 4                  # half-steps whose states span PCG's projected start
 COEFF_TOL = 1e-8             # coefficient fixed-point residual
 # The coefficient blocks' Newton systems are solved on H + rho I, rho =
 # HESSIAN_SHIFT times the Gershgorin bound of H: with alpha = 0 the sigma
@@ -143,8 +151,12 @@ class ReconstructionReport:
     coeff_inner_iterations: np.ndarray   # projected-Newton steps, most over
                                          # sigma and mu
     state_factorizations: np.ndarray     # 1 where the state half-step factored
-    state_pcg_iterations: np.ndarray     # PCG iterations spent, most over
-                                         # excitations; 0 on a fresh factor
+    state_pcg_iterations: np.ndarray     # iterations of the shared PCG loop,
+                                         # most over excitations; 0 on a
+                                         # fresh factor
+    state_start_residuals: np.ndarray    # relative residual of PCG's projected
+                                         # start, most over excitations; 0
+                                         # where the half-step factored
     state_lu_fill: np.ndarray            # entries SuperLU stores for L and U
                                          # of the factor the half-step took;
                                          # 0 where it took none
@@ -304,18 +316,24 @@ class _StateSolver:
     The constructor builds the normal matrix's fixed pattern, fills it for
     q and factors it.  assemble() refills the matrix for new coefficients
     and keeps the factor, which from then on preconditions conjugate
-    gradients on the new matrix.  When CG overruns STATE_PCG_MAX
-    iterations or loses positive curvature, the old factor is freed, the
-    current matrix is factored and every right-hand side is solved on it
-    directly.  The factor is taken on a zero-pruned copy, so exact
-    cancellations add no fill.
+    gradients on the new matrix, all right-hand sides in one loop.  Each
+    solve writes its solutions into a history of the last HISTORY
+    solves, one preallocated (N, HISTORY * excitations) array; the next
+    CG starts from the Galerkin projection onto its span.  When CG
+    overruns STATE_PCG_MAX iterations or loses positive curvature, the
+    old factor is freed, the current matrix is factored and every
+    right-hand side is solved on it directly.  The factor is taken on a
+    zero-pruned copy, so exact cancellations add no fill.
     """
 
     def __init__(self, q: CoefficientPair):
         self.factorizations = 0
         self.lu_fill = 0            # entries stored for L and U of the factor
+        self.start_residual = 0.0   # the last projected start's relative residual
         self.grid = q.sigma.grid
         self._pattern = _NormalPattern(self.grid.n)
+        self._history = None        # (N, HISTORY * excitations) recent states
+        self._stored = 0            # half-steps written to the history
         self.assemble(q)
         self._factor()
 
@@ -351,49 +369,107 @@ class _StateSolver:
         return np.concatenate([self._mu * hg + ops.trace.T @ (h * f.values),
                                ops.grad @ hg])
 
-    def solve(self, rhs: list) -> tuple[list, int]:
-        """Solutions of M^T W M x = b for each b, and the most PCG iterations."""
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """X with M^T W M X = B, one column of B = rhs per excitation, and
+        the PCG iterations, the most over the columns (0 when solved
+        directly).  Sets start_residual: the projected start's relative
+        residual, the most over the columns, and 0 when solved directly."""
+        k = rhs.shape[1]
+        if self._history is None:
+            self._history = np.empty((rhs.shape[0], HISTORY * k), order="F")
+        self.start_residual = 0.0
+        iterations = 0
         if self._exact:
-            return [self._lu.solve(b) for b in rhs], 0
-        solutions, most = [], 0
-        for b in rhs:
-            x, iterations = _pcg(self._normal, b, self._lu.solve, STATE_PCG_MAX)
-            most = max(most, iterations)
+            x = self._lu.solve(rhs)
+        else:
+            start = _projected_start(
+                self._normal, self._history[:, :min(self._stored, HISTORY) * k], rhs)
+            norm_b = np.linalg.norm(rhs, axis=0)
+            self.start_residual = float(np.max(
+                np.linalg.norm(rhs - self._normal @ start, axis=0)
+                / np.where(norm_b > 0.0, norm_b, 1.0)))
+            x, iterations = _pcg(self._normal, rhs, self._lu.solve, STATE_PCG_MAX,
+                                 x0=start)
             if x is None:
                 self._factor()
-                return [self._lu.solve(b) for b in rhs], most
-            solutions.append(x)
-        return solutions, most
+                self.start_residual = 0.0
+                x = self._lu.solve(rhs)
+        slot = self._stored % HISTORY * k     # over the oldest half-step's states
+        self._history[:, slot:slot + k] = x
+        self._stored += 1
+        return x, iterations
 
 
-def _pcg(a, b: np.ndarray, precondition, cap: int = STATE_PCG_MAX,
-         rtol: float = PCG_RTOL) -> tuple:
-    """Conjugate gradients on a x = b, started from and preconditioned by
-    an approximate inverse; a is any operator with a @ x.
+def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Galerkin start x0 = Q (Q^T a Q)^-1 Q^T b, Q an orthonormal basis of
+    span(w), for each column of b (Fischer 1998).
 
-    Returns (x, iterations), with x None when cap iterations do not reach
-    the relative residual rtol or a direction has p^T a p <= 0.
+    Over span(w), x0 has the least a-norm error.  Q = w C comes from the
+    eigenpairs of the Gram matrix of w's columns scaled to unit length.
+    Its eigenvalues carry an absolute error of a few machine epsilons
+    times the largest, so those below 1e-14 times the largest belong to
+    collinear states (a repeated one included): they are dropped, not
+    inverted.  Q is never stored: each of its columns is formed once, to
+    apply a to it, so no array as large as w is allocated besides w.
     """
-    x = precondition(b)
+    norms = np.linalg.norm(w, axis=0)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    lam, v = np.linalg.eigh(scale[:, None] * (w.T @ w) * scale)
+    keep = lam > 1e-14 * lam.max(initial=0.0)
+    c = scale[:, None] * v[:, keep] / np.sqrt(lam[keep])
+    reduced = np.empty((c.shape[1],) * 2)        # Q^T a Q
+    for j, column in enumerate(c.T):
+        reduced[:, j] = c.T @ (w.T @ (a @ (w @ column)))
+    return w @ (c @ np.linalg.solve(reduced, c.T @ (w.T @ b)))
+
+
+def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float = PCG_RTOL,
+         x0: np.ndarray | None = None) -> tuple:
+    """Conjugate gradients on a x = b, preconditioned by an approximate
+    inverse; a is any operator with a @ x.
+
+    b is (N,) or (N, k): each column runs its own recurrence, and the
+    columns still running share one precondition call per iteration on an
+    (N, m) array (a 1-D b is one column, and precondition then sees 1-D
+    arrays).  A column starts from its column of x0 (zero without one)
+    plus the preconditioned residual there, and stops once its residual
+    is at most rtol times its norm of b; a zero column stops at the start.
+
+    Returns (x, iterations), the iterations the most over the columns, with
+    x None when cap iterations do not reach rtol or a direction has
+    p^T a p <= 0.
+    """
+    if b.ndim == 1:
+        x, iterations = _pcg(a, b[:, None], lambda r: precondition(r[:, 0])[:, None],
+                             cap, rtol, None if x0 is None else x0[:, None])
+        return (None if x is None else x[:, 0]), iterations
+    x = precondition(b if x0 is None else b - a @ x0)
+    if x0 is not None:
+        x = x + x0
     r = b - a @ x
-    stop = rtol * np.linalg.norm(b)
-    if np.linalg.norm(r) <= stop:
+    stop = rtol * np.linalg.norm(b, axis=0)
+    cols = np.flatnonzero(np.linalg.norm(r, axis=0) > stop)
+    if not cols.size:
         return x, 0
+    r = r[:, cols]
     z = precondition(r)
     p = z
-    rz = r @ z
+    rz = np.einsum("ij,ij->j", r, z)
     for k in range(1, cap + 1):
         ap = a @ p
-        curvature = p @ ap
-        if not curvature > 0.0:
+        curvature = np.einsum("ij,ij->j", p, ap)
+        if not (curvature > 0.0).all():
             return None, k
         step = rz / curvature
-        x = x + step * p
+        x[:, cols] += step * p
         r = r - step * ap
-        if np.linalg.norm(r) <= stop:
+        going = np.linalg.norm(r, axis=0) > stop[cols]
+        if not going.any():
             return x, k
+        if not going.all():
+            cols, r, p, rz = cols[going], r[:, going], p[:, going], rz[going]
         z = precondition(r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = np.einsum("ij,ij->j", r, z), rz
         p = z + (rz / rz_old) * p
     return None, cap
 
@@ -408,8 +484,8 @@ def _state_half_step(q: CoefficientPair, sources, traces,
     zero pivot or that residual misses STATE_TOL.
     """
     solutions, pcg_iterations = solver.solve(
-        [solver.rhs(g, f) for g, f in zip(sources, traces)])
-    states = [unpack_state(x, solver.grid) for x in solutions]
+        np.column_stack([solver.rhs(g, f) for g, f in zip(sources, traces)]))
+    states = [unpack_state(x, solver.grid) for x in solutions.T]
     residual = max(state_normal_residual(q, v, g, f)
                    for v, g, f in zip(states, sources, traces))
     if not residual <= STATE_TOL:
@@ -751,6 +827,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     inner_counts = []
     factorizations = []
     pcg_counts = []
+    start_residuals = []
     lu_fills = []
     coeff_factorizations = []
     coeff_pcg_counts = []
@@ -771,6 +848,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             coeff_inner_iterations=np.asarray(inner_counts, dtype=int),
             state_factorizations=np.asarray(factorizations, dtype=int),
             state_pcg_iterations=np.asarray(pcg_counts, dtype=int),
+            state_start_residuals=np.asarray(start_residuals),
             state_lu_fill=np.asarray(lu_fills, dtype=int),
             coeff_factorizations=np.asarray(coeff_factorizations, dtype=int),
             coeff_pcg_iterations=np.asarray(coeff_pcg_counts, dtype=int))
@@ -788,6 +866,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             state_residuals.append(residual)
             factorizations.append(solver.factorizations - factored_before)
             pcg_counts.append(pcg_iterations)
+            start_residuals.append(solver.start_residual)
             lu_fills.append(solver.lu_fill if factorizations[-1] else 0)
             du_terms.append(_state_decrement(new_states, states, coeffs, grid))
             states = new_states
@@ -816,11 +895,12 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             j_history.append(eval_J(states, coeffs, sources, measurements,
                                     cfg.reg_sigma, cfg.reg_mu))
             logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
-                         "factored %s, LU fill %d, coefficient Newton steps %d, "
+                         "start residual %.2e, factored %s, LU fill %d, "
+                         "coefficient Newton steps %d, "
                          "coefficient PCG %d, coefficient factors %d, "
                          "decrements %.3e (state) %.3e (coefficient), E %.3e",
                          k + 1, j_history[-1], residual, pcg_iterations,
-                         factorizations[-1] == 1, solver.lu_fill,
+                         start_residuals[-1], factorizations[-1] == 1, solver.lu_fill,
                          update.inner_iterations, update.pcg_iterations,
                          update.factorizations, du_terms[-1], dq_terms[-1], e_val)
     except SubproblemFailure as failure:

@@ -105,6 +105,9 @@ def test_report_counts_state_factorizations_and_pcg(tmp_path):
     pcg = [int(k) for k in report["state_pcg_iterations"].split(",")]
     assert len(pcg) == iterations
     assert pcg[0] == 0 and min(pcg) >= 0
+    starts = [float(v) for v in report["state_start_residual"].split(",")]
+    assert len(starts) == iterations and starts[0] == 0.0
+    assert all(np.isfinite(v) and v >= 0.0 for v in starts)
     fills = [int(k) for k in report["state_lu_fill"].split(",")]
     assert len(fills) == int(report["state_factorizations"])
     assert min(fills) > 0

@@ -19,7 +19,8 @@ from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradien
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               SubproblemFailure, _CoefficientFactor,
                               _CoefficientProblem, _NormalPattern, _StateSolver,
-                              _mu_problem, _pcg, _sigma_problem, _solve_one_coefficient,
+                              _mu_problem, _pcg, _projected_start, _sigma_problem,
+                              _solve_one_coefficient,
                               _state_half_step, adi_reconstruct,
                               bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
@@ -33,10 +34,10 @@ from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
 
-def small_problem(n=16, example="ex1", oversample=2):
+def small_problem(n=16, example="ex1", oversample=2, excitations=1):
     grid = StaggeredGrid(n)
     truth = make_example(example).rasterize(grid)
-    excitations = default_excitations(grid, 1)
+    excitations = default_excitations(grid, excitations)
     sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                  oversample=oversample)
     return grid, truth, sets
@@ -210,6 +211,25 @@ def test_state_factor_fill_halves_against_colamd():
     assert lu_nnz(solver._lu) < 0.6 * lu_nnz(splu(solver.normal_matrix()))
 
 
+def perturbed(q, rng, spread):
+    """q with each cell scaled by a uniform factor in 1 +- spread, kept in the box."""
+    n = q.sigma.grid.n
+    return CoefficientPair(*(
+        ScalarField(q.sigma.grid, np.clip(
+            c.values * (1.0 + spread * rng.uniform(-1, 1, (n, n))), 0.5, 30.0))
+        for c in (q.sigma, q.mu)))
+
+
+def kept_factor_system(n, rng):
+    """A stale-factor system as the state block meets it: the matrix of a
+    20% perturbation of q0, preconditioned by q0's factor."""
+    grid = StaggeredGrid(n)
+    q0 = random_box_coefficients(grid, rng)
+    solver = _StateSolver(q0)
+    solver.assemble(perturbed(q0, rng, 0.2))
+    return solver.normal_matrix(), solver._lu.solve
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=4, max_value=24),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -217,10 +237,7 @@ def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
     grid = StaggeredGrid(n)
     rng = np.random.default_rng(seed)
     q0 = random_box_coefficients(grid, rng)
-    q1 = CoefficientPair(*(
-        ScalarField(grid, np.clip(c.values * (1.0 + 0.2 * rng.uniform(-1, 1, (n, n))),
-                                  0.5, 30.0))
-        for c in (q0.sigma, q0.mu)))
+    q1 = perturbed(q0, rng, 0.2)
     g, f = random_scalar(grid, rng), random_boundary(grid, rng)
     # The bound is lifted so that PCG itself is checked, not the refactor
     # policy: extreme +-20% draws take up to about 21 iterations.
@@ -244,6 +261,86 @@ def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
     assert np.linalg.norm(x - x_direct) <= bound
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=20),
+       k=st.sampled_from([1, 2, 3]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_multi_column_pcg_matches_one_column_solves(n, k, seed):
+    rng = np.random.default_rng(seed)
+    a, precondition = kept_factor_system(n, rng)
+    size = a.shape[0]
+    # k random columns, then a zero column and one started at its solution
+    b = np.column_stack([rng.standard_normal((size, k)), np.zeros(size),
+                         rng.standard_normal(size)])
+    x0 = np.zeros_like(b)
+    x0[:, -1] = splu(a).solve(b[:, -1])
+    # The true residual is checked; at 1e-8 the recurrence's rounding
+    # cannot decide it.
+    rtol, cap = 1e-8, 100
+    with np.errstate(divide="raise", invalid="raise"):
+        x, iterations = _pcg(a, b, precondition, cap, rtol, x0=x0)
+    assert x is not None and x.shape == b.shape
+    norm_b = np.linalg.norm(b, axis=0)
+    assert (np.linalg.norm(b - a @ x, axis=0) <= rtol * norm_b).all()
+    assert not x[:, k].any()
+
+    # As in test_pcg_on_a_kept_factor_matches_a_fresh_solve: two solutions
+    # differ by at most the sum of their residuals over lambda_min(a).
+    lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+    counts = []
+    for j in range(b.shape[1]):
+        single, count = _pcg(a, b[:, j], precondition, cap, rtol, x0=x0[:, j])
+        counts.append(count)
+        bound = (np.linalg.norm(b[:, j] - a @ x[:, j])
+                 + np.linalg.norm(b[:, j] - a @ single)) / lam_min
+        assert np.linalg.norm(x[:, j] - single) <= bound
+    assert counts[k] == counts[-1] == 0 < min(counts[:k])
+    assert iterations == max(counts)
+
+
+def a_norm(a, e):
+    return math.sqrt(max(float(e @ (a @ e)), 0.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=4, max_value=16),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_projected_start_beats_the_zero_and_the_last_state(n, seed):
+    grid = StaggeredGrid(n)
+    rng = np.random.default_rng(seed)
+    g, f = random_scalar(grid, rng), random_boundary(grid, rng)
+    q = random_box_coefficients(grid, rng)
+    states, matrices, rhs = [], [], []
+    for _ in range(5):      # five coefficient pairs, each a 5% step from the last
+        q = perturbed(q, rng, 0.05)
+        solver = _StateSolver(q)
+        matrices.append(solver.normal_matrix())
+        rhs.append(solver.rhs(g, f))
+        states.append(solver._lu.solve(rhs[-1]))
+    a, b, exact = matrices[-1], rhs[-1], states[-1]
+    history = np.column_stack(states[:-1])
+    start = _projected_start(a, history, b[:, None])[:, 0]
+    error = a_norm(a, start - exact)
+    # Galerkin's start is the least a-norm error over span(history), which
+    # holds both other starts; the slack is rounding.
+    slack = 1e-10 * a_norm(a, exact)
+    assert error <= a_norm(a, exact) + slack
+    assert error <= a_norm(a, history[:, -1] - exact) + slack
+
+
+def test_projected_start_drops_a_repeated_state():
+    rng = np.random.default_rng(3)
+    a, _ = kept_factor_system(12, rng)
+    states = rng.standard_normal((a.shape[0], 2))
+    b = rng.standard_normal((a.shape[0], 2))
+    once = _projected_start(a, states, b)
+    repeated = _projected_start(a, np.column_stack([states, states[:, :1]]), b)
+    assert np.isfinite(repeated).all()
+    # one span, one Galerkin start
+    assert_rel_close(repeated, once, rtol=1e-10)
+    assert not _projected_start(a, np.zeros((a.shape[0], 3)), b).any()
+
+
 def test_stale_factor_past_the_bound_refactors():
     grid = StaggeredGrid(16)
     rng = np.random.default_rng(7)
@@ -262,7 +359,7 @@ def test_stale_factor_past_the_bound_refactors():
 
 def test_pcg_stops_on_nonpositive_curvature():
     b = np.ones(3)
-    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r)
+    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r, STATE_PCG_MAX)
     assert x is None and iterations == 1
 
 
@@ -302,8 +399,9 @@ class _TrackedFactor:
         return getattr(self._lu, name)
 
 
-def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
-    grid, truth, sets = small_problem(n=24)
+@pytest.mark.parametrize("excitations", [1, 2])
+def test_one_state_factor_per_run_and_never_two_alive(monkeypatch, excitations):
+    grid, truth, sets = small_problem(n=24, excitations=excitations)
     init = CoefficientPair(ScalarField.constant(grid, 1.0),
                            ScalarField.constant(grid, 1.0))
     real = optimizer.splu
@@ -317,7 +415,7 @@ def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
 
     monkeypatch.setattr(optimizer, "splu", tracked)
     kept = adi_reconstruct(sets, init, default_config(max_outer=6))
-    # every later half-step converges on the first factor (5 or 6 PCG
+    # every later half-step converges on the first factor (3 or 4 PCG
     # iterations against the bound of 14), so the run factors once
     assert len(factors) == 1
     assert kept.state_factorizations.tolist() == [1, 0, 0, 0, 0, 0]
@@ -326,12 +424,15 @@ def test_one_state_factor_per_run_and_never_two_alive(monkeypatch):
     assert 0 < kept.state_pcg_iterations[1:].min()
     assert kept.state_pcg_iterations.max() <= STATE_PCG_MAX
     assert kept.state_residuals.max() <= STATE_TOL
+    assert kept.state_start_residuals[0] == 0.0
+    assert (kept.state_start_residuals[1:] > 0.0).all()
 
     factors.clear()
     monkeypatch.setattr(optimizer, "STATE_PCG_MAX", 0)   # a factor per half-step
     every = adi_reconstruct(sets, init, default_config(max_outer=6))
     assert len(factors) == 6
     assert every.state_factorizations.tolist() == [1] * 6
+    assert not every.state_start_residuals.any()
     np.testing.assert_allclose(kept.j_history, every.j_history, rtol=1e-9, atol=0)
 
 
@@ -812,13 +913,15 @@ def test_one_debug_record_per_outer_iteration(caplog):
         report = adi_reconstruct(sets, init, default_config(max_outer=3))
     records = [r for r in caplog.records if r.name == "medrec"]
     assert len(records) == report.iterations == 3
-    assert "factored True" in records[0].getMessage()
+    assert "start residual 0.00e+00, factored True" in records[0].getMessage()
     assert "factored False" in records[1].getMessage()
     fill = report.state_lu_fill[0]
     assert fill > 0
     for k, record in enumerate(records):
         message = record.getMessage()
         assert f"LU fill {fill}," in message
+        assert (f"PCG {report.state_pcg_iterations[k]}, "
+                f"start residual {report.state_start_residuals[k]:.2e},") in message
         assert (f"coefficient Newton steps {report.coeff_inner_iterations[k]}, "
                 f"coefficient PCG {report.coeff_pcg_iterations[k]}, "
                 f"coefficient factors {report.coeff_factorizations[k]},") in message
