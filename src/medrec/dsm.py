@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from .forward import MeasurementSet, generate_measurements
 from .grid import BoundaryData, ScalarField, StaggeredGrid
-from .operators import ConstantDiffusionSolver, neumann_source
+from .operators import ConstantDiffusionSolver, grid_operators
 
 # Tuning constants of the sampling stage (validated on the benchmark media).
 SAMPLING_MARGIN = 0.1        # probes/index restricted to this interior margin
@@ -136,7 +136,7 @@ class _ProbeFamily:
 
     Column k of the monopole family is G_k = A^-1 N e_k, the discrete
     Green's function of boundary face k on the constant background (A the
-    background operator, N = neumann_source(n)), solved by the DCT; the
+    background operator, N = grid_operators(n).source), solved by the DCT; the
     dipole family is its gradient, np.gradient with spacing h along x,
     then along y.  No (n^2, 4n) block is stored:
 
@@ -163,7 +163,7 @@ class _ProbeFamily:
                  background_mu: float):
         n, h = grid.n, grid.h
         self.grid = grid
-        self.source = neumann_source(n)
+        self.source = grid_operators(n).source
         self.background = ConstantDiffusionSolver(n, background_sigma,
                                                   background_mu)
         # Bottom face k is the source 1/h on cell (k, 0); face n - 1 - k
@@ -202,44 +202,35 @@ class _ProbeFamily:
             return (block[last] - block[last - 1]) / h
         return (block[i + 1] - block[i - 1]) / (2.0 * h)
 
-    def _pairings(self, r: np.ndarray):
+    def _products(self, r: np.ndarray):
         """(mono @ r, dip_x @ r, dip_y @ r) per cell, by one solve."""
         n, h = self.grid.n, self.grid.h
         u = self.background.solve(self.source @ r).reshape(n, n)
         return (u.ravel(), np.gradient(u, h, axis=0).ravel(),
                 np.gradient(u, h, axis=1).ravel())
 
-    def mono_gain(self, r: np.ndarray) -> np.ndarray:
-        pm, _, _ = self._pairings(r)
-        out = pm ** 2 / self._mm
-        out[~self.interior] = 0.0
-        return out
-
-    def dip_gain(self, r: np.ndarray) -> np.ndarray:
-        _, px, py = self._pairings(r)
+    def gains(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(monopole, dipole) share of ||r||^2 one atom explains per cell
+        (zero in the margin), by one solve."""
+        pm, px, py = self._products(r)
         det = np.maximum(self._xx * self._yy - self._xy ** 2, 1e-300)
-        out = (self._yy * px * px - 2 * self._xy * px * py
+        mono = pm ** 2 / self._mm
+        dip = (self._yy * px * px - 2 * self._xy * px * py
                + self._xx * py * py) / det
-        out[~self.interior] = 0.0
-        return out
+        mono[~self.interior] = dip[~self.interior] = 0.0
+        return mono, dip
 
-    def mono_pairing(self, r: np.ndarray) -> np.ndarray:
-        """Normalized |<r, G_x>| per sampling cell (zero in the margin)."""
-        pm, _, _ = self._pairings(r)
+    def pairings(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized pairings per sampling cell (zero in the margin), by
+        one solve: |<r, G_x>| for the monopole, and the larger of the two
+        dipole components' for the dipole."""
+        pm, px, py = self._products(r)
         r_norm = math.sqrt(float(r @ r))
-        out = np.abs(pm) / (r_norm * np.sqrt(self._mm))
-        out[~self.interior] = 0.0
-        return out
-
-    def dip_pairing(self, r: np.ndarray) -> np.ndarray:
-        """Larger of the two normalized dipole-component pairings."""
-        _, px, py = self._pairings(r)
-        r_norm = math.sqrt(float(r @ r))
-        px = np.abs(px) / (r_norm * np.sqrt(self._xx))
-        py = np.abs(py) / (r_norm * np.sqrt(self._yy))
-        out = np.maximum(px, py)
-        out[~self.interior] = 0.0
-        return out
+        mono = np.abs(pm) / (r_norm * np.sqrt(self._mm))
+        dip = np.maximum(np.abs(px) / (r_norm * np.sqrt(self._xx)),
+                         np.abs(py) / (r_norm * np.sqrt(self._yy)))
+        mono[~self.interior] = dip[~self.interior] = 0.0
+        return mono, dip
 
     def columns(self, picks):
         """Boundary rows of the picked atoms: one per monopole, two per dipole."""
@@ -334,21 +325,19 @@ def _fit_sources(probes: _ProbeFamily, v: np.ndarray):
     media.
     """
     total = float(v @ v)
-    gm = probes.mono_gain(v)
-    gd = probes.dip_gain(v)
+    gm, gd = probes.gains(v)
     if gd.max() >= gm.max():
         picks = [("d", int(np.argmax(gd)))]
-        picks.append(("m", int(np.argmax(
-            probes.mono_gain(probes.joint_residual(v, picks))))))
+        gm, _ = probes.gains(probes.joint_residual(v, picks))
+        picks.append(("m", int(np.argmax(gm))))
     else:
         picks = [("m", int(np.argmax(gm)))]
-        picks.append(("d", int(np.argmax(
-            probes.dip_gain(probes.joint_residual(v, picks))))))
+        _, gd = probes.gains(probes.joint_residual(v, picks))
+        picks.append(("d", int(np.argmax(gd))))
     picks = _refine_positions(probes, v, picks)
     resid = probes.joint_residual(v, picks)
     for _ in range(MAX_ATOMS - 2):
-        gm = probes.mono_gain(resid)
-        gd = probes.dip_gain(resid)
+        gm, gd = probes.gains(resid)
         if gd.max() >= gm.max():
             kind, cell, gain = "d", int(np.argmax(gd)), float(gd.max())
         else:
@@ -446,10 +435,10 @@ def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
         v_mu = mono_part + resid
         v_sigma = dip_part + resid
         if has_mono and float(v_mu @ v_mu) > 0:
-            acc_mu += probes.mono_pairing(v_mu)
+            acc_mu += probes.pairings(v_mu)[0]
             any_mu = True
         if has_dip and float(v_sigma @ v_sigma) > 0:
-            acc_sigma += probes.dip_pairing(v_sigma)
+            acc_sigma += probes.pairings(v_sigma)[1]
             any_sigma = True
 
     phi_mu = _sharpen(_rescale_unit(acc_mu)) if any_mu else np.zeros(n * n)

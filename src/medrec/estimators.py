@@ -1,17 +1,22 @@
-"""Estimator-style front end over the two-stage pipeline.
+"""The paper's two stages as fit/transform objects.
 
-Thin fit/transform wrappers with the usual get_params/set_params
-contract (constructor arguments stored under their own names), so the
-pipeline drops into tooling that expects that interface.  The settable
-values are the method's own parameters: the backgrounds, the cutoff
-theta, the scale c_phi and the oversampling for stage one; the weights
-alpha and beta per coefficient, the outer-iteration count and whether mu
-is unknown for stage two.  Both stages work in the box [BOX_LO, BOX_HI]
-of the experiments module.  All numerical work lives in the functional
-modules; these classes only orchestrate and validate inputs.
+DirectSamplingLocator is stage one: from the boundary data alone it
+computes the index fields, thresholds them into masks and builds the
+initial coefficients.  TotalLeastSquaresReconstructor is stage two: the
+alternating total-least-squares solve from that initial pair.  A caller
+runs them in turn:
+
+    initial = DirectSamplingLocator().fit(data).transform(data)
+    rec = TotalLeastSquaresReconstructor().fit(data, initial=initial)
+
+Their constructor arguments are the method's own parameters, stored
+under their own names: the backgrounds, the cutoff theta, the scale
+c_phi and the oversampling for stage one; the weights alpha and beta per
+coefficient, the outer-iteration count and whether mu is unknown for
+stage two.  Both stages work in the box [BOX_LO, BOX_HI] of the
+experiments module.  All numerical work lives in the functional modules;
+these classes only orchestrate and validate inputs.
 """
-
-import inspect
 
 import numpy as np
 
@@ -24,30 +29,7 @@ from .optimizer import AdiConfig, adi_reconstruct
 from .regularization import RegConfig
 
 
-class BaseEstimator:
-    """get_params/set_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p.name for p in sig.parameters.values()
-                if p.name != "self"
-                and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for "
-                                 f"{type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
-
-class DirectSamplingLocator(BaseEstimator):
+class DirectSamplingLocator:
     """Stage one: index fields, thresholded masks, initial coefficients.
 
     fit() computes everything from the measurement list alone; transform()
@@ -92,7 +74,7 @@ class DirectSamplingLocator(BaseEstimator):
         return CoefficientPair(self.initial_sigma_, self.initial_mu_)
 
 
-class TotalLeastSquaresReconstructor(BaseEstimator):
+class TotalLeastSquaresReconstructor:
     """Stage two: alternating minimization from an initial coefficient pair."""
 
     def __init__(self, alpha_sigma=1e-2, beta_sigma=2e-2,
@@ -126,27 +108,3 @@ class TotalLeastSquaresReconstructor(BaseEstimator):
             raise RuntimeError("call fit before predict")
         return CoefficientPair(self.sigma_, self.mu_)
 
-
-class TwoStageReconstructor(BaseEstimator):
-    """Direct sampling initialization followed by the least-squares solve."""
-
-    def __init__(self, locator: DirectSamplingLocator | None = None,
-                 reconstructor: TotalLeastSquaresReconstructor | None = None):
-        self.locator = locator
-        self.reconstructor = reconstructor
-
-    def fit(self, measurements, y=None):
-        sets = check_measurements(measurements)
-        self.locator_ = self.locator or DirectSamplingLocator()
-        self.reconstructor_ = self.reconstructor or TotalLeastSquaresReconstructor()
-        initial = self.locator_.fit(sets).transform(sets)
-        self.reconstructor_.fit(sets, initial=initial)
-        self.sigma_ = self.reconstructor_.sigma_
-        self.mu_ = self.reconstructor_.mu_
-        self.report_ = self.reconstructor_.report_
-        return self
-
-    def predict(self, measurements=None) -> CoefficientPair:
-        if not hasattr(self, "sigma_"):
-            raise RuntimeError("call fit before predict")
-        return CoefficientPair(self.sigma_, self.mu_)

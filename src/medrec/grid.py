@@ -315,10 +315,6 @@ def face_inner(a: FluxField, b: FluxField) -> float:
                        + np.vdot(a.y_values, b.y_values)))
 
 
-def face_norm(a: FluxField) -> float:
-    return float(np.sqrt(max(face_inner(a, a), 0.0)))
-
-
 def boundary_inner(a: BoundaryData, b: BoundaryData) -> float:
     _require_same_grid(a, b)
     return float(a.grid.h * np.vdot(a.values, b.values))

@@ -164,11 +164,6 @@ class GridOperators:
         return _frozen(sp.vstack([self.gx, self.gy], format="csr"))
 
     @functools.cached_property
-    def avg_grad(self) -> sp.csr_matrix:
-        """[Ax; Ay; Gx; Gy]: face means and differences in one map."""
-        return _frozen(sp.vstack([self.ax, self.ay, self.gx, self.gy], format="csr"))
-
-    @functools.cached_property
     def stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mask, indices, indptr) of the n^2 x n^2 five-point pattern.
 
@@ -234,28 +229,6 @@ class GridOperators:
 def grid_operators(n: int) -> GridOperators:
     """The shared operator layer of grid size n (the last few sizes are kept)."""
     return GridOperators(n)
-
-
-def face_gradient(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(Gx, Gy): cell values to interior-face differences divided by h."""
-    ops = grid_operators(n)
-    return ops.gx, ops.gy
-
-
-def face_average(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(Ax, Ay): cell values to their arithmetic mean on interior faces."""
-    ops = grid_operators(n)
-    return ops.ax, ops.ay
-
-
-def trace(n: int) -> sp.csr_matrix:
-    """T: the 4n boundary-adjacent cell values (bottom, right, top, left)."""
-    return grid_operators(n).trace
-
-
-def neumann_source(n: int) -> sp.csr_matrix:
-    """N = T^T / h: boundary flux spread onto the adjacent cell layer."""
-    return grid_operators(n).source
 
 
 def diffusion_matrix(sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:

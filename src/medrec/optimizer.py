@@ -338,14 +338,13 @@ class _StateSolver:
         self._factor()
 
     def assemble(self, q: CoefficientPair) -> None:
-        self._sigma, self._mu = q.sigma.values.ravel(), q.mu.values.ravel()
-        self._normal = self._pattern.fill(self._sigma, self._mu)
+        self._mu = q.mu.values.ravel()
+        self._normal = self._pattern.fill(q.sigma.values.ravel(), self._mu)
         self._exact = False         # the factor, if any, is of an earlier q
 
     def _factor(self) -> None:
         self._lu = None             # free the old factor: never two alive at once
-        # Only the pruned copy is kept while SuperLU works; normal_matrix()
-        # refills the full pattern when asked.
+        # Only the pruned copy is kept while SuperLU works.
         pruned, self._normal = _without_zeros(self._normal), None
         try:
             self._lu = splu(pruned, **SPD_LU)
@@ -354,12 +353,6 @@ class _StateSolver:
         self._exact = True
         self.factorizations += 1
         self.lu_fill = int(self._lu.nnz)
-
-    def normal_matrix(self) -> sp.csc_matrix:
-        """M^T W M, symmetric positive definite, on the fixed pattern."""
-        if self._normal is None:
-            self._normal = self._pattern.fill(self._sigma, self._mu)
-        return self._normal
 
     def rhs(self, g: ScalarField, f) -> np.ndarray:
         """M^T W (g, 0, 0, f) = h^2 (mu g + N f, Gx g, Gy g)."""
@@ -428,10 +421,9 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float = PCG_RTOL,
     """Conjugate gradients on a x = b, preconditioned by an approximate
     inverse; a is any operator with a @ x.
 
-    b is (N,) or (N, k): each column runs its own recurrence, and the
-    columns still running share one precondition call per iteration on an
-    (N, m) array (a 1-D b is one column, and precondition then sees 1-D
-    arrays).  A column starts from its column of x0 (zero without one)
+    b is (N, k): each column runs its own recurrence, and the columns
+    still running share one precondition call per iteration on an (N, m)
+    array.  A column starts from its column of x0 (zero without one)
     plus the preconditioned residual there, and stops once its residual
     is at most rtol times its norm of b; a zero column stops at the start.
 
@@ -439,10 +431,6 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float = PCG_RTOL,
     x None when cap iterations do not reach rtol or a direction has
     p^T a p <= 0.
     """
-    if b.ndim == 1:
-        x, iterations = _pcg(a, b[:, None], lambda r: precondition(r[:, 0])[:, None],
-                             cap, rtol, None if x0 is None else x0[:, None])
-        return (None if x is None else x[:, 0]), iterations
     x = precondition(b if x0 is None else b - a @ x0)
     if x0 is not None:
         x = x + x0
@@ -513,41 +501,21 @@ class _CoefficientProblem:
 
     With the states fixed the misfit is linear least squares in q, so the
     smooth part h^2 (||B q - t||^2 + alpha/2 (||G q||^2 + ||q||^2)) has the
-    constant Hessian 2 B^T B + alpha (G^T G + I) in the h^2-weighted cell
-    product; it is filled once on the layer's five-point pattern, and the
-    shift 2 B^T t is computed once.  B is never formed: it stacks
-    diag(scale_e) P over the excitations e, with P a fixed map of the
-    layer, the face average [Ax; Ay] for sigma and the identity for mu.
-    maps is [P; G] with P in its first p_rows rows (p_rows = 0: P is the
-    identity and maps is G alone), so a value costs one sparse matvec.
+    constant Hessian hess = 2 B^T B + alpha (G^T G + I) in the h^2-weighted
+    cell product; it is filled once on the layer's five-point pattern, and
+    the shift 2 B^T t is computed once, so the smooth gradient is
+    hess @ q - shift.  B is never formed: it stacks diag(scale_e) P over
+    the excitations e, with P a fixed map of the layer, the face average
+    [Ax; Ay] for sigma and the identity for mu.
     """
 
-    def __init__(self, hess: sp.csr_matrix, shift: np.ndarray, maps: sp.csr_matrix,
-                 p_rows: int, scales: np.ndarray, target: np.ndarray,
-                 reg: RegConfig, n: int):
+    def __init__(self, hess: sp.csr_matrix, shift: np.ndarray, reg: RegConfig,
+                 n: int):
         self.hess = hess
         self.shift = shift
         self.reg = reg
         self.n = n
         self.h = 1.0 / n
-        self._maps = maps
-        self._p_rows = p_rows
-        self._scales = scales       # (excitations, rows of P)
-        self._t = target
-
-    def smooth_grad(self, q: np.ndarray) -> np.ndarray:
-        return self.hess @ q - self.shift
-
-    def total_value(self, q: np.ndarray) -> float:
-        # Residual form: expanding the quadratic would cancel digits.
-        mapped = self._maps @ q
-        if self._p_rows:
-            pq, gq = mapped[:self._p_rows], mapped[self._p_rows:]
-        else:
-            pq, gq = q, mapped
-        r = (self._scales * pq).ravel() - self._t
-        return float(self.h ** 2 * (r @ r + 0.5 * self.reg.alpha * (gq @ gq + q @ q)
-                                    + self.reg.beta * np.abs(q).sum()))
 
 
 def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
@@ -566,8 +534,7 @@ def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
                           avg=(w[:nf], w[nf:]))
     st = (scales * target.reshape(scales.shape)).sum(axis=0)
     shift = 2.0 * (ops.ax.T @ st[:nf] + ops.ay.T @ st[nf:])
-    return _CoefficientProblem(hess, shift, ops.avg_grad, 2 * nf, scales, target,
-                               reg, n)
+    return _CoefficientProblem(hess, shift, reg, n)
 
 
 def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
@@ -584,7 +551,7 @@ def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
     hess = ops.five_point(2.0 * (scales * scales).sum(axis=0) + reg.alpha,
                           grad=(reg.alpha, reg.alpha))
     shift = 2.0 * (scales * target.reshape(scales.shape)).sum(axis=0)
-    return _CoefficientProblem(hess, shift, ops.grad, 0, scales, target, reg, n)
+    return _CoefficientProblem(hess, shift, reg, n)
 
 
 class _CoefficientFactor:
@@ -617,10 +584,11 @@ class _CoefficientFactor:
         where b and x vanish."""
         iterations = 0
         if self.lu is not None:
-            x, iterations = _pcg(masked, b, lambda r: keep * self.lu.solve(r),
+            x, iterations = _pcg(masked, b[:, None],
+                                 lambda r: keep[:, None] * self.lu.solve(r),
                                  COEFF_PCG_MAX, rtol)
             if x is not None:
-                return x, iterations
+                return x[:, 0], iterations
         self._factor(masked)
         return keep * self.lu.solve(b), iterations
 

@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-import medrec as mr
-from medrec.dsm import argmax_location
-from medrec.experiments import SquareInclusion, ExampleSpec, add_noise
+from medrec.dsm import (argmax_location, compute_index, homogeneous_reference,
+                        scattered_data, threshold_subdomain)
+from medrec.experiments import (SquareInclusion, ExampleSpec, add_noise,
+                                background_deviation, compute_metrics, make_example)
 from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
-from medrec.grid import ScalarField, StaggeredGrid
+from medrec.forward import (ForwardProblem, MeasurementSet, default_excitations,
+                            generate_measurements, solve_forward)
+from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid, boundary_inner,
+                         boundary_trace, cell_inner, cell_norm, divergence_to_cells,
+                         face_inner, gradient_to_faces, neumann_to_source)
 from medrec.model import CoefficientPair, StatePair
+from medrec.optimizer import bregman_diagnostics
 from medrec.regularization import prox_l1_box_array, smooth_grad_phi
 from conftest import random_admissible_flux, random_boundary, random_scalar
 
@@ -31,12 +37,12 @@ def criterion(num, name, ok, detail=""):
 
 
 def run_pipeline(example, n, noise, seed, max_outer=50):
-    spec = mr.make_example(example)
+    spec = make_example(example)
     grid = StaggeredGrid(n)
     truth = spec.rasterize(grid)
-    excitations = mr.default_excitations(grid, spec.excitation_count)
-    sets = mr.generate_measurements(truth.sigma, truth.mu, excitations, oversample=2)
-    sets = [mr.MeasurementSet(m.h, add_noise(m.f, noise, seed + i))
+    excitations = default_excitations(grid, spec.excitation_count)
+    sets = generate_measurements(truth.sigma, truth.mu, excitations, oversample=2)
+    sets = [MeasurementSet(m.h, add_noise(m.f, noise, seed + i))
             for i, m in enumerate(sets)]
     a_s, b_s, a_m, b_m = spec.regularization_params(noisy=noise > 0)
     locator = DirectSamplingLocator()
@@ -73,14 +79,14 @@ def test_criterion_1_forward_convergence():
         src = ScalarField.from_function(
             grid,
             lambda x, y: (2 * np.pi ** 2 + 1) * np.cos(np.pi * x) * np.cos(np.pi * y))
-        problem = mr.ForwardProblem(ScalarField.constant(grid, 1.0),
+        problem = ForwardProblem(ScalarField.constant(grid, 1.0),
                                     ScalarField.constant(grid, 1.0),
-                                    mr.BoundaryData.zeros(grid),
+                                    BoundaryData.zeros(grid),
                                     volumetric_source=src)
-        u = mr.solve_forward(problem)
+        u = solve_forward(problem)
         exact = ScalarField.from_function(
             grid, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-        return mr.cell_norm(u - exact)
+        return cell_norm(u - exact)
 
     e16, e32, e64 = error(16), error(32), error(64)
     elapsed = time.perf_counter() - start
@@ -97,14 +103,14 @@ def test_criterion_2_discrete_adjoint_identities():
     for _ in range(100):
         u = random_scalar(grid, rng)
         p = random_admissible_flux(grid, rng)
-        lhs = mr.face_inner(mr.gradient_to_faces(u), p)
-        rhs = mr.cell_inner(u, mr.divergence_to_cells(p))
+        lhs = face_inner(gradient_to_faces(u), p)
+        rhs = cell_inner(u, divergence_to_cells(p))
         worst_sbp = max(worst_sbp, abs(lhs + rhs) / max(abs(lhs), abs(rhs), 1e-30))
 
         h = random_boundary(grid, rng)
         v = random_scalar(grid, rng)
-        a = mr.cell_inner(mr.neumann_to_source(h), v)
-        b = mr.boundary_inner(h, mr.boundary_trace(v))
+        a = cell_inner(neumann_to_source(h), v)
+        b = boundary_inner(h, boundary_trace(v))
         worst_dual = max(worst_dual, abs(a - b) / max(abs(b), 1e-30))
     ok = worst_sbp <= 1e-12 and worst_dual <= 1e-12
     criterion(2, "summation-by-parts and Neumann-source duality", ok,
@@ -153,14 +159,14 @@ def test_criterion_4_gradient_checks():
                 (gm, dm, lambda t: CoefficientPair(q.sigma, q.mu + t * dm))):
             fd = (misfit_value(v, build(step), g)
                   - misfit_value(v, build(-step), g)) / (2 * step)
-            exact = mr.cell_inner(grad, d)
+            exact = cell_inner(grad, d)
             worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-12))
         reg = RegConfig(float(rng.uniform(0.05, 1.0)), 0.0, -1e6, 1e6)
         qq = random_scalar(grid, rng)
         dd = random_scalar(grid, rng)
         fd = (eval_phi_smooth(qq + step * dd, reg)
               - eval_phi_smooth(qq + (-step) * dd, reg)) / (2 * step)
-        exact = mr.cell_inner(smooth_grad_phi(qq, reg), dd)
+        exact = cell_inner(smooth_grad_phi(qq, reg), dd)
         worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-12))
     ok = worst <= 1e-5
     criterion(4, "gradients match central differences", ok, f"worst {worst:.2e}")
@@ -171,7 +177,7 @@ def test_criterion_5_adi_monotonicity(ex1_exact):
     j = report.j_history
     slack = 1e-10 * (1 + j[0])
     monotone = bool(np.all(np.diff(j) <= slack))
-    diag = mr.bregman_diagnostics(report)
+    diag = bregman_diagnostics(report)
     ok = (monotone and report.iterations == 50
           and diag.nonnegative(1e-10) and diag.certificate_holds(1e-8)
           and elapsed < 300.0)
@@ -189,11 +195,11 @@ def test_criterion_6_block_optimality(ex1_exact):
 
 def test_criterion_7_example1_exact(ex1_exact):
     report, truth, _ = ex1_exact
-    met = mr.compute_metrics(report.coefficients, truth)
+    met = compute_metrics(report.coefficients, truth)
     com_ok = (all(e <= 0.05 for e in met.sigma.center_of_mass_errors)
               and all(e <= 0.05 for e in met.mu.center_of_mass_errors))
-    bg_sigma = mr.background_deviation(report.coefficients.sigma, truth.sigma, 6)
-    bg_mu = mr.background_deviation(report.coefficients.mu, truth.mu, 6)
+    bg_sigma = background_deviation(report.coefficients.sigma, truth.sigma, 6)
+    bg_mu = background_deviation(report.coefficients.mu, truth.mu, 6)
     ok = com_ok and bg_sigma <= 0.10 and bg_mu <= 0.10
     criterion("7a", "Example 1 exact-data reproduction", ok,
               f"com {met.sigma.center_of_mass_errors + met.mu.center_of_mass_errors}, "
@@ -207,7 +213,7 @@ def test_criterion_7_example1_exact(ex1_exact):
     "stage cannot relocate a misplaced prior; asserted as stated regardless"))
 def test_criterion_7_example1_noisy(ex1_noisy):
     report, truth, _ = ex1_noisy
-    met = mr.compute_metrics(report.coefficients, truth)
+    met = compute_metrics(report.coefficients, truth)
     errors = met.sigma.center_of_mass_errors + met.mu.center_of_mass_errors
     ok = all(e <= 0.08 for e in errors)
     criterion("7b", "Example 1 with 10% noise", ok, f"com {errors}")
@@ -255,15 +261,15 @@ def test_criterion_9_dsm_localization():
             (ExampleSpec(name="m", mu_inclusions=(
                 SquareInclusion((0.35, 0.30), 0.05, 20.0),)), (0.35, 0.30), "mu")):
         truth = spec.rasterize(grid)
-        excitations = mr.default_excitations(grid, 1)
-        sets = mr.generate_measurements(truth.sigma, truth.mu, excitations,
+        excitations = default_excitations(grid, 1)
+        sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                         oversample=2)
-        ref = mr.homogeneous_reference(1.0, 1.0, excitations, oversample=2)
-        idx = mr.compute_index(mr.scattered_data(sets, ref))
+        ref = homogeneous_reference(1.0, 1.0, excitations, oversample=2)
+        idx = compute_index(scattered_data(sets, ref))
         phi = idx.phi_sigma if pick == "sigma" else idx.phi_mu
         ax, ay = argmax_location(phi)
         err = math.hypot(ax - center[0], ay - center[1])
-        mask = mr.threshold_subdomain(phi, 0.55)
+        mask = threshold_subdomain(phi, 0.55)
         results.append((err, not mask.is_empty, mask.mask.shape == (50, 50)))
     ok = all(err <= 0.15 and nonempty and shaped
              for err, nonempty, shaped in results)
@@ -273,7 +279,7 @@ def test_criterion_9_dsm_localization():
 
 def test_criterion_10_noise_model_statistics():
     grid = StaggeredGrid(25_000)   # 10^5 boundary samples
-    f = mr.BoundaryData(grid, np.full(4 * grid.n, 3.0))
+    f = BoundaryData(grid, np.full(4 * grid.n, 3.0))
     eps = 0.07
     noisy = add_noise(f, eps, seed=99)
     delta = noisy.values - f.values

@@ -16,7 +16,7 @@ from medrec.dsm import (EmptyDataError, IndexResult, SubdomainMask,
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import BoundaryData, ScalarField, StaggeredGrid
 from medrec.experiments import SquareInclusion, ExampleSpec, make_example
-from medrec.operators import diffusion_matrix, neumann_source
+from medrec.operators import diffusion_matrix, grid_operators
 
 
 def pipeline_delta(spec, grid, oversample=2):
@@ -87,7 +87,7 @@ def test_symmetric_probe_family_matches_full_solve(n, sigma, mu):
     # its norms and its pairings against the block of all 4n solves.
     probes = dsm._ProbeFamily(StaggeredGrid(n), sigma, mu)
     operator = diffusion_matrix(np.full((n, n), sigma), np.full((n, n), mu))
-    green = splu(operator).solve(neumann_source(n).toarray())  # every face
+    green = splu(operator).solve(grid_operators(n).source.toarray())  # every face
     stacked = green.reshape(n, n, 4 * n)
     mono = green
     dip_x = np.gradient(stacked, 1.0 / n, axis=0).reshape(n * n, 4 * n)
@@ -106,15 +106,16 @@ def test_symmetric_probe_family_matches_full_solve(n, sigma, mu):
     mm, xx, yy, xy = (norms[k] for k in ("_mm", "_xx", "_yy", "_xy"))
     r_norm = np.linalg.norm(r)
     pairings = {
-        "mono_gain": pm ** 2 / mm,
-        "dip_gain": (yy * px * px - 2 * xy * px * py + xx * py * py)
-                    / np.maximum(xx * yy - xy ** 2, 1e-300),
-        "mono_pairing": np.abs(pm) / (r_norm * np.sqrt(mm)),
-        "dip_pairing": np.maximum(np.abs(px) / (r_norm * np.sqrt(xx)),
-                                  np.abs(py) / (r_norm * np.sqrt(yy))),
+        "gains": (pm ** 2 / mm,
+                  (yy * px * px - 2 * xy * px * py + xx * py * py)
+                  / np.maximum(xx * yy - xy ** 2, 1e-300)),
+        "pairings": (np.abs(pm) / (r_norm * np.sqrt(mm)),
+                     np.maximum(np.abs(px) / (r_norm * np.sqrt(xx)),
+                                np.abs(py) / (r_norm * np.sqrt(yy)))),
     }
-    for ref in pairings.values():
-        ref[~probes.interior] = 0.0
+    for refs in pairings.values():
+        for ref in refs:
+            ref[~probes.interior] = 0.0
     # Both sides are backward-stable solves, so they agree to about
     # kappa * eps; kappa <= 1 + 8 sigma n^2 / mu bounds the operator's
     # condition number (Gershgorin).  Measured over 150 draws with
@@ -124,8 +125,9 @@ def test_symmetric_probe_family_matches_full_solve(n, sigma, mu):
     rtol = 1e-12 + kappa * np.finfo(float).eps
     checks = [(name, got, ref) for name, (got, ref) in rows.items()]
     checks += [(name, getattr(probes, name), ref) for name, ref in norms.items()]
-    checks += [(name, getattr(probes, name)(r), ref)
-               for name, ref in pairings.items()]
+    checks += [(f"{name} {family}", got, ref)
+               for name, refs in pairings.items()
+               for family, got, ref in zip(("mono", "dip"), getattr(probes, name)(r), refs)]
     for name, got, ref in checks:
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=rtol * np.abs(ref).max(), err_msg=name)

@@ -1,13 +1,16 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from medrec.dsm import compute_index, homogeneous_reference, scattered_data
 from medrec.estimators import (DirectSamplingLocator,
-                               TotalLeastSquaresReconstructor,
-                               TwoStageReconstructor, check_measurements)
+                               TotalLeastSquaresReconstructor, check_measurements)
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import StaggeredGrid
-from medrec.experiments import BOX_HI, BOX_LO, make_example
+from medrec.experiments import BOX_HI, BOX_LO, compute_metrics, make_example
+from medrec.optimizer import bregman_diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +35,6 @@ def test_check_measurements_validation(ex1_measurements):
                                          default_excitations(other, 1), 1)
     with pytest.raises(ValueError):
         check_measurements(mixed)
-
-
-def test_get_set_params_round_trip():
-    loc = DirectSamplingLocator(theta=0.6, oversample=1)
-    params = loc.get_params()
-    assert params["theta"] == 0.6
-    assert params["oversample"] == 1
-    loc.set_params(theta=0.7)
-    assert loc.theta == 0.7
-    with pytest.raises(ValueError):
-        loc.set_params(bogus=1)
-
-    rec = TotalLeastSquaresReconstructor(alpha_sigma=0.123)
-    assert rec.get_params()["alpha_sigma"] == 0.123
 
 
 def test_locator_fit_and_transform(ex1_measurements):
@@ -81,12 +70,28 @@ def test_reconstructor_runs_and_predicts(ex1_measurements):
     assert np.all(np.diff(j) <= 1e-10 * (1 + j[0]))
 
 
-def test_two_stage_pipeline(ex1_measurements):
-    sets, truth = ex1_measurements
-    est = TwoStageReconstructor(
-        reconstructor=TotalLeastSquaresReconstructor(max_outer=4))
-    est.fit(sets)
-    assert hasattr(est, "sigma_") and hasattr(est, "report_")
-    pair = est.predict()
-    assert pair.sigma.grid.n == 24
-    assert est.report_.iterations == 4
+def test_readme_library_snippet_runs():
+    # The README's Library section, run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    snippet = snippet.split("```", 1)[0]
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert bregman_diagnostics(namespace["report"]).certificate_holds()
+    metrics = compute_metrics(namespace["recovered"], namespace["truth"])
+    for coefficient in (metrics.sigma, metrics.mu):
+        assert math.isfinite(coefficient.relative_l2_error)
+        assert all(math.isfinite(e) for e in coefficient.center_of_mass_errors)
+
+
+def test_package_exports_the_two_stage_workflow():
+    import medrec
+    public = {name for name in vars(medrec)
+              if not name.startswith("_") and not isinstance(
+                  getattr(medrec, name), type(medrec))}
+    assert public == {
+        "StaggeredGrid", "make_example", "default_excitations",
+        "generate_measurements", "DirectSamplingLocator",
+        "TotalLeastSquaresReconstructor", "CoefficientPair", "compute_metrics",
+        "bregman_diagnostics", "deserialize_field", "RingInclusion"}
+    assert medrec.__version__

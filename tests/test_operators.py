@@ -26,7 +26,8 @@ def assert_close(assembled, reference):
 def test_gradient_matches_grid(n, seed):
     grid = StaggeredGrid(n)
     u = ScalarField(grid, np.random.default_rng(seed).standard_normal((n, n)))
-    gx, gy = ops.face_gradient(n)
+    layer = ops.grid_operators(n)
+    gx, gy = layer.gx, layer.gy
     free = gr.gradient_to_faces(u)
     assert_close(gx @ u.values.ravel(), free.x_values.ravel())
     assert_close(gy @ u.values.ravel(), free.y_values.ravel())
@@ -37,7 +38,8 @@ def test_gradient_matches_grid(n, seed):
 def test_averaging_matches_grid_on_interior_faces(n, seed):
     grid = StaggeredGrid(n)
     q = ScalarField(grid, np.random.default_rng(seed).standard_normal((n, n)))
-    ax, ay = ops.face_average(n)
+    layer = ops.grid_operators(n)
+    ax, ay = layer.ax, layer.ay
     free = gr.average_to_faces(q)
     assert_close(ax @ q.values.ravel(), free.x_values.ravel())
     assert_close(ay @ q.values.ravel(), free.y_values.ravel())
@@ -50,7 +52,8 @@ def test_trace_and_neumann_source_match_grid(n, seed):
     rng = np.random.default_rng(seed)
     u = ScalarField(grid, rng.standard_normal((n, n)))
     b = BoundaryData(grid, rng.standard_normal(4 * n))
-    t, src = ops.trace(n), ops.neumann_source(n)
+    layer = ops.grid_operators(n)
+    t, src = layer.trace, layer.source
     assert np.array_equal(t @ u.values.ravel(), gr.boundary_trace(u).values)
     assert_close(src @ b.values, gr.neumann_to_source(b).values.ravel())
     assert (src != t.T / grid.h).nnz == 0
@@ -72,9 +75,8 @@ def test_diffusion_matrix_matches_matrix_free(n, seed):
 
 def product_diffusion_matrix(sigma, mu):
     """The operator as scipy products of the maps: the oracle of the fill."""
-    n = sigma.shape[0]
-    gx, gy = ops.face_gradient(n)
-    ax, ay = ops.face_average(n)
+    layer = ops.grid_operators(sigma.shape[0])
+    gx, gy, ax, ay = layer.gx, layer.gy, layer.ax, layer.ay
     s = sigma.ravel()
     return (gx.T @ sp.diags(ax @ s) @ gx + gy.T @ sp.diags(ay @ s) @ gy
             + sp.diags(mu.ravel())).tocsc()
@@ -116,20 +118,19 @@ def test_constant_solver_matches_splu(n, seed, sigma, mu, rhs):
 
 def test_operator_layer_is_shared_and_read_only():
     n = 12
-    maps = [*ops.face_gradient(n), *ops.face_average(n), ops.trace(n),
-            ops.neumann_source(n)]
-    again = [*ops.face_gradient(n), *ops.face_average(n), ops.trace(n),
-             ops.neumann_source(n)]
+    names = ("gx", "gy", "ax", "ay", "trace", "source")
+    layer = ops.grid_operators(n)
+    maps = [getattr(layer, name) for name in names]
+    again = [getattr(ops.grid_operators(n), name) for name in names]
     assert all(a is b for a, b in zip(maps, again))
     for m in maps:
         for array in (m.data, m.indices, m.indptr):
             with pytest.raises(ValueError):
                 array[0] = array[0]
-    layer = ops.grid_operators(n)
     assert layer is ops.grid_operators(n)
     # the oversampled forward grid 2n has a layer of its own
     fine = ops.grid_operators(2 * n)
     assert fine is not layer and fine.n == 2 * n
     assert fine.gx.shape == ((2 * n - 1) * 2 * n, 4 * n * n)
     assert ops.grid_operators(n) is layer and ops.grid_operators(2 * n) is fine
-    assert ops.face_gradient(n)[0] is maps[0]
+    assert ops.grid_operators(n).gx is maps[0]

@@ -11,11 +11,12 @@ import medrec.optimizer as optimizer
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
-                         average_to_faces, divergence_to_cells, gradient_to_faces)
-from medrec.model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
-                          eval_J, misfit_value, sources_from_measurements,
-                          state_normal_apply, state_normal_residual,
-                          state_normal_rhs)
+                         average_to_faces, cell_inner, divergence_to_cells,
+                         face_inner, gradient_to_faces)
+from medrec.model import (CoefficientPair, StatePair, apply_L,
+                          coefficient_misfit_gradients, eval_J, misfit_value,
+                          sources_from_measurements, state_normal_apply,
+                          state_normal_residual, state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               SubproblemFailure, _CoefficientFactor,
                               _CoefficientProblem, _NormalPattern, _StateSolver,
@@ -25,11 +26,10 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               bregman_diagnostics, pack_state,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
-from medrec.regularization import (RegConfig, eval_phi_smooth, prox_l1_box_array,
-                                   smooth_grad_phi)
+from medrec.regularization import (RegConfig, eval_phi, eval_phi_smooth,
+                                   prox_l1_box_array, smooth_grad_phi)
 from medrec.experiments import make_example
-from medrec.operators import (SPD_LU, face_average, face_gradient, grid_operators,
-                              trace)
+from medrec.operators import SPD_LU, grid_operators
 from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
@@ -49,15 +49,22 @@ def default_config(max_outer=10, **kw):
                      max_outer=max_outer, **kw)
 
 
+def normal_matrix(q: CoefficientPair) -> sp.csc_matrix:
+    """The state block's M^T W M of q, filled on its fixed pattern."""
+    return _NormalPattern(q.sigma.grid.n).fill(q.sigma.values.ravel(),
+                                               q.mu.values.ravel())
+
+
 def test_assembled_matches_matrix_free(rng):
     grid = StaggeredGrid(12)
     q = CoefficientPair(ScalarField(grid, 1.0 + rng.random((12, 12))),
                         ScalarField(grid, 0.5 + rng.random((12, 12))))
     solver = _StateSolver(q)
+    normal = normal_matrix(q)
     h2 = grid.h ** 2
     for _ in range(5):
         v = StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
-        assembled = solver.normal_matrix() @ pack_state(v)
+        assembled = normal @ pack_state(v)
         free = pack_state(state_normal_apply(q, v)) * h2
         assert np.allclose(assembled, free, rtol=1e-12, atol=1e-12)
         g, f = random_scalar(grid, rng), random_boundary(grid, rng)
@@ -72,8 +79,8 @@ def product_normal_matrix(q: CoefficientPair) -> sp.csc_matrix:
     """
     grid = q.sigma.grid
     n, h = grid.n, grid.h
-    gx, gy = face_gradient(n)
-    ax, ay = face_average(n)
+    ops = grid_operators(n)
+    gx, gy, ax, ay = ops.gx, ops.gy, ops.ax, ops.ay
     sx = ax @ q.sigma.values.ravel()
     sy = ay @ q.sigma.values.ravel()
     nf = (n - 1) * n
@@ -81,7 +88,7 @@ def product_normal_matrix(q: CoefficientPair) -> sp.csc_matrix:
     m = sp.bmat([[sp.diags(q.mu.values.ravel()), gx.T, gy.T],
                  [-sp.diags(sx) @ gx, eye_f, None],
                  [-sp.diags(sy) @ gy, None, eye_f],
-                 [trace(n), None, None]], format="csr")
+                 [ops.trace, None, None]], format="csr")
     w = np.concatenate([np.full(n * n, h * h), np.full(2 * nf, h * h),
                         np.full(4 * n, h)])
     return (m.T @ sp.diags(w) @ m).tocsc()
@@ -89,8 +96,8 @@ def product_normal_matrix(q: CoefficientPair) -> sp.csc_matrix:
 
 def product_hessians(states, reg, n):
     """2 B^T B + alpha (G^T G + I) of sigma and of mu as scipy products."""
-    gx, gy = face_gradient(n)
-    ax, ay = face_average(n)
+    ops = grid_operators(n)
+    gx, gy, ax, ay = ops.gx, ops.gy, ops.ax, ops.ay
     g = sp.vstack([gx, gy], format="csr")
     blocks = []
     for v in states:
@@ -111,10 +118,10 @@ def test_filled_blocks_equal_the_products(n, seed, piecewise):
     rng = np.random.default_rng(seed)
     q = CoefficientPair(*(ScalarField(grid, c)
                           for c in draw_coefficients(n, rng, piecewise)))
-    normal = _StateSolver(q).normal_matrix()
+    normal = normal_matrix(q)
     assert normal.format == "csc"
     assert_matrix_close(normal, product_normal_matrix(q))
-    one = _StateSolver(CoefficientPair.constant(grid, 1.0, 1.0)).normal_matrix()
+    one = normal_matrix(CoefficientPair.constant(grid, 1.0, 1.0))
     assert np.array_equal(one.indptr, normal.indptr)
     assert np.array_equal(one.indices, normal.indices)
 
@@ -137,12 +144,12 @@ def test_exact_cancellations_add_no_fill():
     solver = _StateSolver(q)
     product = product_normal_matrix(q)
     assert product.nnz == 119208
-    assert solver.normal_matrix().nnz > product.nnz
+    assert normal_matrix(q).nnz > product.nnz
     fill = lu_nnz(splu(product, **SPD_LU))
     assert lu_nnz(solver._lu) == solver._lu.nnz == solver.lu_fill == fill
     # Factored with its stored zeros, the same matrix stores half as much
     # fill again (SuperLU's nnz; L.nnz + U.nnz leaves out stored zeros).
-    assert splu(solver.normal_matrix(), **SPD_LU).nnz > 1.4 * fill
+    assert splu(normal_matrix(q), **SPD_LU).nnz > 1.4 * fill
 
 
 def bmat_pattern(n: int) -> sp.csc_matrix:
@@ -192,8 +199,9 @@ def lu_nnz(lu):
 def test_state_normal_matrix_is_spd_and_factored_pivot_free(n, seed):
     grid = StaggeredGrid(n)
     rng = np.random.default_rng(seed)
-    solver = _StateSolver(random_box_coefficients(grid, rng))
-    normal = solver.normal_matrix()
+    q = random_box_coefficients(grid, rng)
+    solver = _StateSolver(q)
+    normal = normal_matrix(q)
     scale = abs(normal).max()
     assert abs(normal - normal.T).max() <= 1e-13 * scale
     # equal row and column permutations: no row was pivoted
@@ -206,9 +214,10 @@ def test_state_normal_matrix_is_spd_and_factored_pivot_free(n, seed):
 
 def test_state_factor_fill_halves_against_colamd():
     grid = StaggeredGrid(50)
-    solver = _StateSolver(random_box_coefficients(grid, np.random.default_rng(0)))
+    q = random_box_coefficients(grid, np.random.default_rng(0))
+    solver = _StateSolver(q)
     # measured 0.45; minimum degree with partial pivoting fills far more
-    assert lu_nnz(solver._lu) < 0.6 * lu_nnz(splu(solver.normal_matrix()))
+    assert lu_nnz(solver._lu) < 0.6 * lu_nnz(splu(normal_matrix(q)))
 
 
 def perturbed(q, rng, spread):
@@ -226,8 +235,7 @@ def kept_factor_system(n, rng):
     grid = StaggeredGrid(n)
     q0 = random_box_coefficients(grid, rng)
     solver = _StateSolver(q0)
-    solver.assemble(perturbed(q0, rng, 0.2))
-    return solver.normal_matrix(), solver._lu.solve
+    return normal_matrix(perturbed(q0, rng, 0.2)), solver._lu.solve
 
 
 @settings(max_examples=30, deadline=None)
@@ -254,7 +262,7 @@ def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
     # evaluated and lambda_min by shift-invert Lanczos.  Measured: 3e-4 of
     # the bound; an unconverged or wrongly preconditioned PCG misses it.
     fresh = _StateSolver(q1)
-    a, b = fresh.normal_matrix(), fresh.rhs(g, f)
+    a, b = normal_matrix(q1), fresh.rhs(g, f)
     x, x_direct = pack_state(states[0]), fresh._lu.solve(b)
     lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
     bound = (np.linalg.norm(b - a @ x) + np.linalg.norm(b - a @ x_direct)) / lam_min
@@ -289,7 +297,9 @@ def test_multi_column_pcg_matches_one_column_solves(n, k, seed):
     lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
     counts = []
     for j in range(b.shape[1]):
-        single, count = _pcg(a, b[:, j], precondition, cap, rtol, x0=x0[:, j])
+        single, count = _pcg(a, b[:, j:j + 1], precondition, cap, rtol,
+                             x0=x0[:, j:j + 1])
+        single = single[:, 0]
         counts.append(count)
         bound = (np.linalg.norm(b[:, j] - a @ x[:, j])
                  + np.linalg.norm(b[:, j] - a @ single)) / lam_min
@@ -314,7 +324,7 @@ def test_projected_start_beats_the_zero_and_the_last_state(n, seed):
     for _ in range(5):      # five coefficient pairs, each a 5% step from the last
         q = perturbed(q, rng, 0.05)
         solver = _StateSolver(q)
-        matrices.append(solver.normal_matrix())
+        matrices.append(normal_matrix(q))
         rhs.append(solver.rhs(g, f))
         states.append(solver._lu.solve(rhs[-1]))
     a, b, exact = matrices[-1], rhs[-1], states[-1]
@@ -358,7 +368,7 @@ def test_stale_factor_past_the_bound_refactors():
 
 
 def test_pcg_stops_on_nonpositive_curvature():
-    b = np.ones(3)
+    b = np.ones((3, 1))
     x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r, STATE_PCG_MAX)
     assert x is None and iterations == 1
 
@@ -542,25 +552,31 @@ def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
     for k, (problem, fld) in enumerate(zip(problems, fields)):
         free = sum(gr[k].values for gr in grads) + smooth_grad_phi(fld, reg).values
         x = fld.values.ravel()
-        assert_rel_close(problem.smooth_grad(x), free.ravel())
-        s = rng.standard_normal(n * n)
-        assert_rel_close(problem.hess @ s,
-                         problem.smooth_grad(x + s) - problem.smooth_grad(x))
+        assert_rel_close(problem.hess @ x - problem.shift, free.ravel())
 
-    # sigma and mu split the misfit between them: flux and divergence parts
-    assembled = sum(p.total_value(f.values.ravel()) for p, f in zip(problems, fields))
+    # sigma and mu split the misfit between them: flux and divergence parts.
+    # Each block's smooth value is h^2 (x^T H x / 2 - shift^T x) plus its
+    # value at x = 0, which the matrix-free misfit gives at q = 0.
+    h2 = grid.h ** 2
+    zero = CoefficientPair.constant(grid, 0.0, 0.0)
+    assembled = sum(misfit_value(v, zero, g) for v, g in zip(states, sources))
+    for problem, fld in zip(problems, fields):
+        x = fld.values.ravel()
+        assembled += h2 * (0.5 * x @ (problem.hess @ x) - problem.shift @ x
+                           + beta * np.abs(x).sum())
     free = sum(misfit_value(v, q, g) for v, g in zip(states, sources)) \
-        + sum(eval_phi_smooth(f, reg) + beta * grid.h ** 2 * np.abs(f.values).sum()
+        + sum(eval_phi_smooth(f, reg) + beta * h2 * np.abs(f.values).sum()
               for f in fields)
     assert abs(assembled - free) <= 1e-12 * abs(free)
 
 
-def apg_oracle(problem, q0, iterations=10000):
+def apg_oracle(problem, value, q0, iterations=10000):
     """The accelerated monotone proximal gradient this package used before
     projected Newton: step 1/L with L from 20 power iterations plus 5%,
     strong-convexity momentum with function-value restarts (FISTA when
     alpha = 0) and the best iterate kept; it stops at COEFF_TOL, checked
-    every 10 iterations.  Returns the best iterate."""
+    every 10 iterations.  value is the block's value (block_value).
+    Returns the best iterate."""
     reg, hess = problem.reg, problem.hess
     x = np.random.default_rng(1234).standard_normal(hess.shape[0])
     lam = 0.0
@@ -572,7 +588,7 @@ def apg_oracle(problem, q0, iterations=10000):
     tau = 1.0 / l_eff
 
     def prox_step(y):
-        return prox_l1_box_array(y - tau * problem.smooth_grad(y), tau * reg.beta,
+        return prox_l1_box_array(y - tau * (hess @ y - problem.shift), tau * reg.beta,
                                  reg.q_lo, reg.q_hi)
 
     def residual(q):
@@ -580,12 +596,12 @@ def apg_oracle(problem, q0, iterations=10000):
         return h * np.linalg.norm(q - prox_step(q)) / (1.0 + h * np.linalg.norm(q))
 
     best = z_prev = y = np.clip(q0, reg.q_lo, reg.q_hi)
-    f_best = fz_prev = problem.total_value(best)
+    f_best = fz_prev = value(best)
     t = 1.0
     ratio = math.sqrt(reg.alpha / l_eff) if 0 < reg.alpha < l_eff else None
     for j in range(iterations):
         z = prox_step(y)
-        fz = problem.total_value(z)
+        fz = value(z)
         if fz <= f_best:
             best, f_best = z, fz
         if ratio is not None:
@@ -600,12 +616,29 @@ def apg_oracle(problem, q0, iterations=10000):
     return best
 
 
+def block_value(states, sources, reg, mu_block):
+    """The value of a coefficient block at a raveled field, matrix-free: the
+    squared residual of the equation the coefficient enters (model.apply_L),
+    summed over the excitations, plus its regularizer (eval_phi)."""
+    def value(x):
+        grid = states[0].u.grid
+        q = ScalarField(grid, x.reshape(grid.n, grid.n))
+        total = eval_phi(q, reg)
+        for v, g in zip(states, sources):
+            res = apply_L(v, CoefficientPair(q, q), g)
+            total += (cell_inner(res.r_div, res.r_div) if mu_block
+                      else face_inner(res.r_flux, res.r_flux))
+        return total
+    return value
+
+
 def box_qp(n, rng, alpha, mu_block):
     """A coefficient block whose misfit vanishes at a field drawn beyond both
     bounds of [0.5, 30], so that at the minimizer cells sit on each bound.
 
     sigma: fluxes p = mean(q~) G u on the faces; mu: sources
-    g = u q~ + G^T p, for random u and p.
+    g = u q~ + G^T p, for random u and p.  Returns the grid, the block and
+    its block_value.
     """
     grid = StaggeredGrid(n)
     q_target = ScalarField(grid, rng.uniform(-30.0, 60.0, (n, n)))
@@ -621,17 +654,18 @@ def box_qp(n, rng, alpha, mu_block):
             mean, grad = average_to_faces(q_target), gradient_to_faces(u)
             p = FluxField(grid, mean.x_values * grad.x_values,
                           mean.y_values * grad.y_values)
+            sources.append(ScalarField.zeros(grid))     # the flux residual reads none
         states.append(StatePair(u, p))
-    if mu_block:
-        return grid, _mu_problem(states, sources, reg, n)
-    return grid, _sigma_problem(states, reg, n)
+    problem = (_mu_problem(states, sources, reg, n) if mu_block
+               else _sigma_problem(states, reg, n))
+    return grid, problem, block_value(states, sources, reg, mu_block)
 
 
 def assert_kkt(problem, q):
     """Optimality of q on the box, each cell's gradient measured against the
     tolerance its share of the fixed-point residual allows."""
     reg, h = problem.reg, problem.h
-    g = problem.smooth_grad(q) + reg.beta
+    g = problem.hess @ q - problem.shift + reg.beta
     bound = abs(problem.hess).sum(axis=1).max()
     tol = COEFF_TOL * (1.0 + h * np.linalg.norm(q)) * bound / h
     at_lo, at_hi = q == reg.q_lo, q == reg.q_hi
@@ -649,7 +683,7 @@ def assert_kkt(problem, q):
 def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_block,
                                                                    seed):
     rng = np.random.default_rng(seed)
-    grid, problem = box_qp(n, rng, alpha, mu_block)
+    grid, problem, value = box_qp(n, rng, alpha, mu_block)
     warm = ScalarField(grid, rng.uniform(0.5, 30.0, (n, n)))
     field, residual, steps, _, converged = _solve_one_coefficient(
         problem, warm, _CoefficientFactor(), COEFF_TOL)
@@ -657,21 +691,19 @@ def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_b
     assert converged and residual <= COEFF_TOL
     assert q.min() >= 0.5 and q.max() <= 30.0
     assert_kkt(problem, q)
-    value = problem.total_value(q)
-    oracle = problem.total_value(apg_oracle(problem, warm.values.ravel()))
-    assert value <= oracle + 1e-12 * abs(oracle)
+    oracle = value(apg_oracle(problem, value, warm.values.ravel()))
+    assert value(q) <= oracle + 1e-12 * abs(oracle)
 
 
 def test_gradient_fallback_descends(monkeypatch):
     # With no arc step allowed, every step is the projected-gradient one.
     monkeypatch.setattr(optimizer, "ARMIJO_MAX", 0)
-    grid, problem = box_qp(10, np.random.default_rng(3), 1e-2, False)
+    grid, problem, value = box_qp(10, np.random.default_rng(3), 1e-2, False)
     warm = ScalarField(grid, np.full((10, 10), 15.0))
     solved, _, steps, pcg_iterations, _ = _solve_one_coefficient(
         problem, warm, _CoefficientFactor(), COEFF_TOL)
     assert steps == optimizer.NEWTON_MAX and pcg_iterations > 0
-    assert problem.total_value(solved.values.ravel()) \
-        < 0.5 * problem.total_value(warm.values.ravel())
+    assert value(solved.values.ravel()) < 0.5 * value(warm.values.ravel())
 
 
 def test_cells_creeping_onto_the_bound_land_in_one_step():
@@ -687,8 +719,7 @@ def test_cells_creeping_onto_the_bound_land_in_one_step():
     target = np.full(n * n, 2.0)
     pair = [14, 15]
     target[pair] = -40.0
-    problem = _CoefficientProblem(hess, hess @ target, ops.grad, 0,
-                                  np.ones((1, n * n)), np.zeros(n * n), reg, n)
+    problem = _CoefficientProblem(hess, hess @ target, reg, n)
     solution, _, _, _, converged = _solve_one_coefficient(
         problem, ScalarField.constant(grid, 2.0), _CoefficientFactor(), COEFF_TOL)
     q = solution.values.ravel()
