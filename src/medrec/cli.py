@@ -10,6 +10,7 @@ failure.
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -295,6 +296,12 @@ def cmd_dsm(cfg: RunConfig) -> None:
     loc = DirectSamplingLocator(spec.sigma_background, spec.mu_background,
                                 theta=cfg.theta, c_phi=cfg.cphi,
                                 oversample=cfg.oversample).fit(sets)
+    # An empty mask matters only for a coefficient that stage two recovers.
+    for name, mask, unknown in (("sigma", loc.mask_sigma_, True),
+                                ("mu", loc.mask_mu_, spec.reconstruct_mu)):
+        if unknown and mask.is_empty:
+            warnings.warn(f"thresholded subdomain is empty for {name}; the "
+                          "initial guess falls back to the background")
     serialize_field(loc.index_sigma_, out / "phi_sigma.field")
     serialize_field(loc.index_mu_, out / "phi_mu.field")
     serialize_field(ScalarField(grid, loc.mask_sigma_.mask.astype(float)),

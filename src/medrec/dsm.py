@@ -20,8 +20,17 @@ raw normalized pairings alone mislocate whichever coefficient carries
 the weaker response.  A small greedy fit (one atom of each family first,
 then joint least-squares refits with local position refinement, then a
 contribution-based prune) splits the data into monopole, dipole, and
-residual parts; each index field is the normalized pairing of its family
-against the data with the *other* family's fitted part removed.  Fields
+residual parts.  The refinement moves one atom at a time to the cell of
+its window where the joint fit leaves the least residual, and scores the
+whole window at once: the other atoms' span is projected off by one SVD
+cut where lstsq cuts, and each candidate's one or two projected columns
+lower the residual in closed form.  A candidate column counts only if the
+smallest singular value it adds to the basis, ||p|| / sqrt(1 + ||x||^2)
+for a column B x + p, clears lstsq's cutoff, so the scores are lstsq's
+residuals, rank-deficient candidates (a repeated pick) included.  Only
+the greedy step, the prune and the final split call lstsq.  Each index
+field is the normalized pairing of its family against the data with the
+*other* family's fitted part removed.  Fields
 are rescaled to [0, 1] and sharpened so that the default cutoff carves a
 compact subdomain; a family with no significant fitted component yields
 an identically zero index, which downstream turns into a plain
@@ -29,7 +38,6 @@ background initial guess.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +139,18 @@ def scattered_data(measurements: list[MeasurementSet],
     return [m.f - f_hom for m, f_hom in zip(measurements, reference)]
 
 
+# The Green's function of side k's face at cell (i, j) is bottom[a, c], with
+# (a, c) named below (ri = n-1-i, rj = n-1-j).  Its x- and y-gradients are
+# the bottom block's gradient along the axis named, times the sign: a mirror
+# that reverses the differentiated axis flips it.
+_SIDES = (  # (a, c, x gradient (axis, sign), y gradient (axis, sign))
+    ("i", "j", (0, 1), (1, 1)),     # bottom
+    ("j", "ri", (1, -1), (0, 1)),   # right
+    ("i", "rj", (0, 1), (1, -1)),   # top
+    ("j", "i", (1, 1), (0, 1)),     # left
+)
+
+
 class _ProbeFamily:
     """Background Green's functions of the 4n boundary faces, kept compact.
 
@@ -153,10 +173,12 @@ class _ProbeFamily:
     [B[i, j], B[j, n-1-i], B[i, n-1-j], B[j, i]] over the sides (bottom,
     right, top, left), and the dipole rows take the matching gradients
     of B, from its neighbouring rows only (with a sign flip wherever a
-    mirror reverses the differentiated axis).  These are the same
-    floating-point operations as on a full block, so rows come out
-    bit-identical to one; the norms and pairings agree with it to
-    rounding.  Memory is one (n, n, n) block, plus the rows fetched.
+    mirror reverses the differentiated axis); _SIDES is that table.
+    gather() reads it for many cells at once, one cell being the case
+    columns() uses.  These are the same floating-point operations as on
+    a full block, so rows come out bit-identical to one; the norms and
+    pairings agree with it to rounding.  Memory is one (n, n, n) block,
+    plus the rows fetched.
     """
 
     def __init__(self, grid: StaggeredGrid, background_sigma: float,
@@ -193,14 +215,19 @@ class _ProbeFamily:
         m = SAMPLING_MARGIN
         self.interior = ((x > m) & (x < 1 - m) & (y > m) & (y < 1 - m)).ravel()
 
+    def _stencil(self, a):
+        """np.gradient's difference at index a (int or array): the
+        neighbours (lo, hi) and the spacing, central inside and one-sided
+        at the grid edge."""
+        h, last = self.grid.h, self.grid.n - 1
+        edge = (a == 0) | (a == last)
+        return (np.maximum(a - 1, 0), np.minimum(a + 1, last),
+                np.where(edge, h, 2.0 * h))
+
     def _slope(self, block: np.ndarray, i: int) -> np.ndarray:
         """np.gradient(block, h, axis=0)[i], from the rows next to i only."""
-        h, last = self.grid.h, len(block) - 1
-        if i == 0:
-            return (block[1] - block[0]) / h
-        if i == last:
-            return (block[last] - block[last - 1]) / h
-        return (block[i + 1] - block[i - 1]) / (2.0 * h)
+        lo, hi, step = self._stencil(i)
+        return (block[hi] - block[lo]) / step
 
     def _products(self, r: np.ndarray):
         """(mono @ r, dip_x @ r, dip_y @ r) per cell, by one solve."""
@@ -238,21 +265,87 @@ class _ProbeFamily:
         for kind, cell in picks:
             rows = self._rows.get((kind, cell))
             if rows is None:
-                rows = self._rows[kind, cell] = self._atom_rows(kind, cell)
+                rows = self._rows[kind, cell] = list(
+                    self.gather(kind, np.array([cell]))[0])
             cols.extend(rows)
             owners.extend([kind] * len(rows))
         return cols, owners
 
-    def _atom_rows(self, kind: str, cell: int):
+    def gather(self, kind: str, cells: np.ndarray) -> np.ndarray:
+        """Boundary rows of one kind of atom at every cell given, in one read.
+
+        Returns (len(cells), 1, 4n) for monopoles and (len(cells), 2, 4n)
+        for dipoles (x, then y component), side by side in _SIDES order.
+        """
         b, n = self.bottom, self.grid.n
-        i, j = divmod(cell, n)
-        ri, rj = n - 1 - i, n - 1 - j
+        i, j = np.divmod(cells, n)
+        at = {"i": i, "j": j, "ri": n - 1 - i, "rj": n - 1 - j}
+        a = np.stack([at[row] for row, _, _, _ in _SIDES])  # (4, m)
+        c = np.stack([at[col] for _, col, _, _ in _SIDES])
+        m = len(cells)
         if kind == "m":
-            return [np.concatenate((b[i, j], b[j, ri], b[i, rj], b[j, i]))]
-        dx = lambda a, c: self._slope(b[:, c], a)  # gradient of B along x
-        dy = lambda a, c: self._slope(b[a], c)     # ... and along y
-        return [np.concatenate((dx(i, j), -dy(j, ri), dx(i, rj), dy(j, i))),
-                np.concatenate((dy(i, j), dx(j, ri), -dy(i, rj), dx(j, i)))]
+            return b[a, c].transpose(1, 0, 2).reshape(m, 1, 4 * n)
+        lo_a, hi_a, step_a = self._stencil(a)
+        lo_c, hi_c, step_c = self._stencil(c)
+        ends = b[np.stack(((hi_a, lo_a), (a, a))),
+                 np.stack(((c, c), (hi_c, lo_c)))]  # (axis, end, side, m, n)
+        grad = (ends[:, 0] - ends[:, 1]) / np.stack((step_a, step_c))[..., None]
+        rows = np.empty((m, 2, 4, n))
+        for side, (_, _, x_row, y_row) in enumerate(_SIDES):
+            for comp, (axis, sign) in enumerate((x_row, y_row)):
+                g = grad[axis, side]
+                rows[:, comp, side] = -g if sign < 0 else g
+        return rows.reshape(m, 2, 4 * n)
+
+    def window_residuals(self, v: np.ndarray, others, kind: str,
+                         cells: np.ndarray) -> np.ndarray:
+        """||v - fit||^2 of the joint least-squares fit of v on the picks
+        `others` plus one `kind` atom, for each of `cells` in turn.
+
+        No candidate is solved on its own.  One SVD of the others' basis B,
+        cut where lstsq cuts (eps * 4n * s_max), projects their span off v
+        and off every candidate column c at once: c = B x + p, with x the
+        minimum-norm coefficients.  Each candidate's one or two projected
+        columns, the second orthogonalized against the first, then lower
+        the residual in closed form.  lstsq's rank rule carries over: the
+        smallest singular value that c adds to the basis is
+        ||p|| / sqrt(1 + ||x||^2) to first order, and s_max is that of B
+        or ||c||, whichever is larger, to within sqrt(2).  A column below
+        the cutoff adds nothing, so a candidate on a kept atom's cell, or
+        in the others' span through any combination, scores as the fit
+        without it.
+        """
+        tol = np.finfo(float).eps * len(v)
+        cols = self.gather(kind, cells)  # (m, c, 4n)
+        top = np.einsum("mkd,mkd->mk", cols, cols).max(axis=1)  # s_max^2
+        coef, proj, resid = np.zeros(cols.shape[:2] + (0,)), cols, v
+        if others:
+            u, s, _ = np.linalg.svd(np.array(self.columns(others)[0]).T,
+                                    full_matrices=False)
+            keep = s > tol * s[0]
+            u, s = u[:, keep], s[keep]
+            top = np.maximum(top, s[0] ** 2)
+            along = cols @ u  # (m, c, rank)
+            coef, proj = along / s, cols - along @ u.T
+            resid = v - u @ (u.T @ v)
+        score = np.full(len(cells), float(resid @ resid))
+        taken = []  # per column taken: unit direction, x, ||p||
+        for k in range(cols.shape[1]):
+            p, x, weight = proj[:, k], coef[:, k], 1.0
+            for q, qx, qn in taken:  # fit the first column's part too
+                along = np.einsum("md,md->m", q, p)
+                alpha = along / qn
+                p = p - along[:, None] * q
+                x = x - alpha[:, None] * qx
+                weight = weight + alpha ** 2
+            pp = np.einsum("md,md->m", p, p)
+            weight = weight + np.einsum("mr,mr->m", x, x)
+            adds = pp > tol * tol * top * weight
+            norm = np.sqrt(np.where(adds, pp, np.inf))
+            q = p / norm[:, None]  # zero where the column adds nothing
+            score -= (q @ resid) ** 2
+            taken.append((q, x, norm))
+        return score
 
     def joint_parts(self, v: np.ndarray, picks):
         """Joint least-squares split of v into (monopole, dipole, residual).
@@ -283,33 +376,45 @@ def _lowpass(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, len(values))
 
 
+def _window_cells(probes: _ProbeFamily, cell: int) -> np.ndarray:
+    """Sampling cells within REFINE_WINDOW rows and columns of cell, row
+    offset outer and column offset inner, clipped to the grid and to the
+    sampling margin."""
+    n = probes.grid.n
+    ci, cj = divmod(cell, n)
+    offsets = np.arange(-REFINE_WINDOW, REFINE_WINDOW + 1)
+    ii, jj = np.meshgrid(ci + offsets, cj + offsets, indexing="ij")
+    inside = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+    cells = (ii * n + jj)[inside]
+    return cells[probes.interior[cells]]
+
+
 def _refine_positions(probes: _ProbeFamily, v: np.ndarray, picks,
                       rounds: int = 3):
-    """Coordinate descent of atom positions against the joint residual."""
-    n = probes.grid.n
+    """Coordinate descent of atom positions against the joint residual.
+
+    Each atom in turn moves to the cell of its window whose joint fit with
+    the other atoms leaves the least residual, the first such cell in
+    _window_cells' order, as a per-candidate loop takes its first strict
+    minimum.  _ProbeFamily.window_residuals scores the whole window at
+    once: one SVD projects the other atoms' span off, and each candidate's
+    projected columns are scored in closed form.  A column counts only if
+    the singular value it adds clears lstsq's cutoff, so every score is
+    the lstsq residual, and a candidate on a kept atom's cell scores as
+    the fit without it.  An atom whose window holds no sampling cell stays
+    where it is.
+    """
     for _ in range(rounds):
         changed = False
-        for idx in range(len(picks)):
-            kind, cell = picks[idx]
-            ci, cj = divmod(cell, n)
-            best_rn, best_pick = None, picks[idx]
-            for di in range(-REFINE_WINDOW, REFINE_WINDOW + 1):
-                for dj in range(-REFINE_WINDOW, REFINE_WINDOW + 1):
-                    ii, jj = ci + di, cj + dj
-                    if not (0 <= ii < n and 0 <= jj < n):
-                        continue
-                    cand = ii * n + jj
-                    if not probes.interior[cand]:
-                        continue
-                    trial = picks.copy()
-                    trial[idx] = (kind, cand)
-                    resid = probes.joint_residual(v, trial)
-                    rn = float(resid @ resid)
-                    if best_rn is None or rn < best_rn:
-                        best_rn, best_pick = rn, (kind, cand)
-            if best_pick != picks[idx]:
-                changed = True
-            picks[idx] = best_pick
+        for idx, (kind, cell) in enumerate(picks):
+            cells = _window_cells(probes, cell)
+            if not len(cells):
+                continue
+            others = picks[:idx] + picks[idx + 1:]
+            rn = probes.window_residuals(v, others, kind, cells)
+            best = (kind, int(cells[np.argmin(rn)]))
+            changed |= best != picks[idx]
+            picks[idx] = best
         if not changed:
             break
     return picks
@@ -452,11 +557,7 @@ def threshold_subdomain(phi: ScalarField, theta: float) -> SubdomainMask:
     """Cells where the index meets the cutoff: D = {phi >= theta}."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    mask = SubdomainMask(phi.grid, phi.values >= theta)
-    if mask.is_empty:
-        warnings.warn("thresholded subdomain is empty; the initial guess "
-                      "falls back to the background", stacklevel=2)
-    return mask
+    return SubdomainMask(phi.grid, phi.values >= theta)
 
 
 def build_initial_guess(phi: ScalarField, mask: SubdomainMask, c_phi: float,

@@ -34,7 +34,9 @@ class DirectSamplingLocator:
 
     fit() computes everything from the measurement list alone; transform()
     returns the box-clipped initial CoefficientPair the least-squares
-    stage starts from.
+    stage starts from.  An empty mask is not reported here: it matters
+    only for a coefficient that stage two reconstructs, which the caller
+    knows (cli.cmd_dsm warns for those).
     """
 
     def __init__(self, background_sigma=1.0, background_mu=1.0,

@@ -276,10 +276,10 @@ def serialize_field(obj, path) -> None:
     """
     if isinstance(obj, ScalarField):
         kind, n = "scalar", obj.grid.n
-        rows = [" ".join(repr(float(v)) for v in row) for row in obj.values]
+        rows = [" ".join(map(repr, row)) for row in obj.values.tolist()]
     elif isinstance(obj, BoundaryData):
         kind, n = "boundary", obj.grid.n
-        rows = [" ".join(repr(float(v)) for v in obj.values)]
+        rows = [" ".join(map(repr, obj.values.tolist()))]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     with open(path, "w", encoding="ascii") as fh:

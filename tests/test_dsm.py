@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ import medrec.dsm as dsm
 import medrec.forward as forward
 import medrec.operators as operators
 import medrec.optimizer as optimizer
+from medrec.cli import main
 from medrec.dsm import (EmptyDataError, IndexResult, SubdomainMask,
                         argmax_location, build_initial_guess, compute_index,
                         homogeneous_reference, scattered_data,
                         threshold_subdomain)
 from medrec.forward import default_excitations, generate_measurements
 from medrec.grid import BoundaryData, ScalarField, StaggeredGrid
-from medrec.experiments import SquareInclusion, ExampleSpec, make_example
+from medrec.experiments import (SquareInclusion, ExampleSpec, deserialize_field,
+                                make_example)
 from medrec.operators import diffusion_matrix, grid_operators
 
 
@@ -148,6 +151,95 @@ def test_compute_index_memory_stays_cubic_in_n():
     assert peak <= 6 * 8 * n ** 3
 
 
+def lstsq_residual(probes, v, picks):
+    # the fit the window scores stand for: one lstsq over every column
+    basis = np.array(probes.columns(picks)[0]).T
+    coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    r = v - basis @ coef
+    return float(r @ r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=12, max_value=40), seed=st.integers(0, 2**32 - 1))
+def test_window_scores_match_per_candidate_lstsq(n, seed):
+    # Every case of a window move: random picks of both kinds, a window
+    # clipped by the sampling margin, and a candidate on a kept atom's own
+    # cell (the rank-deficient fit, which must score as the fit without it).
+    rng = np.random.default_rng(seed)
+    probes = dsm._ProbeFamily(StaggeredGrid(n), 1.0, 1.0)
+    inside = np.flatnonzero(probes.interior)
+    kinds = ["m", "d"]
+    block = [0, 1, n, n + 1]  # a 2x2 block of cells, from its first
+    firsts = inside[probes.interior[np.add.outer(inside, block)].all(axis=1)]
+    picks = [(kinds[rng.integers(2)], int(c))
+             for c in rng.choice(firsts, size=rng.integers(1, 4), replace=False)]
+    v = np.array(probes.columns(picks)[0]).T @ rng.standard_normal(
+        len(probes.columns(picks)[0]))
+    v += 0.1 * np.linalg.norm(v) / np.sqrt(4 * n) * rng.standard_normal(4 * n)
+    corner = int(inside[0])  # the window of the first sampling cell is clipped
+    moves = [(picks[1:], picks[0][0], picks[0][1]),
+             (picks, kinds[rng.integers(2)], corner)]
+    moves += [(picks, kind, cell) for kind, cell in picks]  # repeats
+    # kept atoms that fill a 2x2 block (singular values down to 1e-4 of the
+    # largest) and repeat one: the fit drops what lstsq drops, only that.
+    # Next to the block, the discrete PDE puts some candidates inside its
+    # span to rounding, through large weights.
+    kind, cell = picks[0]
+    moves.append((picks + [(kind, cell + k) for k in block],
+                  kinds[rng.integers(2)], cell + n + 1))
+    w = dsm.REFINE_WINDOW
+    for others, kind, centre in moves:
+        cells = dsm._window_cells(probes, centre)
+        ci, cj = divmod(centre, n)
+        loop = [(ci + di) * n + cj + dj  # the order of a per-candidate loop
+                for di in range(-w, w + 1) for dj in range(-w, w + 1)
+                if 0 <= ci + di < n and 0 <= cj + dj < n
+                and probes.interior[(ci + di) * n + cj + dj]]
+        assert list(cells) == loop and loop
+        if centre == corner:
+            assert len(cells) < (2 * w + 1) ** 2
+        rows = probes.gather(kind, cells)
+        for c, row in zip(cells, rows):  # a batched read, bit for bit
+            assert np.array_equal(row, probes.gather(kind, np.array([c]))[0])
+        got = probes.window_residuals(v, others, kind, cells)
+        want = [lstsq_residual(probes, v, others + [(kind, int(c))])
+                for c in cells]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * (v @ v))
+        if (kind, centre) in others:
+            k = list(cells).index(centre)
+            np.testing.assert_allclose(got[k], lstsq_residual(probes, v, others),
+                                       rtol=0, atol=1e-10 * (v @ v))
+
+
+# Atoms of the greedy fit (kind, cell i, cell j) per excitation, as the
+# per-candidate lstsq refinement picked them; the batched scorer must keep
+# every pick.
+FITTED_ATOMS = {
+    ("ex1", 32): [[("m", 11, 10), ("d", 8, 21)]],
+    ("ex1", 50): [[("m", 17, 15), ("d", 12, 32)]],
+    ("ex1", 80): [[("m", 28, 25), ("d", 21, 52)]],
+    ("ex2_1", 50): [[("d", 7, 24), ("d", 25, 42)]],
+    ("ex2_2", 50): [[("d", 24, 24)]],
+    ("ex3", 50): [[("m", 13, 25)]],
+    ("ex4", 50): [[("d", 24, 29)], [("d", 25, 30)]],
+}
+
+
+@pytest.mark.parametrize("example,n", list(FITTED_ATOMS))
+def test_fitted_atoms_are_pinned(example, n, monkeypatch):
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
+    grid = StaggeredGrid(n)
+    atoms = compute_index(pipeline_delta(make_example(example), grid)).atoms
+    got = [[(a.kind, round(a.centre[0] / grid.h - 0.5),
+             round(a.centre[1] / grid.h - 0.5)) for a in per] for per in atoms]
+    assert got == FITTED_ATOMS[example, n]
+    # only the greedy step, the prune and the final fit solve by lstsq
+    assert len(lstsq_calls) <= 10 * len(atoms)
+
+
 def test_mixed_grids_rejected():
     rng = np.random.default_rng(0)
     delta = [BoundaryData(StaggeredGrid(16), rng.standard_normal(64)),
@@ -213,12 +305,26 @@ def test_threshold_monotone_and_range():
     assert full.mask.all()
 
 
-def test_empty_mask_warns():
-    grid = StaggeredGrid(16)
-    phi = ScalarField.zeros(grid)
-    with pytest.warns(UserWarning):
-        mask = threshold_subdomain(phi, 0.55)
-    assert mask.is_empty
+def test_empty_mask_warns(tmp_path):
+    # The sampling stage warns when the mask of a coefficient that stage
+    # two reconstructs comes out empty: ex1's sigma mask at n=16.
+    out = tmp_path / "ex1"
+    common = ["--example", "ex1", "--grid", "16", "--out", str(out)]
+    assert main(["generate", *common]) == 0
+    with pytest.warns(UserWarning, match="subdomain is empty for sigma"):
+        assert main(["dsm", *common]) == 0
+    assert not deserialize_field(out / "mask_sigma.field").values.any()
+
+
+def test_empty_mask_of_a_known_coefficient_is_silent(tmp_path):
+    # ex4 does not reconstruct mu, so its empty mu mask is no news.
+    out = tmp_path / "ex4"
+    common = ["--example", "ex4", "--grid", "24", "--out", str(out)]
+    assert main(["generate", *common]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dsm", *common]) == 0
+    assert not deserialize_field(out / "mask_mu.field").values.any()
 
 
 def test_build_initial_guess():
