@@ -1,10 +1,12 @@
 """Batch command line: generate -> dsm -> reconstruct -> evaluate -> render.
 
-Every subcommand reads and writes plain files inside one output
-directory, takes its parameters from an optional flat key=value config
-file (with a `version` key), and lets explicit flags override config
-keys.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+Every subcommand reads and writes files inside one output directory:
+key=value text for the run record and the reports, and `.field` files
+(three ASCII header lines, then raw little-endian float64; see
+experiments.serialize_field) for every field.  Each subcommand takes its
+parameters from an optional flat key=value config file (with a `version`
+key), and lets explicit flags override config keys.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
@@ -264,6 +266,18 @@ def _load_measurements(out: Path) -> list[MeasurementSet]:
     return sets
 
 
+def _read_scalar(path: Path, grid: StaggeredGrid | None) -> ScalarField:
+    """Read a scalar field file; ConfigError naming the file unless it
+    holds a scalar field on `grid` (None accepts any grid)."""
+    fld = deserialize_field(path)
+    if not isinstance(fld, ScalarField):
+        raise ConfigError(f"{path} holds boundary data, not a scalar field")
+    if grid is not None and fld.grid.n != grid.n:
+        raise ConfigError(f"{path} is on the {fld.grid.n}x{fld.grid.n} grid, "
+                          f"not the run's {grid.n}x{grid.n}")
+    return fld
+
+
 def _check_generated(command: str, keys: tuple[str, ...], cfg: RunConfig,
                      out: Path) -> None:
     """Exit 2 unless `keys` agree with the run.cfg that generate wrote to out.
@@ -333,8 +347,8 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     init_sigma_path = out / "init_sigma.field"
     if init_sigma_path.exists():
         try:
-            init_sigma = deserialize_field(init_sigma_path)
-            init_mu = deserialize_field(out / "init_mu.field")
+            init_sigma = _read_scalar(init_sigma_path, grid)
+            init_mu = _read_scalar(out / "init_mu.field", grid)
         except OSError as exc:
             raise ConfigError(f"cannot read initial guess {exc.filename}: "
                               f"{exc.strerror}") from None
@@ -382,14 +396,15 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
 
 def cmd_evaluate(cfg: RunConfig) -> None:
     out = _outdir(cfg)
-    paths = {}
+    fields, grid = {}, None     # the truth's sigma sets the run's grid
     for role in ("truth_sigma", "truth_mu", "recon_sigma", "recon_mu"):
         p = out / f"{role}.field"
         if not p.exists():
             raise ConfigError(f"missing field file {p}")
-        paths[role] = deserialize_field(p)
-    truth = CoefficientPair(paths["truth_sigma"], paths["truth_mu"])
-    recon = CoefficientPair(paths["recon_sigma"], paths["recon_mu"])
+        fields[role] = _read_scalar(p, grid)
+        grid = fields[role].grid
+    truth = CoefficientPair(fields["truth_sigma"], fields["truth_mu"])
+    recon = CoefficientPair(fields["recon_sigma"], fields["recon_mu"])
     metrics = compute_metrics(recon, truth)
     lines = [f"version={CONFIG_VERSION}"]
     for label, met, rec_f, tru_f in (

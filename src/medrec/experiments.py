@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BoundaryData, ScalarField, StaggeredGrid
+from .grid import BoundaryData, GridError, ScalarField, StaggeredGrid
 from .model import CoefficientPair
 
 BACKGROUND_SIGMA = 1.0
@@ -261,75 +261,80 @@ def background_deviation(rec: ScalarField, tru: ScalarField,
 # ---------------------------------------------------------------------------
 
 _MAGIC = "medrec-field"
-_VERSION = "1"
+_VERSION = "2"
+_DTYPE = "<f8"
 
 
 class FieldFormatError(ValueError):
-    """Malformed field file; message carries the offending line."""
+    """Malformed field file; a header error names its line."""
 
 
 def serialize_field(obj, path) -> None:
-    """Write a scalar or boundary field as versioned plain text.
+    """Write a scalar or boundary field as a version-2 field file.
 
-    Values are written with repr so the round trip is bit-exact and
-    independent of locale.
+    Three ASCII header lines, `medrec-field 2`, `kind scalar|boundary`
+    and `n <n>`, each ended by a newline, are followed by the values as
+    little-endian float64: n*n of them in C order (values[i, j] at index
+    i*n + j) for a scalar field, 4n in BoundaryData's order for boundary
+    data.  The round trip is bit-exact.
     """
     if isinstance(obj, ScalarField):
-        kind, n = "scalar", obj.grid.n
-        rows = [" ".join(map(repr, row)) for row in obj.values.tolist()]
+        kind = "scalar"
     elif isinstance(obj, BoundaryData):
-        kind, n = "boundary", obj.grid.n
-        rows = [" ".join(map(repr, obj.values.tolist()))]
+        kind = "boundary"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_MAGIC} {_VERSION}\n")
-        fh.write(f"kind {kind}\n")
-        fh.write(f"n {n}\n")
-        for row in rows:
-            fh.write(row + "\n")
+    header = f"{_MAGIC} {_VERSION}\nkind {kind}\nn {obj.grid.n}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(obj.values.astype(_DTYPE, copy=False).tobytes())
 
 
 def deserialize_field(path):
-    """Read a field file back into a ScalarField or BoundaryData."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Read a version-2 field file back into a ScalarField or BoundaryData.
+
+    Other versions are refused.  The payload must hold exactly the
+    header's number of values; non-finite values are refused when the
+    field is built (GridError naming the file).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Three newline-ended header lines, then the payload.
+    lines = data.split(b"\n", 3)
 
     def fail(lineno, msg):
         raise FieldFormatError(f"{path}: line {lineno}: {msg}")
 
-    if not lines or lines[0].split() != [_MAGIC, _VERSION]:
-        fail(1, f"expected header '{_MAGIC} {_VERSION}'")
-    header = {}
-    for lineno in (2, 3):
-        if lineno - 1 >= len(lines):
+    def header_line(lineno):
+        if len(lines) <= lineno:
             fail(lineno, "truncated header")
-        parts = lines[lineno - 1].split()
-        if len(parts) != 2:
-            fail(lineno, "expected 'key value'")
-        header[parts[0]] = parts[1]
-    kind = header.get("kind")
-    if kind not in ("scalar", "boundary"):
-        fail(2, f"unknown kind {kind!r}")
-    try:
-        n = int(header.get("n", ""))
-    except ValueError:
-        fail(3, f"bad grid size {header.get('n')!r}")
+        return lines[lineno - 1].decode("ascii", "replace").split()
 
-    values = []
-    for offset, line in enumerate(lines[3:], start=4):
-        for token in line.split():
-            try:
-                values.append(float(token))
-            except ValueError:
-                fail(offset, f"bad value {token!r}")
-    expected = n * n if kind == "scalar" else 4 * n
-    if len(values) != expected:
-        fail(len(lines), f"expected {expected} values, found {len(values)}")
+    if lines[0].decode("ascii", "replace").split() != [_MAGIC, _VERSION]:
+        fail(1, f"expected header '{_MAGIC} {_VERSION}'")
+    parts = header_line(2)
+    if len(parts) != 2 or parts[0] != "kind" or parts[1] not in ("scalar", "boundary"):
+        fail(2, f"expected 'kind scalar' or 'kind boundary', got {' '.join(parts)!r}")
+    kind = parts[1]
+    parts = header_line(3)
+    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit() or int(parts[1]) < 4:
+        fail(3, f"expected 'n <integer >= 4>', got {' '.join(parts)!r}")
+    n = int(parts[1])
+
+    count = n * n if kind == "scalar" else 4 * n
+    payload = lines[3]
+    if len(payload) != 8 * count:
+        raise FieldFormatError(f"{path}: expected {count} float64 values "
+                               f"({8 * count} bytes) after the header, "
+                               f"found {len(payload)} bytes")
+    values = np.frombuffer(payload, dtype=_DTYPE)
     grid = StaggeredGrid(n)
-    if kind == "scalar":
-        return ScalarField(grid, np.array(values).reshape(n, n))
-    return BoundaryData(grid, np.array(values))
+    try:
+        if kind == "scalar":
+            return ScalarField(grid, values.reshape(n, n))
+        return BoundaryData(grid, values)
+    except GridError as exc:        # non-finite values
+        raise GridError(f"{path}: {exc}") from None
 
 
 def render_pgm(fld: ScalarField | BoundaryData, path) -> None:

@@ -150,6 +150,19 @@ def test_evaluate_truth_against_itself(tmp_path):
     assert float(metrics["mu_background_deviation"]) == 0.0
 
 
+def test_evaluate_names_a_field_of_the_wrong_kind(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("generate", "--example", "ex1", "--grid", "16",
+                   "--out", str(out)) == 0
+    (out / "recon_sigma.field").write_bytes((out / "truth_sigma.field").read_bytes())
+    (out / "recon_mu.field").write_bytes((out / "meas_000_f.field").read_bytes())
+    capsys.readouterr()
+    assert run_cli("evaluate", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'recon_mu.field'} holds boundary data" in err
+    assert not (out / "metrics.txt").exists()
+
+
 def test_render_emits_one_pgm_per_field(generated_dir):
     assert run_cli("render", "--out", str(generated_dir)) == 0
     fields = sorted(generated_dir.glob("*.field"))
@@ -253,6 +266,21 @@ def test_missing_init_mu_is_config_error(tmp_path):
     (out / "init_sigma.field").write_bytes((out / "truth_sigma.field").read_bytes())
     assert run_cli("reconstruct", "--example", "ex1", "--grid", "8",
                    "--max-outer", "1", "--out", str(out)) == 2
+
+
+def test_reconstruct_names_an_initial_guess_on_the_wrong_grid(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("generate", "--example", "ex1", "--grid", "16",
+                   "--out", str(out)) == 0
+    (out / "init_sigma.field").write_bytes((out / "truth_sigma.field").read_bytes())
+    serialize_field(make_example("ex1").rasterize(StaggeredGrid(20)).mu,
+                    out / "init_mu.field")
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "16",
+                   "--max-outer", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'init_mu.field'} is on the 20x20 grid, not the run's 16x16" in err
+    assert not (out / "report.txt").exists()
 
 
 def test_config_directory_is_config_error(tmp_path):

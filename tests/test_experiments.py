@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from medrec.cli import main
 from medrec.experiments import (FieldFormatError, RingInclusion,
                                 SquareInclusion, add_noise,
                                 background_deviation, compute_metrics,
                                 deserialize_field, example_names, make_example,
                                 render_pgm, serialize_field)
-from medrec.grid import BoundaryData, ScalarField, StaggeredGrid
+from medrec.grid import BoundaryData, GridError, ScalarField, StaggeredGrid
 from medrec.model import CoefficientPair
 
 
@@ -137,21 +141,44 @@ def test_background_deviation():
     assert background_deviation(ScalarField(grid, vals), truth.sigma) == pytest.approx(0.2)
 
 
-def test_field_serialization_round_trip(tmp_path):
-    grid = StaggeredGrid(12)
-    rng = np.random.default_rng(9)
-    field = ScalarField(grid, rng.standard_normal((12, 12)) * 1e3)
-    path = tmp_path / "field.field"
+# Signed zeros, the smallest and largest subnormals, the extremes of the
+# finite range: a text or float32 round trip would change some of them.
+_SPECIAL_DOUBLES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=4, max_value=40), scalar=st.booleans(),
+       data=st.data())
+def test_field_serialization_round_trip(tmp_path_factory, n, scalar, data):
+    shape = (n, n) if scalar else (4 * n,)
+    values = data.draw(arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    values.flat[:len(_SPECIAL_DOUBLES)] = _SPECIAL_DOUBLES
+    grid = StaggeredGrid(n)
+    field = ScalarField(grid, values) if scalar else BoundaryData(grid, values)
+    path = tmp_path_factory.mktemp("round_trip") / "field.field"
     serialize_field(field, path)
     back = deserialize_field(path)
-    assert isinstance(back, ScalarField)
-    assert np.array_equal(back.values, field.values)
+    assert type(back) is type(field) and back.grid == grid
+    # bytes, not values: array_equal cannot see a lost sign of zero
+    assert back.values.tobytes() == field.values.tobytes()
 
-    bd = BoundaryData(grid, rng.standard_normal(48))
-    serialize_field(bd, path)
-    back = deserialize_field(path)
-    assert isinstance(back, BoundaryData)
-    assert np.array_equal(back.values, bd.values)
+
+def test_field_file_layout(tmp_path):
+    grid = StaggeredGrid(4)
+    values = np.arange(16.0).reshape(4, 4)
+    path = tmp_path / "f.field"
+    serialize_field(ScalarField(grid, values), path)
+    header = b"medrec-field 2\nkind scalar\nn 4\n"
+    raw = path.read_bytes()
+    assert raw == header + values.astype("<f8").tobytes()
+    # readable without medrec: the README's Output files snippet, as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Output files", 1)[1].split("```python\n", 1)[1]
+    namespace = {"path": path}
+    exec(compile(snippet.split("```", 1)[0], "README.md", "exec"), namespace)
+    assert namespace["values"].tobytes() == values.tobytes()
 
 
 def test_noisy_round_trip_bit_exact(tmp_path):
@@ -163,19 +190,47 @@ def test_noisy_round_trip_bit_exact(tmp_path):
     assert np.array_equal(deserialize_field(path).values, noisy.values)
 
 
+def _v2(kind, n, payload):
+    return f"medrec-field 2\nkind {kind}\nn {n}\n".encode("ascii") + payload
+
+
+_V1_TEXT = b"medrec-field 1\nkind scalar\nn 4\n" + b"1.0 2.0 3.0 4.0\n" * 4
+
+
 def test_deserialize_errors(tmp_path):
+    cases = [
+        (_V1_TEXT, "line 1: expected header 'medrec-field 2'"),
+        (b"not-a-field 2\nkind scalar\nn 4\n" + bytes(128),
+         "line 1: expected header 'medrec-field 2'"),
+        (b"", "line 1: expected header"),
+        (b"medrec-field 2\nkind scalar", "line 2: truncated header"),
+        (_v2("vector", 4, bytes(128)), "line 2: expected 'kind scalar'"),
+        (_v2("scalar", "4.0", bytes(128)), "line 3: expected 'n <integer >= 4>'"),
+        (_v2("scalar", "four", bytes(128)), "line 3: expected 'n <integer >= 4>'"),
+        (_v2("scalar", 3, bytes(72)), "line 3: expected 'n <integer >= 4>'"),
+        (b"medrec-field 2\nkind scalar\nn 4", "line 3: truncated header"),
+        (_v2("scalar", 4, bytes(120)),
+         "expected 16 float64 values (128 bytes) after the header, found 120"),
+        (_v2("boundary", 4, bytes(129)),
+         "expected 16 float64 values (128 bytes) after the header, found 129"),
+    ]
     p = tmp_path / "bad.field"
-    p.write_text("not-a-field 9\n")
-    with pytest.raises(FieldFormatError):
+    for raw, message in cases:
+        p.write_bytes(raw)
+        with pytest.raises(FieldFormatError) as err:
+            deserialize_field(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert message in str(err.value)
+    # the header is sound, so the values reach the field, which refuses them
+    nan_payload = np.ones(16)
+    nan_payload[5] = np.nan
+    p.write_bytes(_v2("scalar", 4, nan_payload.astype("<f8").tobytes()))
+    with pytest.raises(GridError, match="non-finite") as err:
         deserialize_field(p)
-    p.write_text("medrec-field 1\nkind scalar\nn 4\n1 2 3\n")
-    with pytest.raises(FieldFormatError) as err:
-        deserialize_field(p)
-    assert "expected 16 values" in str(err.value)
-    p.write_text("medrec-field 1\nkind scalar\nn 4\n" + "1 2 3 oops\n" * 4)
-    with pytest.raises(FieldFormatError) as err:
-        deserialize_field(p)
-    assert "line 4" in str(err.value)
+    assert str(err.value).startswith(f"{p}: ")
+    # and the CLI reports a bad field file as a configuration error
+    p.write_bytes(_V1_TEXT)
+    assert main(["render", "--out", str(tmp_path)]) == 2
 
 
 def test_render_pgm(tmp_path):
