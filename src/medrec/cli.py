@@ -10,28 +10,28 @@ success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from .dsm import DEFAULT_THETA
-from .estimators import DirectSamplingLocator
-from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
-                          DEFAULT_C_PHI, ExampleSpec,
-                          FieldFormatError, RingInclusion, SquareInclusion,
-                          add_noise, background_deviation, compute_metrics,
-                          deserialize_field, example_names, make_example,
-                          render_pgm, serialize_field)
+from .estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
+from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, DEFAULT_C_PHI,
+                          ExampleSpec, FieldFormatError, RingInclusion,
+                          SquareInclusion, add_noise, background_deviation,
+                          clip_to_box, compute_metrics, deserialize_field,
+                          example_names, make_example, render_pgm,
+                          serialize_field)
 from .forward import (ForwardSolverError, MeasurementSet, default_excitations,
                       generate_measurements)
 from .grid import BoundaryData, GridError, ScalarField, StaggeredGrid
 from .model import CoefficientPair
-from .optimizer import AdiConfig, SubproblemFailure, adi_reconstruct
-from .regularization import RegConfig
+from .optimizer import SubproblemFailure, adi_reconstruct
 
 CONFIG_VERSION = "1"
 
@@ -100,13 +100,8 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
 
 
 def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
     try:
-        if kind in (int, "int"):
-            return int(raw)
-        if kind in (float, "float"):
-            return float(raw)
-        return raw
+        return _FIELD_TYPES[name](raw)     # int, float or str
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for {name}") from None
 
@@ -135,11 +130,22 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def write_config_echo(cfg: RunConfig, path: Path) -> None:
-    lines = [f"version={CONFIG_VERSION}"]
-    for f in dc_fields(RunConfig):
-        lines.append(f"{f.name}={getattr(cfg, f.name)}")
-    path.write_text("\n".join(lines) + "\n")
+def _text(value) -> str:
+    """A value as a key=value file holds it: a float by its repr, so it
+    reads back bit-exactly, a sequence comma-separated."""
+    if isinstance(value, float):            # numpy's float64 included
+        return repr(float(value))
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return ",".join(_text(v) for v in value)
+    return str(value)
+
+
+def _write_kv_file(path: Path, entries: dict, comment: str = "") -> None:
+    """Write the version line, the comment line if any, then one
+    key=value line per entry; every line ends with a newline."""
+    lines = [f"version={CONFIG_VERSION}", *([comment] if comment else []),
+             *(f"{key}={_text(value)}" for key, value in entries.items())]
+    path.write_text("".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def cmd_generate(cfg: RunConfig) -> None:
         f_obs = add_noise(m.f, cfg.noise, cfg.seed + i)
         serialize_field(m.h, out / f"meas_{i:03d}_h.field")
         serialize_field(f_obs, out / f"meas_{i:03d}_f.field")
-    write_config_echo(cfg, out / "run.cfg")
+    _write_kv_file(out / "run.cfg", asdict(cfg))
     print(f"generate: wrote {len(sets)} measurement set(s) to {out}")
 
 
@@ -324,14 +330,11 @@ def cmd_dsm(cfg: RunConfig) -> None:
                     out / "mask_mu.field")
     serialize_field(loc.initial_sigma_, out / "init_sigma.field")
     serialize_field(loc.initial_mu_, out / "init_mu.field")
-    lines = [f"version={CONFIG_VERSION}",
-             "# atom_<excitation>_<k>=kind,x,y,share,coefficients"]
-    for e, atoms in enumerate(loc.atoms_):
-        for k, atom in enumerate(atoms):
-            values = (atom.kind, *atom.centre, atom.share, *atom.coef)
-            lines.append(f"atom_{e:03d}_{k}=" + ",".join(
-                v if isinstance(v, str) else repr(v) for v in values))
-    (out / "dsm_report.txt").write_text("\n".join(lines) + "\n")
+    _write_kv_file(
+        out / "dsm_report.txt",
+        {f"atom_{e:03d}_{k}": (atom.kind, *atom.centre, atom.share, *atom.coef)
+         for e, atoms in enumerate(loc.atoms_) for k, atom in enumerate(atoms)},
+        comment="# atom_<excitation>_<k>=kind,x,y,share,coefficients")
     print(f"dsm: wrote index fields, masks, initial guesses and the fitted "
           f"atoms to {out}")
 
@@ -342,7 +345,6 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     _check_generated("reconstruct", ("example", "geometry", "grid", "noise"), cfg, out)
     sets = _load_measurements(out)
     grid = sets[0].grid
-    a_s, b_s, a_m, b_m = _reg_params(cfg, spec)
 
     init_sigma_path = out / "init_sigma.field"
     if init_sigma_path.exists():
@@ -355,40 +357,30 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     else:
         init_sigma = ScalarField.constant(grid, spec.sigma_background)
         init_mu = ScalarField.constant(grid, spec.mu_background)
-    initial = CoefficientPair(
-        ScalarField(grid, np.clip(init_sigma.values, BOX_LO, BOX_HI)),
-        ScalarField(grid, np.clip(init_mu.values, BOX_LO, BOX_HI)))
-
-    adi_cfg = AdiConfig(
-        reg_sigma=RegConfig(a_s, b_s, BOX_LO, BOX_HI),
-        reg_mu=RegConfig(a_m, b_m, BOX_LO, BOX_HI),
-        max_outer=cfg.max_outer,
-        update_mu=spec.reconstruct_mu)
-    report = adi_reconstruct(sets, initial, adi_cfg)
+    initial = CoefficientPair(clip_to_box(init_sigma), clip_to_box(init_mu))
+    settings = TotalLeastSquaresReconstructor(
+        *_reg_params(cfg, spec), max_outer=cfg.max_outer,
+        update_mu=spec.reconstruct_mu).config()
+    # adi_reconstruct is called through this module, where bench/run.py
+    # captures the report.
+    report = adi_reconstruct(sets, initial, settings)
 
     serialize_field(report.coefficients.sigma, out / "recon_sigma.field")
     serialize_field(report.coefficients.mu, out / "recon_mu.field")
     res_sigma, res_mu = report.final_coeff_residuals
-    lines = [
-        f"version={CONFIG_VERSION}",
-        f"stop_reason={report.stop_reason}",
-        f"iterations={report.iterations}",
-        f"final_state_residual={float(report.final_state_residual)!r}",
-        f"final_coeff_residual_sigma={float(res_sigma)!r}",
-        f"final_coeff_residual_mu={float(res_mu)!r}",
-        "j_history=" + ",".join(repr(float(v)) for v in report.j_history),
-        f"state_factorizations={int(report.state_factorizations.sum())}",
-        "state_lu_fill=" + ",".join(str(int(k)) for k in report.state_lu_fill if k),
-        "state_pcg_iterations=" + ",".join(str(int(k))
-                                           for k in report.state_pcg_iterations),
-        "state_start_residual=" + ",".join(repr(float(v))
-                                           for v in report.state_start_residuals),
-        "coeff_newton_steps=" + ",".join(str(int(k))
-                                         for k in report.coeff_inner_iterations),
-        "coeff_pcg_iterations=" + ",".join(str(int(k))
-                                           for k in report.coeff_pcg_iterations),
-    ]
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    _write_kv_file(out / "report.txt", {
+        "stop_reason": report.stop_reason,
+        "iterations": report.iterations,
+        "final_state_residual": report.final_state_residual,
+        "final_coeff_residual_sigma": res_sigma,
+        "final_coeff_residual_mu": res_mu,
+        "j_history": report.j_history,
+        "state_factorizations": report.state_factorizations.sum(),
+        "state_lu_fill": report.state_lu_fill[report.state_lu_fill != 0],
+        "state_pcg_iterations": report.state_pcg_iterations,
+        "state_start_residual": report.state_start_residuals,
+        "coeff_newton_steps": report.coeff_inner_iterations,
+        "coeff_pcg_iterations": report.coeff_pcg_iterations})
     print(f"reconstruct: {report.iterations} iterations, "
           f"J {report.j_history[0]:.6g} -> {report.j_history[-1]:.6g}, "
           f"stop reason {report.stop_reason}")
@@ -406,17 +398,15 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     truth = CoefficientPair(fields["truth_sigma"], fields["truth_mu"])
     recon = CoefficientPair(fields["recon_sigma"], fields["recon_mu"])
     metrics = compute_metrics(recon, truth)
-    lines = [f"version={CONFIG_VERSION}"]
+    entries = {}
     for label, met, rec_f, tru_f in (
             ("sigma", metrics.sigma, recon.sigma, truth.sigma),
             ("mu", metrics.mu, recon.mu, truth.mu)):
-        lines.append(f"{label}_relative_l2_error={met.relative_l2_error!r}")
-        lines.append(f"{label}_support_jaccard={met.support_jaccard!r}")
-        coms = ",".join(repr(e) for e in met.center_of_mass_errors)
-        lines.append(f"{label}_center_of_mass_errors={coms}")
-        lines.append(f"{label}_background_deviation="
-                     f"{background_deviation(rec_f, tru_f)!r}")
-    (out / "metrics.txt").write_text("\n".join(lines) + "\n")
+        entries[f"{label}_relative_l2_error"] = met.relative_l2_error
+        entries[f"{label}_support_jaccard"] = met.support_jaccard
+        entries[f"{label}_center_of_mass_errors"] = met.center_of_mass_errors
+        entries[f"{label}_background_deviation"] = background_deviation(rec_f, tru_f)
+    _write_kv_file(out / "metrics.txt", entries)
     print("evaluate: wrote metrics.txt")
 
 
@@ -457,7 +447,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process (not at import, which stays cheap)."""
     parser = argparse.ArgumentParser(
         prog="medrec",
         description="Two-stage coefficient reconstruction for diffuse "

@@ -18,10 +18,8 @@ experiments module.  All numerical work lives in the functional modules;
 these classes only orchestrate and validate inputs.
 """
 
-import numpy as np
-
 from . import dsm
-from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI
+from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI, clip_to_box
 from .forward import check_measurements
 from .grid import ScalarField
 from .model import CoefficientPair
@@ -49,7 +47,6 @@ class DirectSamplingLocator:
 
     def fit(self, measurements, y=None):
         sets = check_measurements(measurements)
-        grid = sets[0].grid
         reference = dsm.homogeneous_reference(
             self.background_sigma, self.background_mu,
             [m.h for m in sets], oversample=self.oversample)
@@ -65,9 +62,8 @@ class DirectSamplingLocator:
             index.phi_sigma, self.mask_sigma_, self.c_phi, self.background_sigma)
         init_mu = dsm.build_initial_guess(
             index.phi_mu, self.mask_mu_, self.c_phi, self.background_mu)
-        clip = lambda f: ScalarField(grid, np.clip(f.values, BOX_LO, BOX_HI))
-        self.initial_sigma_ = clip(init_sigma)
-        self.initial_mu_ = clip(init_mu)
+        self.initial_sigma_ = clip_to_box(init_sigma)
+        self.initial_mu_ = clip_to_box(init_mu)
         return self
 
     def transform(self, measurements) -> CoefficientPair:
@@ -88,7 +84,10 @@ class TotalLeastSquaresReconstructor:
         self.max_outer = max_outer
         self.update_mu = update_mu
 
-    def _config(self) -> AdiConfig:
+    def config(self) -> AdiConfig:
+        """The alternation's settings: these weights on the box
+        [BOX_LO, BOX_HI], the outer-iteration count and whether mu is
+        unknown.  The command line's reconstruct stage runs with them too."""
         return AdiConfig(
             reg_sigma=RegConfig(self.alpha_sigma, self.beta_sigma, BOX_LO, BOX_HI),
             reg_mu=RegConfig(self.alpha_mu, self.beta_mu, BOX_LO, BOX_HI),
@@ -100,7 +99,7 @@ class TotalLeastSquaresReconstructor:
         if initial is None:
             initial = CoefficientPair(
                 ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 1.0))
-        self.report_ = adi_reconstruct(sets, initial, self._config())
+        self.report_ = adi_reconstruct(sets, initial, self.config())
         self.sigma_ = self.report_.coefficients.sigma
         self.mu_ = self.report_.coefficients.mu
         return self

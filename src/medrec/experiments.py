@@ -25,6 +25,11 @@ DEFAULT_C_PHI = 20.0
 _EDGE_TOL = 1e-12
 
 
+def clip_to_box(q: ScalarField) -> ScalarField:
+    """q clipped into [BOX_LO, BOX_HI], the box both stages work in."""
+    return ScalarField(q.grid, np.clip(q.values, BOX_LO, BOX_HI))
+
+
 @dataclass(frozen=True)
 class SquareInclusion:
     center: tuple[float, float]

@@ -53,14 +53,20 @@ half-step decrement norms) to check the telescoped descent certificate
 after the fact, plus each half-step's factorizations, PCG iterations
 (the shared loop's count, the most over the excitations) and projected
 start residual, and the state factors' LU fill; a DEBUG record on the
-"medrec" logger summarizes every outer iteration.  Every term of that certificate (J, the decrements, the
-misfit gradients and the Bregman distances) is evaluated matrix-free,
-independently of the assembled coefficient block.
+"medrec" logger summarizes every outer iteration.  Every term of that
+certificate (J, the decrements, the misfit gradients and the Bregman
+distances) is evaluated matrix-free, independently of the assembled
+coefficient block.  Each per-iteration series is declared once, as a
+Counts or Values field of ReconstructionReport; adi_reconstruct collects
+every such field and appends to it through one record call per
+half-step.  A new series is one report field plus one keyword in its
+half-step's record call.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,35 +139,44 @@ class AdiConfig:
                 raise ValueError("an L1 weight needs a box with q_lo >= 0")
 
 
+# A per-iteration series of ReconstructionReport, with the dtype of its array.
+Counts = Annotated[np.ndarray, int]
+Values = Annotated[np.ndarray, float]
+
+
 @dataclass
 class ReconstructionReport:
-    """Iterates and per-iteration diagnostics of one reconstruction."""
+    """Iterates and per-iteration diagnostics of one reconstruction.
+
+    j_history starts with the functional at the initial pair; every other
+    series holds one entry per outer iteration.
+    """
 
     states: list
     coefficients: CoefficientPair
-    j_history: np.ndarray
-    j_after_state: np.ndarray
+    j_history: Values
+    j_after_state: Values
     stop_reason: str
-    state_residuals: np.ndarray
-    coeff_residual_sigma: np.ndarray
-    coeff_residual_mu: np.ndarray
-    bregman_values: np.ndarray
-    state_decrement_terms: np.ndarray
-    coeff_decrement_terms: np.ndarray
-    coeff_inner_iterations: np.ndarray   # projected-Newton steps, most over
+    state_residuals: Values
+    coeff_residual_sigma: Values
+    coeff_residual_mu: Values
+    bregman_values: Values
+    state_decrement_terms: Values
+    coeff_decrement_terms: Values
+    coeff_inner_iterations: Counts       # projected-Newton steps, most over
                                          # sigma and mu
-    state_factorizations: np.ndarray     # 1 where the state half-step factored
-    state_pcg_iterations: np.ndarray     # iterations of the shared PCG loop,
+    state_factorizations: Counts         # 1 where the state half-step factored
+    state_pcg_iterations: Counts         # iterations of the shared PCG loop,
                                          # most over excitations; 0 on a
                                          # fresh factor
-    state_start_residuals: np.ndarray    # relative residual of PCG's projected
+    state_start_residuals: Values        # relative residual of PCG's projected
                                          # start, most over excitations; 0
                                          # where the half-step factored
-    state_lu_fill: np.ndarray            # entries SuperLU stores for L and U
+    state_lu_fill: Counts                # entries SuperLU stores for L and U
                                          # of the factor the half-step took;
                                          # 0 where it took none
-    coeff_factorizations: np.ndarray     # coefficient factors the half-step took
-    coeff_pcg_iterations: np.ndarray     # PCG iterations, summed over sigma and mu
+    coeff_factorizations: Counts         # coefficient factors the half-step took
+    coeff_pcg_iterations: Counts         # PCG iterations, summed over sigma and mu
 
     @property
     def iterations(self) -> int:
@@ -176,6 +191,11 @@ class ReconstructionReport:
         s = float(self.coeff_residual_sigma[-1]) if len(self.coeff_residual_sigma) else math.nan
         m = float(self.coeff_residual_mu[-1]) if len(self.coeff_residual_mu) else math.nan
         return s, m
+
+
+# Every per-iteration series of the report, by name, with its dtype.
+_SERIES = {f.name: get_args(f.type)[1] for f in fields(ReconstructionReport)
+           if get_origin(f.type) is Annotated}
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +613,8 @@ class _CoefficientFactor:
         return keep * self.lu.solve(b), iterations
 
 
-def _fixed_point_residual(step: np.ndarray, q: np.ndarray, h: float) -> float:
-    """h ||q - P(q - tau g)|| / (1 + h ||q||), from the projected-gradient step."""
-    return h * float(np.linalg.norm(step)) / (1.0 + h * float(np.linalg.norm(q)))
-
-
 def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
-                           factor: _CoefficientFactor, tol: float):
+                           factor: _CoefficientFactor):
     """Projected Newton (Bertsekas 1982) on one coefficient's box QP.
 
     On the box q >= q_lo >= 0 the L1 term is linear, so the block is
@@ -615,8 +630,9 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
     step lowers the subproblem value, from the clipped warm start.
 
     Returns (iterate, fixed-point residual, Newton steps, PCG iterations,
-    converged); the residual is that of the projected-gradient map with
-    step 1/L.
+    converged); the residual h ||q - P(q - g/L)|| / (1 + h ||q||) is that
+    of the projected-gradient map with step 1/L, converged once it is at
+    most COEFF_TOL.
     """
     reg, hess, h, n = problem.reg, problem.hess, problem.h, problem.n
     lo, hi = reg.q_lo, reg.q_hi
@@ -634,8 +650,8 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
     while True:
         g = hess @ q + linear
         step = q - np.clip(q - tau * g, lo, hi)
-        residual = _fixed_point_residual(step, q, h)
-        if residual <= tol or steps == NEWTON_MAX:
+        residual = h * float(np.linalg.norm(step)) / (1.0 + h * float(np.linalg.norm(q)))
+        if residual <= COEFF_TOL or steps == NEWTON_MAX:
             break
         steps += 1
         eps = min(eps_max, float(np.linalg.norm(step)))
@@ -646,7 +662,7 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
         b = -keep * (g + hess @ d)
         # Inexact Newton: the free gradient left after a full step is PCG's
         # residual, so a tenth of the tolerance's worth of it suffices.
-        stop = 0.1 * tol * (1.0 + h * float(np.linalg.norm(q))) / (h * tau)
+        stop = 0.1 * COEFF_TOL * (1.0 + h * float(np.linalg.norm(q))) / (h * tau)
         norm_b = float(np.linalg.norm(b))
         if norm_b > stop:
             # H + rho I without the couplings to the held cells; H is
@@ -670,7 +686,7 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
         q = q + delta
 
     return (ScalarField(warm.grid, q.reshape(n, n)), residual, steps, pcg_iterations,
-            residual <= tol)
+            residual <= COEFF_TOL)
 
 
 @dataclass
@@ -704,12 +720,12 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
 
     prob = _sigma_problem(states, cfg.reg_sigma, n)
     sigma, fp_sigma, steps, pcg_iterations, converged = _solve_one_coefficient(
-        prob, warm_start.sigma, factors["sigma"], COEFF_TOL)
+        prob, warm_start.sigma, factors["sigma"])
     mu, fp_mu = warm_start.mu, math.nan
     if cfg.update_mu:
         prob = _mu_problem(states, sources, cfg.reg_mu, n)
         mu, fp_mu, more_steps, more_pcg, ok = _solve_one_coefficient(
-            prob, warm_start.mu, factors["mu"], COEFF_TOL)
+            prob, warm_start.mu, factors["mu"])
         steps = max(steps, more_steps)
         pcg_iterations += more_pcg
         converged &= ok
@@ -783,44 +799,23 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     states = [StatePair.zeros(grid) for _ in measurements]
     coeffs = CoefficientPair(initial_q.sigma.copy(), initial_q.mu.copy())
 
-    j_history = [eval_J(states, coeffs, sources, measurements,
-                        cfg.reg_sigma, cfg.reg_mu)]
-    j_after_state = []
-    state_residuals = []
-    coeff_res_sigma = []
-    coeff_res_mu = []
-    bregman_values = []
-    du_terms = []
-    dq_terms = []
-    inner_counts = []
-    factorizations = []
-    pcg_counts = []
-    start_residuals = []
-    lu_fills = []
-    coeff_factorizations = []
-    coeff_pcg_counts = []
-    solver = None
-    coeff_factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
+    series = {name: [] for name in _SERIES}
+
+    def record(**values):
+        """Append each value to its series; an unknown name raises KeyError."""
+        for name, value in values.items():
+            series[name].append(value)
 
     def _partial_report(reason):
         return ReconstructionReport(
-            states=states, coefficients=coeffs,
-            j_history=np.asarray(j_history), j_after_state=np.asarray(j_after_state),
-            stop_reason=reason,
-            state_residuals=np.asarray(state_residuals),
-            coeff_residual_sigma=np.asarray(coeff_res_sigma),
-            coeff_residual_mu=np.asarray(coeff_res_mu),
-            bregman_values=np.asarray(bregman_values),
-            state_decrement_terms=np.asarray(du_terms),
-            coeff_decrement_terms=np.asarray(dq_terms),
-            coeff_inner_iterations=np.asarray(inner_counts, dtype=int),
-            state_factorizations=np.asarray(factorizations, dtype=int),
-            state_pcg_iterations=np.asarray(pcg_counts, dtype=int),
-            state_start_residuals=np.asarray(start_residuals),
-            state_lu_fill=np.asarray(lu_fills, dtype=int),
-            coeff_factorizations=np.asarray(coeff_factorizations, dtype=int),
-            coeff_pcg_iterations=np.asarray(coeff_pcg_counts, dtype=int))
+            states=states, coefficients=coeffs, stop_reason=reason,
+            **{name: np.asarray(values, dtype=_SERIES[name])
+               for name, values in series.items()})
 
+    record(j_history=eval_J(states, coeffs, sources, measurements,
+                            cfg.reg_sigma, cfg.reg_mu))
+    solver = None
+    coeff_factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
@@ -831,46 +826,48 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
                 solver.assemble(coeffs)
             new_states, residual, pcg_iterations = _state_half_step(
                 coeffs, sources, traces, solver)
-            state_residuals.append(residual)
-            factorizations.append(solver.factorizations - factored_before)
-            pcg_counts.append(pcg_iterations)
-            start_residuals.append(solver.start_residual)
-            lu_fills.append(solver.lu_fill if factorizations[-1] else 0)
-            du_terms.append(_state_decrement(new_states, states, coeffs, grid))
-            states = new_states
-            j_after_state.append(eval_J(states, coeffs, sources, measurements,
+            factored = solver.factorizations - factored_before
+            record(state_residuals=residual,
+                   state_factorizations=factored,
+                   state_pcg_iterations=pcg_iterations,
+                   state_start_residuals=solver.start_residual,
+                   state_lu_fill=solver.lu_fill if factored else 0,
+                   state_decrement_terms=_state_decrement(new_states, states,
+                                                          coeffs, grid),
+                   j_after_state=eval_J(new_states, coeffs, sources, measurements,
                                         cfg.reg_sigma, cfg.reg_mu))
+            states = new_states
 
             # -- coefficient half-step ---------------------------------------
             update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
                                                   factors=coeff_factors)
             new_coeffs = update.coefficients
-            coeff_res_sigma.append(update.fp_residual_sigma)
-            coeff_res_mu.append(update.fp_residual_mu)
-            inner_counts.append(update.inner_iterations)
-            coeff_factorizations.append(update.factorizations)
-            coeff_pcg_counts.append(update.pcg_iterations)
-            dq_terms.append(_coeff_decrement(states, new_coeffs, coeffs, grid))
-
             grad_sigma, grad_mu = _summed_misfit_gradients(states, new_coeffs, sources)
-            e_val = bregman_distance(coeffs.sigma, new_coeffs.sigma,
-                                     -1.0 * grad_sigma, cfg.reg_sigma) \
-                + bregman_distance(coeffs.mu, new_coeffs.mu,
-                                   -1.0 * grad_mu, cfg.reg_mu)
-            bregman_values.append(e_val)
-
-            coeffs = new_coeffs
-            j_history.append(eval_J(states, coeffs, sources, measurements,
+            record(coeff_residual_sigma=update.fp_residual_sigma,
+                   coeff_residual_mu=update.fp_residual_mu,
+                   coeff_inner_iterations=update.inner_iterations,
+                   coeff_factorizations=update.factorizations,
+                   coeff_pcg_iterations=update.pcg_iterations,
+                   coeff_decrement_terms=_coeff_decrement(states, new_coeffs,
+                                                          coeffs, grid),
+                   bregman_values=bregman_distance(coeffs.sigma, new_coeffs.sigma,
+                                                   -1.0 * grad_sigma, cfg.reg_sigma)
+                   + bregman_distance(coeffs.mu, new_coeffs.mu,
+                                      -1.0 * grad_mu, cfg.reg_mu),
+                   j_history=eval_J(states, new_coeffs, sources, measurements,
                                     cfg.reg_sigma, cfg.reg_mu))
+            coeffs = new_coeffs
             logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
                          "start residual %.2e, factored %s, LU fill %d, "
                          "coefficient Newton steps %d, "
                          "coefficient PCG %d, coefficient factors %d, "
                          "decrements %.3e (state) %.3e (coefficient), E %.3e",
-                         k + 1, j_history[-1], residual, pcg_iterations,
-                         start_residuals[-1], factorizations[-1] == 1, solver.lu_fill,
+                         k + 1, series["j_history"][-1], residual, pcg_iterations,
+                         solver.start_residual, factored == 1, solver.lu_fill,
                          update.inner_iterations, update.pcg_iterations,
-                         update.factorizations, du_terms[-1], dq_terms[-1], e_val)
+                         update.factorizations, series["state_decrement_terms"][-1],
+                         series["coeff_decrement_terms"][-1],
+                         series["bregman_values"][-1])
     except SubproblemFailure as failure:
         failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
         raise

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,17 @@ def test_cli_and_library_reconstruct_identically(tmp_path):
     for role, field in (("sigma", rec.sigma_), ("mu", rec.mu_)):
         cli_field = deserialize_field(tmp_path / "o" / f"recon_{role}.field")
         assert np.array_equal(cli_field.values, field.values)
+
+
+def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):
+    # render on an empty directory parses its flags and exits 2 at once
+    assert run_cli("render", "--out", str(tmp_path)) == 2
+    built, real_init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("render", "--out", str(tmp_path)) == 2
+    assert built == []

@@ -1,10 +1,11 @@
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh, splu
 
 import medrec.optimizer as optimizer
@@ -18,7 +19,8 @@ from medrec.model import (CoefficientPair, StatePair, apply_L,
                           sources_from_measurements, state_normal_apply,
                           state_normal_residual, state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
-                              SubproblemFailure, _CoefficientFactor,
+                              ReconstructionReport, SubproblemFailure,
+                              _CoefficientFactor,
                               _CoefficientProblem, _NormalPattern, _StateSolver,
                               _mu_problem, _pcg, _projected_start, _sigma_problem,
                               _solve_one_coefficient,
@@ -373,6 +375,43 @@ def test_pcg_stops_on_nonpositive_curvature():
     assert x is None and iterations == 1
 
 
+# The report's per-iteration series, by the half-step that appends to them;
+# j_history also starts with the initial pair's functional.
+STATE_SERIES = ("state_residuals", "state_factorizations", "state_pcg_iterations",
+                "state_start_residuals", "state_lu_fill", "state_decrement_terms",
+                "j_after_state")
+COEFF_SERIES = ("coeff_residual_sigma", "coeff_residual_mu", "coeff_inner_iterations",
+                "coeff_factorizations", "coeff_pcg_iterations",
+                "coeff_decrement_terms", "bregman_values")
+COUNT_SERIES = ("state_factorizations", "state_pcg_iterations", "state_lu_fill",
+                "coeff_inner_iterations", "coeff_factorizations",
+                "coeff_pcg_iterations")
+
+
+def assert_series_lengths(report, state: int, coefficient: int):
+    """Every state series has `state` entries, every coefficient series
+    `coefficient`, and j_history one more than the latter."""
+    assert len(report.j_history) == coefficient + 1
+    assert {name: len(getattr(report, name)) for name in STATE_SERIES} \
+        == dict.fromkeys(STATE_SERIES, state)
+    assert {name: len(getattr(report, name)) for name in COEFF_SERIES} \
+        == dict.fromkeys(COEFF_SERIES, coefficient)
+
+
+def test_every_report_series_has_one_entry_per_iteration():
+    grid, truth, sets = small_problem(n=8)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    report = adi_reconstruct(sets, init, default_config(max_outer=3))
+    series = {f.name: getattr(report, f.name) for f in fields(ReconstructionReport)
+              if isinstance(getattr(report, f.name), np.ndarray)}
+    assert set(series) == {"j_history", *STATE_SERIES, *COEFF_SERIES}
+    assert report.iterations == 3
+    assert_series_lengths(report, state=3, coefficient=3)
+    for name, values in series.items():
+        assert values.dtype.kind == ("i" if name in COUNT_SERIES else "f"), name
+
+
 def test_failed_refactor_carries_the_partial_report(monkeypatch):
     grid, truth, sets = small_problem(n=8)
     real = optimizer.splu
@@ -396,7 +435,7 @@ def test_failed_refactor_carries_the_partial_report(monkeypatch):
     assert report.iterations == 1
     assert report.state_factorizations.tolist() == [1]
     assert report.state_pcg_iterations.tolist() == [0]
-    assert len(report.state_residuals) == 1
+    assert_series_lengths(report, state=1, coefficient=1)
 
 
 class _TrackedFactor:
@@ -519,7 +558,7 @@ def test_coefficient_zero_pivot_carries_the_partial_report(monkeypatch):
     assert report.stop_reason == "subproblem_failure"
     assert report.iterations == 1
     assert report.coeff_factorizations.tolist() == [2]
-    assert len(report.state_residuals) == 2
+    assert_series_lengths(report, state=2, coefficient=1)
     # the traceback still holds the run's frame, but not its factors
     assert all(ref() is None for ref in factors)
 
@@ -634,7 +673,8 @@ def block_value(states, sources, reg, mu_block):
 
 def box_qp(n, rng, alpha, mu_block):
     """A coefficient block whose misfit vanishes at a field drawn beyond both
-    bounds of [0.5, 30], so that at the minimizer cells sit on each bound.
+    bounds of [0.5, 30], so that at the minimizer cells sit on a bound, on
+    most draws on each of the two.
 
     sigma: fluxes p = mean(q~) G u on the faces; mu: sources
     g = u q~ + G^T p, for random u and p.  Returns the grid, the block and
@@ -663,16 +703,21 @@ def box_qp(n, rng, alpha, mu_block):
 
 def assert_kkt(problem, q):
     """Optimality of q on the box, each cell's gradient measured against the
-    tolerance its share of the fixed-point residual allows."""
+    tolerance its share of the fixed-point residual allows.  Returns the
+    masks of the cells on q_lo and on q_hi."""
     reg, h = problem.reg, problem.h
     g = problem.hess @ q - problem.shift + reg.beta
     bound = abs(problem.hess).sum(axis=1).max()
     tol = COEFF_TOL * (1.0 + h * np.linalg.norm(q)) * bound / h
     at_lo, at_hi = q == reg.q_lo, q == reg.q_hi
-    assert at_lo.any() and at_hi.any()
     assert (g[at_lo] >= -tol).all()
     assert (g[at_hi] <= tol).all()
     assert (np.abs(g[~(at_lo | at_hi)]) <= tol).all()
+    return at_lo, at_hi
+
+
+# A draw whose minimizer holds cells on both bounds (12 on q_lo, 19 on q_hi).
+BOTH_BOUNDS = dict(n=10, alpha=1e-2, mu_block=True, seed=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -680,17 +725,22 @@ def assert_kkt(problem, q):
        alpha=st.sampled_from([0.0, 1e-6, 1e-2]),
        mu_block=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+# The minimizer of this draw holds 11 cells on q_hi and none on q_lo.
+@example(n=4, alpha=0.0, mu_block=False, seed=1138850)
+@example(**BOTH_BOUNDS)
 def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_block,
                                                                    seed):
     rng = np.random.default_rng(seed)
     grid, problem, value = box_qp(n, rng, alpha, mu_block)
     warm = ScalarField(grid, rng.uniform(0.5, 30.0, (n, n)))
     field, residual, steps, _, converged = _solve_one_coefficient(
-        problem, warm, _CoefficientFactor(), COEFF_TOL)
+        problem, warm, _CoefficientFactor())
     q = field.values.ravel()
     assert converged and residual <= COEFF_TOL
     assert q.min() >= 0.5 and q.max() <= 30.0
-    assert_kkt(problem, q)
+    at_lo, at_hi = assert_kkt(problem, q)
+    if dict(n=n, alpha=alpha, mu_block=mu_block, seed=seed) == BOTH_BOUNDS:
+        assert at_lo.any() and at_hi.any()
     oracle = value(apg_oracle(problem, value, warm.values.ravel()))
     assert value(q) <= oracle + 1e-12 * abs(oracle)
 
@@ -701,7 +751,7 @@ def test_gradient_fallback_descends(monkeypatch):
     grid, problem, value = box_qp(10, np.random.default_rng(3), 1e-2, False)
     warm = ScalarField(grid, np.full((10, 10), 15.0))
     solved, _, steps, pcg_iterations, _ = _solve_one_coefficient(
-        problem, warm, _CoefficientFactor(), COEFF_TOL)
+        problem, warm, _CoefficientFactor())
     assert steps == optimizer.NEWTON_MAX and pcg_iterations > 0
     assert value(solved.values.ravel()) < 0.5 * value(warm.values.ravel())
 
@@ -721,14 +771,14 @@ def test_cells_creeping_onto_the_bound_land_in_one_step():
     target[pair] = -40.0
     problem = _CoefficientProblem(hess, hess @ target, reg, n)
     solution, _, _, _, converged = _solve_one_coefficient(
-        problem, ScalarField.constant(grid, 2.0), _CoefficientFactor(), COEFF_TOL)
+        problem, ScalarField.constant(grid, 2.0), _CoefficientFactor())
     q = solution.values.ravel()
     assert converged and np.array_equal(np.flatnonzero(q == 0.5), pair)
 
     warm = q.copy()
     warm[pair] = 0.5 + 1e-4
     solved, residual, steps, _, converged = _solve_one_coefficient(
-        problem, ScalarField(grid, warm.reshape(n, n)), _CoefficientFactor(), COEFF_TOL)
+        problem, ScalarField(grid, warm.reshape(n, n)), _CoefficientFactor())
     assert converged and residual <= COEFF_TOL
     assert steps == 1
     assert np.array_equal(np.flatnonzero(solved.values.ravel() == 0.5), pair)
