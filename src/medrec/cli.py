@@ -11,6 +11,7 @@ success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -255,7 +256,7 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 def _load_measurements(out: Path) -> list[MeasurementSet]:
     sets = []
-    for i in range(10000):
+    for i in itertools.count():
         h_path = out / f"meas_{i:03d}_h.field"
         f_path = out / f"meas_{i:03d}_f.field"
         if not h_path.exists():

@@ -12,10 +12,10 @@ first use with its arrays frozen, and the fixed five-point pattern.  The
 matrices that change with the coefficients are face-weighted five-point
 products filled by value on that pattern (GridOperators.five_point), in
 O(nnz) with no sparse-sparse product: the forward operator
-(diffusion_matrix), the coefficient Hessians of optimizer.py and the
-(u, u) block of its state normal matrix, whose other blocks it fills on
-a pattern of its own.  The forward operator of a constant medium is not
-factored at all: ConstantDiffusionSolver solves it by the 2-D DCT.
+(diffusion_matrix), which the state block of optimizer.py also uses, and
+the coefficient Hessians of optimizer.py.  The forward operator of a
+constant medium is not factored at all: ConstantDiffusionSolver solves
+it by the 2-D DCT.
 """
 
 import functools
@@ -26,9 +26,9 @@ from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import splu
 
 # splu(A, **SPD_LU) for the SPD matrices built from these maps (the forward
-# operator of a medium that is not constant, the state block's normal
-# matrix and the coefficient blocks' shifted Hessians): minimum degree on
-# A^T + A, diagonal pivots only.
+# operator of a medium that is not constant, the state block's shifted
+# forward operator and the coefficient blocks' shifted Hessians): minimum
+# degree on A^T + A, diagonal pivots only.
 # For an SPD matrix that is Cholesky up to a diagonal scaling, so it is
 # stable without pivoting; partial pivoting would discard the symmetric
 # ordering and multiply the fill.
@@ -55,6 +55,11 @@ class ConstantDiffusionSolver:
     Phys. 20, 1976) with eigenvalues 2 - 2 cos(pi k / n).  A solve is
     one forward and one inverse 2-D transform, O(n^2 log n) per
     right-hand side, with nothing factored and n^2 doubles kept.
+
+    It has two uses: the forward operator of a constant medium (the
+    sampling stage's background, or a constant medium in forward.py),
+    and, with sigma = mu = 1, K^-1 for K = I + G^T G, which eliminates
+    the flux from the state block of optimizer.py whatever the medium.
     """
 
     def __init__(self, n: int, sigma: float, mu: float):

@@ -3,31 +3,33 @@
 adi_reconstruct runs a fixed number of outer iterations (max_outer),
 each solving two convex subproblems:
 
-  * state block: a linear-quadratic problem in (u, p) per excitation,
-    solved through its normal equations.  The normal matrix M^T W M has
-    a fixed sparsity pattern, built once per run from the grid's
-    operator layer (operators.grid_operators); each outer iteration only
-    refills its values from the current coefficients, with no
-    sparse-sparse product and M never formed.  Being symmetric positive
-    definite (M has full column rank), it is factorized pivot-free under
-    a symmetric minimum-degree ordering (operators.SPD_LU), on a copy
-    without the entries that cancel exactly, in the first outer
-    iteration only.  Later iterations keep that factor and solve by
-    conjugate gradients on the new matrix, preconditioned by the factor
-    (the coefficients move little between iterations).  The excitations'
-    right-hand sides are the columns of one array in one CG loop: each
-    iteration makes one multi-column solve on the factor, and converged
-    columns drop out.  Each column starts from the Galerkin projection
-    onto the span of the last HISTORY half-steps' states, pooled over
-    the excitations (Fischer 1998).  When CG overruns STATE_PCG_MAX
-    iterations, the old factor is freed and the current matrix factored
-    in its place; one factor is alive at a time.  A direct solve, on the
-    first factor or right after a refactor, is one multi-column solve.
-    One half-step serves solve_state_subproblem and
-    adi_reconstruct alike: the residual is recomputed through the
-    matrix-free normal operator from the model module, keeping the two
-    routes independent, and a zero pivot or a residual above STATE_TOL
-    raises SubproblemFailure.
+  * state block: a linear-quadratic problem in (u, p) per excitation.
+    For fixed u its flux is closed-form, which leaves an SPD system on
+    the cells alone, the Schur complement of the (u, p) normal
+    equations: S = h^2 A K^-1 A + h T^T T, with A the forward operator
+    (operators.diffusion_matrix) and K = I + G^T G, solved by the 2-D
+    DCT (operators.ConstantDiffusionSolver), so nothing of size (u, p)
+    is assembled or factored.  Every half-step, the first included,
+    solves it by conjugate gradients preconditioned with A_c, the
+    forward operator plus a Robin shift on the boundary cells that
+    keeps it definite where mu vanishes; A_c is factored pivot-free
+    under a symmetric minimum-degree ordering (operators.SPD_LU) in the
+    first outer iteration and kept, since the coefficients move little
+    between iterations.  The excitations' right-hand sides are the
+    columns of one array in one CG loop, and converged columns drop
+    out.  The first half-step starts from zero; later ones start each
+    column from the Galerkin projection onto the span of the last
+    HISTORY half-steps' cell states, pooled over the excitations
+    (Fischer 1998).  When CG overruns STATE_PCG_MAX iterations, the old
+    factor is freed and A_c of the current coefficients factored in its
+    place; one factor is alive at a time.  CG stops relative to the full
+    (u, p) right-hand side, whose flux rows the closed-form flux
+    satisfies, so the stop means what it would on the (u, p) system.
+    One half-step serves solve_state_subproblem and adi_reconstruct
+    alike: the residual is recomputed through the matrix-free normal
+    operator from the model module, keeping the two routes independent,
+    and a zero pivot or a residual above STATE_TOL raises
+    SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
     least-squares problem plus the L1/H1/box penalty.  Its Hessian is
@@ -79,14 +81,15 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
-from .operators import SPD_LU, factor_spd, grid_operators, with_pattern
+from .operators import (SPD_LU, ConstantDiffusionSolver, diffusion_matrix,
+                        factor_spd, grid_operators, with_pattern)
 from .regularization import RegConfig, box_feasible, bregman_distance, prox_l1_box
 
 STATE_TOL = 1e-8             # verified state normal-equation residual
-# PCG on a kept state factor stops four digits inside STATE_TOL.  The
-# state norm weights u and p alike by h^2, so the assembled relative
-# residual PCG measures equals the matrix-free one that judges the solve,
-# up to rounding.
+# State PCG stops four digits inside STATE_TOL.  The state norm weights u
+# and p alike by h^2, so the relative residual PCG measures (its residual
+# over the norm of the full (u, p) right-hand side) equals the matrix-free
+# one that judges the solve, up to rounding.
 PCG_RTOL = 1e-4 * STATE_TOL
 STATE_PCG_MAX = 14           # PCG iterations on a kept factor before refactoring
 HISTORY = 4                  # half-steps whose states span PCG's projected start
@@ -167,14 +170,16 @@ class ReconstructionReport:
                                          # sigma and mu
     state_factorizations: Counts         # 1 where the state half-step factored
     state_pcg_iterations: Counts         # iterations of the shared PCG loop,
-                                         # most over excitations; 0 on a
-                                         # fresh factor
+                                         # most over excitations; where the
+                                         # half-step refactored, the overrun
+                                         # plus the loop on the new factor
     state_start_residuals: Values        # relative residual of PCG's projected
                                          # start, most over excitations; 0
-                                         # where the half-step factored
+                                         # where no history exists yet
     state_lu_fill: Counts                # entries SuperLU stores for L and U
-                                         # of the factor the half-step took;
-                                         # 0 where it took none
+                                         # of the shifted forward operator
+                                         # A_c the half-step factored; 0
+                                         # where it factored none
     coeff_factorizations: Counts         # coefficient factors the half-step took
     coeff_pcg_iterations: Counts         # PCG iterations, summed over sigma and mu
 
@@ -199,218 +204,135 @@ _SERIES = {f.name: get_args(f.type)[1] for f in fields(ReconstructionReport)
 
 
 # ---------------------------------------------------------------------------
-# State subproblem: assembled sparse normal equations, one kept factor
+# State subproblem: PCG on the cells alone, one kept factor
 # ---------------------------------------------------------------------------
 
-def pack_state(v: StatePair) -> np.ndarray:
-    return np.concatenate([v.u.values.ravel(), v.p.x_values.ravel(),
-                           v.p.y_values.ravel()])
-
-
-def unpack_state(x: np.ndarray, grid: StaggeredGrid) -> StatePair:
-    n = grid.n
-    u, px, py = np.split(x, [n * n, (2 * n - 1) * n])
-    return StatePair(ScalarField(grid, u.reshape(n, n)),
-                     FluxField(grid, px.reshape(n - 1, n), py.reshape(n, n - 1)))
-
-
-class _NormalPattern:
-    """The fixed pattern of the state block's normal matrix M^T W M on grid n.
-
-    With the unknowns (u, px, py), M = [[D_mu, Gx^T, Gy^T], [-Sx Gx, I, 0],
-    [-Sy Gy, 0, I], [T, 0, 0]] and W = h^2 on its first three block rows
-    and h on the trace rows, the blocks of M^T W M are
-
-      (u, u)   Gx^T h^2 Sx^2 Gx + Gy^T h^2 Sy^2 Gy + h^2 D_mu^2 + h T^T T,
-      (u, px)  h^2 (D_mu Gx^T - Gx^T Sx): -h (mu_a - sx_f) at the cell a
-               below face f, h (mu_b - sx_f) at the cell b above it,
-      (px, px) h^2 (Gx Gx^T + I), (px, py) h^2 Gx Gy^T, and their
-               y-counterparts.
-
-    Only the first two change with the coefficients.  The pattern is
-    built once: every stored entry is tagged with its slot in the value
-    vector [(u, u) data, (u, px) couplings, (u, py) couplings, the few
-    distinct (p, p) values], so fill() is one gather.
-    """
-
-    def __init__(self, n: int):
-        ops = grid_operators(n)
-        h = ops.h
-        nf = (n - 1) * n
-        self.n, self.h = n, h
-        self._boundary = h * (ops.trace.T @ np.ones(4 * n))     # h diag(T^T T)
-        _, five_indices, five_indptr = ops.stencil
-        eye_f = sp.identity(nf, format="csr")
-        const = [(h * h * (ops.gx @ ops.gx.T + eye_f)).tocsr(),
-                 (h * h * (ops.gx @ ops.gy.T)).tocsr(),
-                 (h * h * (ops.gy @ ops.gy.T + eye_f)).tocsr()]
-        # The (p, p) blocks hold a handful of distinct values: keep those.
-        self._const, slots = np.unique(np.concatenate([c.data for c in const]),
-                                       return_inverse=True)
-        sizes = [five_indices.size, 2 * nf, 2 * nf]
-        starts = np.cumsum([0] + sizes, dtype=np.int32)
-        tags = [start + np.arange(size, dtype=np.int32)
-                for start, size in zip(starts, sizes)]
-        tags += np.split(starts[-1] + slots.astype(np.int32),
-                         np.cumsum([c.nnz for c in const[:2]]))
-
-        cells = np.arange(n * n, dtype=np.int32).reshape(n, n)
-        faces = np.tile(np.arange(nf, dtype=np.int32), 2)
-        uu = sp.csc_matrix((tags[0], five_indices, five_indptr), shape=(n * n, n * n))
-        ux = sp.csc_matrix((tags[1], (np.concatenate(
-            [cells[:-1, :].ravel(), cells[1:, :].ravel()]), faces)), shape=(n * n, nf))
-        uy = sp.csc_matrix((tags[2], (np.concatenate(
-            [cells[:, :-1].ravel(), cells[:, 1:].ravel()]), faces)), shape=(n * n, nf))
-        xx, xy, yy = (sp.csr_matrix((t, c.indices, c.indptr), shape=c.shape).tocsc()
-                      for t, c in zip(tags[3:], const))
-        del tags, slots, const
-        self._take, self._indices, self._indptr = _stack_csc(
-            [[uu, ux.T.tocsc(), uy.T.tocsc()], [ux, xx, xy.T.tocsc()], [uy, xy, yy]])
-        self.shape = (n * n + 2 * nf,) * 2
-        for a in (self._take, self._const, self._indices, self._indptr):
-            a.flags.writeable = False
-
-    def fill(self, sigma: np.ndarray, mu: np.ndarray) -> sp.csc_matrix:
-        """M^T W M of raveled cell arrays sigma and mu, explicit zeros kept.
-
-        A coupling h (mu_a - sx_f) is an exact zero wherever the face mean
-        of sigma equals mu on the cell; such entries stay stored.
-        """
-        n, h = self.n, self.h
-        ops = grid_operators(n)
-        sx, sy = ops.ax @ sigma, ops.ay @ sigma
-        uu = ops.five_point(h * h * mu * mu + self._boundary,
-                            grad=(h * h * sx * sx, h * h * sy * sy)).data
-        m = mu.reshape(n, n)
-        values = np.concatenate([
-            uu, -h * (m[:-1, :].ravel() - sx), h * (m[1:, :].ravel() - sx),
-            -h * (m[:, :-1].ravel() - sy), h * (m[:, 1:].ravel() - sy),
-            self._const])
-        return with_pattern(sp.csc_matrix, values[self._take], self._indices,
-                            self._indptr, self.shape)
-
-
-def _stack_csc(columns: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(data, indices, indptr) of a block matrix as int32 CSC arrays.
-
-    columns lists the block columns, each its CSC blocks from top to
-    bottom, every block of a column as wide as the others.  The arrays
-    are allocated once and written one block column at a time, so the
-    transient memory stays that of one block: the result equals
-    sp.bmat(..., format="csc") of the same blocks, without its copies.
-    """
-    counts = [sum(np.diff(block.indptr) for block in column) for column in columns]
-    indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    data = np.empty(indptr[-1], dtype=np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    first = 0
-    for column, count in zip(columns, counts):
-        start = indptr[first:first + count.size].copy()     # next free slot per column
-        row = 0
-        for block in column:
-            per_column = np.diff(block.indptr).astype(np.int32)
-            slots = np.repeat(start - block.indptr[:-1], per_column) \
-                + np.arange(block.nnz, dtype=np.int32)
-            indices[slots] = block.indices + row
-            data[slots] = block.data
-            start += per_column
-            row += block.shape[0]
-        first += count.size
-    return data, indices, indptr
-
-
-def _without_zeros(m: sp.csc_matrix) -> sp.csc_matrix:
-    """m without its explicit zeros (m itself when it stores none)."""
-    keep = m.data != 0.0
-    if keep.all():
-        return m
-    stored = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
-    return sp.csc_matrix((m.data[keep], m.indices[keep], stored[m.indptr]),
-                         shape=m.shape)
-
-
 class _StateSolver:
-    """Normal equations L_q^T W L_q + C^T W C of the state block, one kept factor.
+    """The state block of one grid on the cells alone, with one kept factor.
 
-    The constructor builds the normal matrix's fixed pattern, fills it for
-    q and factors it.  assemble() refills the matrix for new coefficients
-    and keeps the factor, which from then on preconditions conjugate
-    gradients on the new matrix, all right-hand sides in one loop.  Each
-    solve writes its solutions into a history of the last HISTORY
-    solves, one preallocated (N, HISTORY * excitations) array; the next
-    CG starts from the Galerkin projection onto its span.  When CG
-    overruns STATE_PCG_MAX iterations or loses positive curvature, the
-    old factor is freed, the current matrix is factored and every
-    right-hand side is solved on it directly.  The factor is taken on a
-    zero-pruned copy, so exact cancellations add no fill.
+    With A = diffusion_matrix(sigma, mu), K = I + G^T G and S_f the face
+    means of sigma, the block's flux for fixed u is
+
+      p = S_f (G u) - G K^-1 (A u - g),   and u solves
+      S u = h^2 A K^-1 g + h T^T f,       S = h^2 A K^-1 A + h T^T T,
+
+    the Schur complement of the (u, p) normal matrix; `solver @ x` is
+    S x.  K^-1 is the DCT, so S x is two five-point products and one
+    transform pair.  PCG on S is preconditioned by h^-2 A_c^-1 K A_c^-1,
+    A_c = A + diag(T^T 1 / (2 h sigma)): at high frequencies A K^-1 is
+    about sigma, so this shift stands in for the trace term.  assemble()
+    takes new coefficients and keeps the factor of A_c; it is refactored
+    only when PCG overruns STATE_PCG_MAX iterations or loses positive
+    curvature.  Each solve writes its cell states into a history of the
+    last HISTORY solves, one preallocated (n^2, HISTORY * excitations)
+    array, whose span gives the next PCG its projected start.
     """
 
-    def __init__(self, q: CoefficientPair):
+    def __init__(self, grid: StaggeredGrid):
+        ops = grid_operators(grid.n)
+        self.grid = grid
         self.factorizations = 0
         self.lu_fill = 0            # entries stored for L and U of the factor
         self.start_residual = 0.0   # the last projected start's relative residual
-        self.grid = q.sigma.grid
-        self._pattern = _NormalPattern(self.grid.n)
-        self._history = None        # (N, HISTORY * excitations) recent states
+        self._lu = None
+        self._k = ConstantDiffusionSolver(grid.n, 1.0, 1.0)     # K^-1
+        self._k_matrix = ops.five_point(1.0, grad=(1.0, 1.0))   # K
+        self._edges = ops.trace.T @ np.ones(4 * grid.n)         # diag(T^T T)
+        self._history = None        # (n^2, HISTORY * excitations) recent states
         self._stored = 0            # half-steps written to the history
-        self.assemble(q)
-        self._factor()
 
     def assemble(self, q: CoefficientPair) -> None:
-        self._mu = q.mu.values.ravel()
-        self._normal = self._pattern.fill(q.sigma.values.ravel(), self._mu)
-        self._exact = False         # the factor, if any, is of an earlier q
+        self._sigma, self._mu = q.sigma.values, q.mu.values
+        self._forward = diffusion_matrix(self._sigma, self._mu)
 
     def _factor(self) -> None:
+        """Factor A_c of the assembled coefficients in place of the old factor."""
         self._lu = None             # free the old factor: never two alive at once
-        # Only the pruned copy is kept while SuperLU works.
-        pruned, self._normal = _without_zeros(self._normal), None
+        shift = self._edges.reshape(self._sigma.shape) / (2.0 * self.grid.h * self._sigma)
+        shifted = diffusion_matrix(self._sigma, self._mu + shift)
         try:
-            self._lu = splu(pruned, **SPD_LU)
+            self._lu = splu(shifted, **SPD_LU)
         except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
             raise SubproblemFailure(f"state factorization failed: {exc}") from exc
-        self._exact = True
         self.factorizations += 1
         self.lu_fill = int(self._lu.nnz)
 
-    def rhs(self, g: ScalarField, f) -> np.ndarray:
-        """M^T W (g, 0, 0, f) = h^2 (mu g + N f, Gx g, Gy g)."""
-        ops = grid_operators(self.grid.n)
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """S x, for x of shape (n^2,) or (n^2, k)."""
         h = self.grid.h
-        hg = h * h * g.values.ravel()
-        return np.concatenate([self._mu * hg + ops.trace.T @ (h * f.values),
-                               ops.grad @ hg])
+        a_k_a = self._forward @ self._k.solve(self._forward @ x)
+        return h * h * a_k_a + h * (self._edges * x.T).T
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """X with M^T W M X = B, one column of B = rhs per excitation, and
-        the PCG iterations, the most over the columns (0 when solved
-        directly).  Sets start_residual: the projected start's relative
-        residual, the most over the columns, and 0 when solved directly."""
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        return self._lu.solve(self._k_matrix @ self._lu.solve(r)) / self.grid.h ** 2
+
+    def rhs(self, g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell right-hand side h^2 A K^-1 g + h T^T f of the assembled
+        coefficients, and the norm of the full (u, p) one, h^2 (mu g + N f,
+        G g), for sources g (n^2, k) and traces f (4n, k) in columns."""
+        h = self.grid.h
+        ops = grid_operators(self.grid.n)
+        trace_f = ops.trace.T @ (h * f)
+        norm_full = np.hypot(
+            np.linalg.norm(h * h * self._mu.reshape(-1, 1) * g + trace_f, axis=0),
+            np.linalg.norm(h * h * (ops.grad @ g), axis=0))
+        return h * h * (self._forward @ self._k.solve(g)) + trace_f, norm_full
+
+    def solve(self, sources, traces) -> tuple[list, int]:
+        """The states of every excitation for the assembled coefficients, and
+        the PCG iterations, the most over the excitations, summed over the
+        loops of a refactor.  Sets start_residual: the projected start's
+        relative residual, the most over the excitations, and 0 when no
+        history exists yet."""
+        grid = self.grid
+        n, nf = grid.n, (grid.n - 1) * grid.n
+        ops = grid_operators(n)
+        g = np.column_stack([s.values.ravel() for s in sources])
+        rhs, norm_full = self.rhs(g, np.column_stack([t.values for t in traces]))
+        # PCG's residual is that of the full (u, p) normal equations, whose
+        # p-rows the closed-form p satisfies: each column stops relative to
+        # their right-hand side, as the matrix-free check does.
+        norm_rhs = np.linalg.norm(rhs, axis=0)
+        rtol = PCG_RTOL * np.divide(norm_full, norm_rhs, out=np.zeros_like(norm_rhs),
+                                    where=norm_rhs > 0.0)
+
         k = rhs.shape[1]
         if self._history is None:
-            self._history = np.empty((rhs.shape[0], HISTORY * k), order="F")
-        self.start_residual = 0.0
-        iterations = 0
-        if self._exact:
-            x = self._lu.solve(rhs)
-        else:
+            self._history = np.empty((n * n, HISTORY * k), order="F")
+        start, self.start_residual = None, 0.0
+        if self._stored:
             start = _projected_start(
-                self._normal, self._history[:, :min(self._stored, HISTORY) * k], rhs)
-            norm_b = np.linalg.norm(rhs, axis=0)
+                self, self._history[:, :min(self._stored, HISTORY) * k], rhs)
             self.start_residual = float(np.max(
-                np.linalg.norm(rhs - self._normal @ start, axis=0)
-                / np.where(norm_b > 0.0, norm_b, 1.0)))
-            x, iterations = _pcg(self._normal, rhs, self._lu.solve, STATE_PCG_MAX,
-                                 x0=start)
-            if x is None:
-                self._factor()
-                self.start_residual = 0.0
-                x = self._lu.solve(rhs)
+                np.linalg.norm(rhs - self @ start, axis=0)
+                / np.where(norm_full > 0.0, norm_full, 1.0)))
+        # On a factor of the assembled coefficients PCG runs to convergence;
+        # exact arithmetic would take at most n^2 iterations.
+        fresh = self._lu is None
+        if fresh:
+            self._factor()
+        u, iterations = _pcg(self, rhs, self._precondition,
+                             n * n if fresh else STATE_PCG_MAX, rtol, x0=start)
+        if u is None and not fresh:
+            self._factor()
+            u, more = _pcg(self, rhs, self._precondition, n * n, rtol, x0=start)
+            iterations += more
+        if u is None:
+            raise SubproblemFailure("state PCG did not converge on a fresh factor")
         slot = self._stored % HISTORY * k     # over the oldest half-step's states
-        self._history[:, slot:slot + k] = x
+        self._history[:, slot:slot + k] = u
         self._stored += 1
-        return x, iterations
+
+        # p = S_f (G u) - G K^-1 (A u - g)
+        sigma = self._sigma.ravel()
+        means = np.concatenate([ops.ax @ sigma, ops.ay @ sigma])
+        p = means[:, None] * (ops.grad @ u) \
+            - ops.grad @ self._k.solve(self._forward @ u - g)
+        states = [StatePair(ScalarField(grid, uc.reshape(n, n)),
+                            FluxField(grid, pc[:nf].reshape(n - 1, n),
+                                      pc[nf:].reshape(n, n - 1)))
+                  for uc, pc in zip(u.T, p.T)]
+        return states, iterations
 
 
 def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -484,16 +406,15 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float = PCG_RTOL,
 
 def _state_half_step(q: CoefficientPair, sources, traces,
                      solver: _StateSolver) -> tuple[list, float, int]:
-    """Solve the state block of every excitation on the solver's matrix of q.
+    """Solve the state block of every excitation for q on the solver.
 
     Returns the states, their largest verified normal-equation residual
-    and the most PCG iterations an excitation took (0 on a factor of q's
-    own matrix).  Raises SubproblemFailure when a factorization hits a
-    zero pivot or that residual misses STATE_TOL.
+    and the most PCG iterations an excitation took.  Raises
+    SubproblemFailure when a factorization hits a zero pivot, PCG fails
+    on a fresh factor or that residual misses STATE_TOL.
     """
-    solutions, pcg_iterations = solver.solve(
-        np.column_stack([solver.rhs(g, f) for g, f in zip(sources, traces)]))
-    states = [unpack_state(x, solver.grid) for x in solutions.T]
+    solver.assemble(q)
+    states, pcg_iterations = solver.solve(sources, traces)
     residual = max(state_normal_residual(q, v, g, f)
                    for v, g, f in zip(states, sources, traces))
     if not residual <= STATE_TOL:
@@ -508,7 +429,7 @@ def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
     """Minimize the state block for fixed coefficients, one excitation."""
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
-    states, _, _ = _state_half_step(q, [g], [f], _StateSolver(q))
+    states, _, _ = _state_half_step(q, [g], [f], _StateSolver(q.sigma.grid))
     return states[0]
 
 
@@ -814,16 +735,12 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
     record(j_history=eval_J(states, coeffs, sources, measurements,
                             cfg.reg_sigma, cfg.reg_mu))
-    solver = None
+    solver = _StateSolver(grid)
     coeff_factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
-            factored_before = 0 if solver is None else solver.factorizations
-            if solver is None:
-                solver = _StateSolver(coeffs)
-            else:
-                solver.assemble(coeffs)
+            factored_before = solver.factorizations
             new_states, residual, pcg_iterations = _state_half_step(
                 coeffs, sources, traces, solver)
             factored = solver.factorizations - factored_before
