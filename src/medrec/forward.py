@@ -5,13 +5,12 @@ Solves the five-point staggered discretization of
     -div(sigma grad u) + mu u = g_vol + (boundary flux h spread onto the
                                 boundary cell layer)
 
-by one sparse LU factorization of the assembled operator.  With
-sigma > 0 and mu >= 0 positive somewhere the operator is symmetric
-positive definite, so it is factored pivot-free under a symmetric
-minimum-degree ordering (operators.SPD_LU), like the state block.  A
-constant medium, such as the sampling stage's homogeneous background,
-is not factored: operators.ConstantDiffusionSolver solves it exactly
-by the 2-D DCT.  The solver depends on the medium alone, so
+with nothing factored.  With sigma > 0 and mu >= 0 positive somewhere
+the assembled operator is symmetric positive definite, and conjugate
+gradients solve it, preconditioned by the 2-D DCT of a constant medium
+(operators.ConstantDiffusionSolver, Concus & Golub 1973), which solves
+a constant medium, such as the sampling stage's homogeneous
+background, at PCG's start.  The solver depends on the medium alone, so
 generate_measurements sets it up once per medium and makes one
 residual-verified solve per excitation.  The solver exists only to
 manufacture Cauchy pairs (h, f); the reconstruction itself never calls
@@ -19,20 +18,25 @@ it.  Data generation runs on a grid refined by an integer `oversample`
 and restricts back, so inversion never sees its own discretization.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .grid import (BoundaryData, ScalarField, StaggeredGrid, average_to_faces,
                    boundary_trace, divergence_to_cells, gradient_to_faces,
                    neumann_to_source, prolong_boundary, prolong_cells,
                    restrict_cells, _require_same_grid)
-from .operators import SPD_LU, ConstantDiffusionSolver, diffusion_matrix
+from .operators import ConstantDiffusionSolver, _pcg, diffusion_matrix
+
+logger = logging.getLogger("medrec")
+
+# PCG iterations per forward solve; the examples take 20-51 at tol 1e-10.
+FORWARD_PCG_MAX = 1000
 
 
 class ForwardSolverError(RuntimeError):
-    """The direct solve missed the requested relative residual."""
+    """The forward solve missed the requested relative residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -101,12 +105,16 @@ def _check_coefficients(sigma: ScalarField, mu: ScalarField) -> None:
 
 
 class _ForwardSolver:
-    """One sparse LU factorization of one medium's operator, many data.
+    """One medium's operator, many data, and nothing factored.
 
-    The operator depends on the coefficients alone, so every excitation
-    of a medium is solved on the same factor; each solve is still
-    verified on its own.  A constant medium, whose mu the checks leave
-    positive, is solved by the DCT instead, with nothing factored.
+    Each excitation is solved by conjugate gradients on the assembled
+    operator A, preconditioned by the DCT of the constant medium A_0 of
+    (sigma_0, mu_0) = (min sigma, min mu) (Concus & Golub 1973).  Then
+    A_0 <= A, so the preconditioned condition number is at most the
+    medium's contrast, and a constant medium is solved exactly by PCG's
+    start.  Where mu vanishes on some cell, mu_0 is the mean of mu
+    instead, the constant mode's Rayleigh quotient.  Every solve is
+    verified on its own.
     """
 
     def __init__(self, sigma: ScalarField, mu: ScalarField):
@@ -115,11 +123,11 @@ class _ForwardSolver:
         self.mu = mu
         self.sigma_faces = average_to_faces(sigma)
         s, m = sigma.values, mu.values
-        if (s == s.flat[0]).all() and (m == m.flat[0]).all():
-            self.lu = ConstantDiffusionSolver(self.grid.n, float(s.flat[0]),
-                                              float(m.flat[0]))
-        else:
-            self.lu = splu(diffusion_matrix(s, m), **SPD_LU)
+        self.matrix = diffusion_matrix(s, m)
+        mu_0 = m.min() or m.mean()
+        self.background = ConstantDiffusionSolver(self.grid.n, float(s.min()),
+                                                  float(mu_0))
+        self.iterations = 0         # the last solve's PCG iterations
 
     def solve(self, neumann: BoundaryData,
               volumetric_source: ScalarField | None = None,
@@ -134,25 +142,49 @@ class _ForwardSolver:
         b = rhs_field.values
         if not np.any(b):
             return ScalarField.zeros(grid)
-        u = ScalarField(grid, self.lu.solve(b.ravel()).reshape(b.shape))
-
-        # Verify through the independent matrix-free operators of grid.py.
-        r = self.mu * u - divergence_to_cells(self.sigma_faces * gradient_to_faces(u))
-        res = float(np.linalg.norm(r.values - b) / np.linalg.norm(b))
+        # PCG's recurrence lets its residual drift from b - A x by the
+        # rounding of its iterates; where mu_0 is small its start is large,
+        # so that drift can pass tol.  A restart from its answer recomputes
+        # the true residual and removes the drift.
+        x, self.iterations = None, 0
+        for _ in range(2):
+            x, k = _pcg(self.matrix, b.reshape(-1, 1), self.background.solve,
+                        FORWARD_PCG_MAX, 1e-2 * tol, x0=x)
+            self.iterations += k
+            if x is None:
+                # PCG keeps no iterate when it fails: report the residual of
+                # its start, the constant medium's solution.
+                start = ScalarField(grid, self.background.solve(b))
+                res = self._residual(start, b)
+                raise ForwardSolverError(
+                    f"forward PCG missed relative residual {1e-2 * tol:.1e} in "
+                    f"{self.iterations} iterations (start: {res:.3e})", residual=res)
+            u = ScalarField(grid, x.reshape(b.shape))
+            res = self._residual(u, b)
+            if res <= tol:
+                break
+        logger.debug("forward PCG: %d iterations on %d^2 cells", self.iterations,
+                     grid.n)
         if not res <= tol:
             raise ForwardSolverError(
-                f"direct solve reached relative residual {res:.3e} > tol {tol:.1e}",
+                f"forward solve reached relative residual {res:.3e} > tol {tol:.1e}",
                 residual=res)
         return u
 
+    def _residual(self, u: ScalarField, b: np.ndarray) -> float:
+        """The relative residual of u, through the independent matrix-free
+        operators of grid.py."""
+        r = self.mu * u - divergence_to_cells(self.sigma_faces * gradient_to_faces(u))
+        return float(np.linalg.norm(r.values - b) / np.linalg.norm(b))
+
 
 def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
-    """Solve the staggered discretization by one sparse LU factorization,
-    or by the DCT where sigma and mu are constant.
+    """Solve the staggered discretization by PCG on the DCT of a constant
+    medium, as _ForwardSolver does.
 
     The solution is returned only if its relative residual, recomputed
     through the matrix-free operators of grid.py, is <= tol.  Raises
-    ForwardSolverError (carrying the residual) when the direct solve
+    ForwardSolverError (carrying the residual) when PCG or that check
     misses tol; ForwardProblem has already rejected sigma <= 0, mu < 0
     and mu == 0 on every cell.
     """
@@ -195,9 +227,9 @@ def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
     solution is block-averaged back before taking the trace, so the
     measured f carries genuine discretization mismatch relative to the
     inversion grid.  The fine-grid solver is set up once for the medium
-    and every excitation is one solve on it, verified against tol on its
-    own exactly as solve_forward verifies it.  With
-    oversample == 1 the trace of the direct solve is returned unchanged.
+    and every excitation is one PCG solve on it, verified against tol on
+    its own exactly as solve_forward verifies it.  With oversample == 1
+    the trace of the forward solve is returned unchanged.
     """
     if oversample < 1:
         raise ValueError("oversample must be >= 1")

@@ -81,7 +81,7 @@ from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
 from .model import (CoefficientPair, StatePair, apply_L,
                     coefficient_misfit_gradients, eval_J,
                     sources_from_measurements, state_normal_residual)
-from .operators import (SPD_LU, ConstantDiffusionSolver, diffusion_matrix,
+from .operators import (SPD_LU, ConstantDiffusionSolver, _pcg, diffusion_matrix,
                         factor_spd, grid_operators, with_pattern)
 from .regularization import RegConfig, box_feasible, bregman_distance, prox_l1_box
 
@@ -257,6 +257,11 @@ class _StateSolver:
         self.factorizations += 1
         self.lu_fill = int(self._lu.nnz)
 
+    def release(self) -> None:
+        """Free the factor and the history; the next solve starts afresh."""
+        self._lu = self._history = None
+        self._stored = 0
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x, for x of shape (n^2,) or (n^2, k)."""
         h = self.grid.h
@@ -356,52 +361,6 @@ def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j, column in enumerate(c.T):
         reduced[:, j] = c.T @ (w.T @ (a @ (w @ column)))
     return w @ (c @ np.linalg.solve(reduced, c.T @ (w.T @ b)))
-
-
-def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float = PCG_RTOL,
-         x0: np.ndarray | None = None) -> tuple:
-    """Conjugate gradients on a x = b, preconditioned by an approximate
-    inverse; a is any operator with a @ x.
-
-    b is (N, k): each column runs its own recurrence, and the columns
-    still running share one precondition call per iteration on an (N, m)
-    array.  A column starts from its column of x0 (zero without one)
-    plus the preconditioned residual there, and stops once its residual
-    is at most rtol times its norm of b; a zero column stops at the start.
-
-    Returns (x, iterations), the iterations the most over the columns, with
-    x None when cap iterations do not reach rtol or a direction has
-    p^T a p <= 0.
-    """
-    x = precondition(b if x0 is None else b - a @ x0)
-    if x0 is not None:
-        x = x + x0
-    r = b - a @ x
-    stop = rtol * np.linalg.norm(b, axis=0)
-    cols = np.flatnonzero(np.linalg.norm(r, axis=0) > stop)
-    if not cols.size:
-        return x, 0
-    r = r[:, cols]
-    z = precondition(r)
-    p = z
-    rz = np.einsum("ij,ij->j", r, z)
-    for k in range(1, cap + 1):
-        ap = a @ p
-        curvature = np.einsum("ij,ij->j", p, ap)
-        if not (curvature > 0.0).all():
-            return None, k
-        step = rz / curvature
-        x[:, cols] += step * p
-        r = r - step * ap
-        going = np.linalg.norm(r, axis=0) > stop[cols]
-        if not going.any():
-            return x, k
-        if not going.all():
-            cols, r, p, rz = cols[going], r[:, going], p[:, going], rz[going]
-        z = precondition(r)
-        rz, rz_old = np.einsum("ij,ij->j", r, z), rz
-        p = z + (rz / rz_old) * p
-    return None, cap
 
 
 def _state_half_step(q: CoefficientPair, sources, traces,
@@ -706,8 +665,8 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     The state starts from zero, so j_history[0] is the functional of the
     raw data against the initial coefficients.  Always runs cfg.max_outer
     alternations.  Each coefficient keeps one factor of its shifted
-    Hessian for the run; the factors are freed when the run returns or
-    raises.
+    Hessian for the run; these factors, the state factor and the state
+    history are freed when the run returns or raises.
     """
     measurements = check_measurements(measurements)
     grid = measurements[0].grid
@@ -789,9 +748,11 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         failure.report = _partial_report(STOP_SUBPROBLEM_FAILURE)
         raise
     finally:
-        # The traceback of a failure keeps this frame alive; the factors go now.
+        # The traceback of a failure keeps this frame alive; the factors and
+        # the state history go now.
         for factor in coeff_factors.values():
             factor.lu = None
+        solver.release()
 
     return _partial_report(STOP_MAX_ITERATIONS)
 

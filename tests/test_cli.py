@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+import medrec.forward as forward
 from medrec.cli import main, parse_geometry_file
 from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
 from medrec.experiments import deserialize_field, make_example, serialize_field
@@ -235,8 +236,25 @@ def test_incompatible_pure_neumann_geometry_is_config_error(tmp_path, capsys):
     assert "absorption" in capsys.readouterr().err
 
 
+def test_absorbing_inclusion_alone_generates(tmp_path):
+    # mu vanishes outside one inclusion: the forward operator is definite,
+    # and its PCG takes the mean of mu as the preconditioner's mu_0
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nname=absorbing_inclusion\nmu_bg=0.0\n"
+                    "mu_square_0=0.35,0.35,0.1,2.0\n")
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "24",
+                   "--out", str(tmp_path / "o")) == 0
+
+
+def test_forward_pcg_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(forward, "FORWARD_PCG_MAX", 0)   # PCG stops at its start
+    assert run_cli("generate", "--example", "ex1", "--grid", "12",
+                   "--out", str(tmp_path / "o")) == 3
+    assert "forward PCG missed" in capsys.readouterr().err
+
+
 def test_state_factor_failure_is_numerical_failure(tmp_path, singular_factor):
-    # generate factors through forward.splu, which stays unpatched
+    # generate factors nothing, so it runs past the patched state factor
     out = str(tmp_path / "o")
     assert run_cli("generate", "--example", "ex1", "--grid", "12", "--out", out) == 0
     assert run_cli("reconstruct", "--example", "ex1", "--grid", "12",

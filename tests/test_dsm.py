@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import medrec.dsm as dsm
-import medrec.forward as forward
 import medrec.operators as operators
 import medrec.optimizer as optimizer
 from medrec.cli import main
@@ -72,7 +71,7 @@ def test_sampling_stage_factors_nothing(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("sparse factorization in the sampling stage")
-    for module in (dsm, forward, operators, optimizer):
+    for module in (dsm, operators, optimizer):
         monkeypatch.setattr(module, "splu", refuse)
     reference = homogeneous_reference(1.0, 1.0, excitations)
     result = compute_index(scattered_data(sets, reference))

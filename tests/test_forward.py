@@ -1,16 +1,22 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
+import medrec.dsm as dsm
 import medrec.forward as forward
+import medrec.operators as operators
+import medrec.optimizer as optimizer
 from medrec.dsm import homogeneous_reference
 from medrec.forward import (ForwardProblem, ForwardSolverError, MeasurementSet,
                             _ForwardSolver, default_excitations,
                             generate_measurements, solve_forward)
-from medrec.operators import SPD_LU, diffusion_matrix
+from medrec.operators import ConstantDiffusionSolver, diffusion_matrix
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
-                         boundary_trace, cell_norm, neumann_to_source,
+                         average_to_faces, boundary_trace, cell_norm,
+                         divergence_to_cells, gradient_to_faces, neumann_to_source,
                          prolong_boundary, prolong_cells, restrict_cells)
 from medrec.experiments import make_example
 
@@ -71,11 +77,13 @@ def test_absorption_free_medium_is_rejected():
 @given(n=st.integers(min_value=4, max_value=24),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        one_absorbing_cell=st.booleans())
-def test_forward_operator_is_factored_pivot_free(n, seed, one_absorbing_cell):
+@example(n=20, seed=33, one_absorbing_cell=False)
+def test_forward_pcg_meets_the_residual_gate(n, seed, one_absorbing_cell):
     # The single absorbing cell is the accepted medium nearest to the
-    # singular mu == 0 one.  It holds mu = 30: the constant mode's
-    # eigenvalue is about mu / n^2, and two backward-stable solves differ
-    # by up to cond * eps, which at mu = 0.5 already exceeds 1e-10.
+    # singular mu == 0 one.  A random mu puts mu_0 = min mu near zero,
+    # where PCG's start is large and its residual drifts: in the pinned
+    # draw (min mu 2e-4) its first call ends at a true residual of 1e-9,
+    # and only the restart meets tol.
     grid = StaggeredGrid(n)
     rng = np.random.default_rng(seed)
     sigma = 0.5 + 29.5 * rng.random((n, n))
@@ -85,19 +93,32 @@ def test_forward_operator_is_factored_pivot_free(n, seed, one_absorbing_cell):
     else:
         mu = 30.0 * rng.random((n, n))
     solver = _ForwardSolver(ScalarField(grid, sigma), ScalarField(grid, mu))
-    # equal row and column permutations: no row was pivoted
-    assert np.array_equal(solver.lu.perm_r, solver.lu.perm_c)
-    matrix = diffusion_matrix(sigma, mu)
-    b = rng.standard_normal(n * n)
-    x = solver.lu.solve(b)
-    colamd = splu(matrix)                  # COLAMD with partial pivoting
-    reference = colamd.solve(b)
-    assert np.abs(x - reference).max() <= 1e-10 * np.abs(reference).max()
-    # minimum degree fills less (measured at most 0.91x for n in [4, 24])
-    assert solver.lu.L.nnz + solver.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
-    # backward stable: residual at rounding level of |A| |x|
-    assert np.abs(matrix @ x - b).max() \
-        <= 1e-14 * abs(matrix).sum(axis=1).max() * np.abs(x).max()
+    h = BoundaryData(grid, rng.standard_normal(4 * n))
+    g = ScalarField(grid, rng.standard_normal((n, n)))
+    u = solver.solve(h, g)          # raises unless PCG and the gate pass
+    assert 0 < solver.iterations <= 2 * forward.FORWARD_PCG_MAX
+    b = (neumann_to_source(h) + g).values
+    r = ScalarField(grid, mu) * u - divergence_to_cells(
+        average_to_faces(ScalarField(grid, sigma)) * gradient_to_faces(u))
+    assert np.linalg.norm(r.values - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2_1", "ex2_2", "ex3", "ex4"])
+def test_forward_pcg_matches_a_direct_solve_on_the_examples(example):
+    # The examples' media are well conditioned: their data on the 2n grid
+    # are an LU solve's up to rounding (measured at most 7e-13 at n=50).
+    # On a medium with one absorbing cell the error is bounded by the
+    # condition number times PCG's rtol instead, so none is compared there.
+    grid = StaggeredGrid(50)
+    truth = make_example(example).rasterize(grid)
+    sigma_f, mu_f = prolong_cells(truth.sigma, 2), prolong_cells(truth.mu, 2)
+    solver = _ForwardSolver(sigma_f, mu_f)
+    lu = splu(diffusion_matrix(sigma_f.values, mu_f.values))
+    for h in default_excitations(grid, 2):
+        h_fine = prolong_boundary(h, 2)
+        u = solver.solve(h_fine).values.ravel()
+        reference = lu.solve(neumann_to_source(h_fine).values.ravel())
+        assert np.linalg.norm(u - reference) <= 1e-11 * np.linalg.norm(reference)
 
 
 def test_residual_gate_rejects_unreachable_tolerance():
@@ -171,42 +192,58 @@ def test_two_excitations_for_ring_example():
     assert all(isinstance(m, MeasurementSet) for m in sets)
 
 
-@pytest.fixture
-def forward_factors(monkeypatch):
-    """Count the forward solver's LU factorizations."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-    monkeypatch.setattr(forward, "splu", counting)
-    return calls
-
-
-def test_one_factorization_per_medium(forward_factors):
+def test_generate_factors_nothing(monkeypatch):
     grid = StaggeredGrid(16)
     truth = make_example("ex4").rasterize(grid)
     excitations = default_excitations(grid, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization in data synthesis")
+    for module in (dsm, operators, optimizer):
+        monkeypatch.setattr(module, "splu", refuse)
+    for module in (operators, optimizer):
+        monkeypatch.setattr(module, "factor_spd", refuse)
     sets = generate_measurements(truth.sigma, truth.mu, excitations, oversample=2)
-    assert len(forward_factors) == 1
+    reference = homogeneous_reference(1.0, 1.0, excitations, oversample=2)
+    assert len(sets) == len(reference) == 2
+
+    # one solver for the medium: each excitation's data equal its own solve
     sigma_f, mu_f = prolong_cells(truth.sigma, 2), prolong_cells(truth.mu, 2)
     for m, h in zip(sets, excitations):
         alone = solve_forward(ForwardProblem(sigma_f, mu_f, prolong_boundary(h, 2)))
         assert np.array_equal(m.f.values,
                               boundary_trace(restrict_cells(alone, 2)).values)
 
-    # A constant medium is solved by the DCT, with nothing factored; the
-    # splu route it replaced is the oracle.
-    forward_factors.clear()
-    reference = homogeneous_reference(1.0, 1.0, excitations, oversample=2)
-    assert len(forward_factors) == 0 and len(reference) == 2
-    fine = StaggeredGrid(32)
-    lu = splu(diffusion_matrix(np.ones((32, 32)), np.ones((32, 32))), **SPD_LU)
-    for f, h in zip(reference, excitations):
-        b = neumann_to_source(prolong_boundary(h, 2)).values.ravel()
-        u = ScalarField(fine, lu.solve(b).reshape(32, 32))
-        oracle = boundary_trace(restrict_cells(u, 2)).values
-        assert np.linalg.norm(f.values - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+@pytest.mark.parametrize("n", [8, 50, 80])
+@pytest.mark.parametrize("sigma, mu", [(1.0, 1.0), (30.0, 30.0)])
+def test_constant_medium_stops_at_pcg_start(n, sigma, mu):
+    # The preconditioner is the constant medium's exact solver, so PCG's
+    # start meets its rtol and the data are the DCT's to the bit: the
+    # homogeneous reference of the sampling stage is unchanged.  (At 300^2
+    # the DCT leaves a residual of 1.6e-12, so one iteration may run.)
+    fine = StaggeredGrid(2 * n)
+    solver = _ForwardSolver(ScalarField.constant(fine, sigma),
+                            ScalarField.constant(fine, mu))
+    dct = ConstantDiffusionSolver(2 * n, sigma, mu)
+    for h in default_excitations(StaggeredGrid(n), 2):
+        h_fine = prolong_boundary(h, 2)
+        u = solver.solve(h_fine)
+        assert solver.iterations == 0
+        b = neumann_to_source(h_fine).values.ravel()
+        assert np.array_equal(u.values.ravel(), dct.solve(b))
+
+
+def test_forward_pcg_iterations_are_logged(caplog):
+    grid = StaggeredGrid(12)
+    truth = make_example("ex1").rasterize(grid)
+    with caplog.at_level(logging.DEBUG, logger="medrec"):
+        generate_measurements(truth.sigma, truth.mu, default_excitations(grid, 2))
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "medrec" and r.getMessage().startswith("forward PCG")]
+    assert len(records) == 2                    # one per excitation
+    assert all(m.endswith("iterations on 24^2 cells") for m in records)
+    assert all(int(m.split()[2]) > 0 for m in records)
 
 
 def test_shared_factor_keeps_the_residual_gate():

@@ -22,7 +22,7 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               ReconstructionReport, SubproblemFailure,
                               _CoefficientFactor,
                               _CoefficientProblem, _StateSolver,
-                              _mu_problem, _pcg, _projected_start, _sigma_problem,
+                              _mu_problem, _projected_start, _sigma_problem,
                               _solve_one_coefficient,
                               _state_half_step, adi_reconstruct,
                               bregman_diagnostics,
@@ -31,7 +31,7 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
 from medrec.regularization import (RegConfig, eval_phi, eval_phi_smooth,
                                    prox_l1_box_array, smooth_grad_phi)
 from medrec.experiments import make_example
-from medrec.operators import SPD_LU, diffusion_matrix, grid_operators
+from medrec.operators import SPD_LU, _pcg, diffusion_matrix, grid_operators
 from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
@@ -451,7 +451,8 @@ def test_stale_factor_past_the_bound_refactors():
 
 def test_pcg_stops_on_nonpositive_curvature():
     b = np.ones((3, 1))
-    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r, STATE_PCG_MAX)
+    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r, STATE_PCG_MAX,
+                         optimizer.PCG_RTOL)
     assert x is None and iterations == 1
 
 
@@ -639,6 +640,27 @@ def test_coefficient_zero_pivot_carries_the_partial_report(monkeypatch):
     assert_series_lengths(report, state=2, coefficient=1)
     # the traceback still holds the run's frame, but not its factors
     assert all(ref() is None for ref in factors)
+
+
+def test_failed_run_frees_the_state_factor(monkeypatch, singular_coefficient_factor):
+    grid, truth, sets = small_problem(n=24)
+    real = optimizer.splu
+    factors = []
+
+    def tracked(*args, **kwargs):
+        lu = _TrackedFactor(real(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(optimizer, "splu", tracked)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    with pytest.raises(SubproblemFailure, match="coefficient factorization") as info:
+        adi_reconstruct(sets, init, default_config(max_outer=2))
+    assert info.value.report.state_factorizations.tolist() == [1]
+    # the held failure's traceback still holds the run's frame, and with it
+    # the state solver, but not its factor
+    assert len(factors) == 1 and factors[0]() is None
 
 
 def assert_rel_close(actual, reference, rtol=1e-12):
