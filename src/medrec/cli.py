@@ -167,19 +167,22 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
         mu_square_<k>=cx,cy,width,value
         sigma_ring_<k>=cx,cy,outer,inner,value
         mu_ring_<k>=cx,cy,outer,inner,value
-    Any other key, and any key given twice, is a ConfigError, so a
-    misspelt or repeated one cannot pass unseen.
+    Any other key, a key given twice and a value that is not a number
+    are each a ConfigError naming the key, so none passes unseen.
     """
     kv = _parse_kv_file(path)
+
+    def number(key, text, kind=float):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"{path}: bad number in {key}: {text!r}") from None
 
     def floats(key, count):
         parts = kv[key].split(",")
         if len(parts) != count:
             raise ConfigError(f"{path}: {key} needs {count} comma-separated values")
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"{path}: bad number in {key}") from None
+        return [number(key, p) for p in parts]
 
     sigma_shapes, mu_shapes = [], []
     for key in sorted(kv):
@@ -193,15 +196,16 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
             (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key not in _GEOMETRY_KEYS:
             raise ConfigError(f"{path}: unknown geometry key {key!r}")
-    params = (float(kv.get("alpha_sigma", 1e-2)), float(kv.get("beta_sigma", 2e-2)),
-              float(kv.get("alpha_mu", 5e-4)), float(kv.get("beta_mu", 5e-4)))
+    params = tuple(number(key, kv.get(key, default)) for key, default in (
+        ("alpha_sigma", 1e-2), ("beta_sigma", 2e-2), ("alpha_mu", 5e-4),
+        ("beta_mu", 5e-4)))
     return ExampleSpec(
         name=kv.get("name", path.stem),
         sigma_inclusions=tuple(sigma_shapes),
         mu_inclusions=tuple(mu_shapes),
-        sigma_background=float(kv.get("sigma_bg", BACKGROUND_SIGMA)),
-        mu_background=float(kv.get("mu_bg", BACKGROUND_MU)),
-        excitation_count=int(kv.get("excitations", 1)),
+        sigma_background=number("sigma_bg", kv.get("sigma_bg", BACKGROUND_SIGMA)),
+        mu_background=number("mu_bg", kv.get("mu_bg", BACKGROUND_MU)),
+        excitation_count=number("excitations", kv.get("excitations", 1), int),
         params_exact=params, params_noisy=params)
 
 

@@ -36,7 +36,8 @@ FORWARD_PCG_MAX = 1000
 
 
 class ForwardSolverError(RuntimeError):
-    """The forward solve missed the requested relative residual."""
+    """The forward solve missed the requested relative residual; residual is
+    that of the last iterate, recomputed matrix-free."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -148,19 +149,16 @@ class _ForwardSolver:
         # the true residual and removes the drift.
         x, self.iterations = None, 0
         for _ in range(2):
-            x, k = _pcg(self.matrix, b.reshape(-1, 1), self.background.solve,
-                        FORWARD_PCG_MAX, 1e-2 * tol, x0=x)
+            x, k, converged = _pcg(self.matrix, b.reshape(-1, 1), self.background.solve,
+                                   FORWARD_PCG_MAX, 1e-2 * tol, x0=x)
             self.iterations += k
-            if x is None:
-                # PCG keeps no iterate when it fails: report the residual of
-                # its start, the constant medium's solution.
-                start = ScalarField(grid, self.background.solve(b))
-                res = self._residual(start, b)
-                raise ForwardSolverError(
-                    f"forward PCG missed relative residual {1e-2 * tol:.1e} in "
-                    f"{self.iterations} iterations (start: {res:.3e})", residual=res)
             u = ScalarField(grid, x.reshape(b.shape))
             res = self._residual(u, b)
+            if not converged:
+                raise ForwardSolverError(
+                    f"forward PCG missed relative residual {1e-2 * tol:.1e} in "
+                    f"{self.iterations} iterations (last iterate: {res:.3e})",
+                    residual=res)
             if res <= tol:
                 break
         logger.debug("forward PCG: %d iterations on %d^2 cells", self.iterations,
@@ -184,9 +182,9 @@ def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
 
     The solution is returned only if its relative residual, recomputed
     through the matrix-free operators of grid.py, is <= tol.  Raises
-    ForwardSolverError (carrying the residual) when PCG or that check
-    misses tol; ForwardProblem has already rejected sigma <= 0, mu < 0
-    and mu == 0 on every cell.
+    ForwardSolverError when PCG or that check misses tol, carrying that
+    residual of PCG's last iterate; ForwardProblem has already rejected
+    sigma <= 0, mu < 0 and mu == 0 on every cell.
     """
     solver = _ForwardSolver(problem.sigma, problem.mu)
     return solver.solve(problem.neumann, problem.volumetric_source, tol)

@@ -17,7 +17,8 @@ the coefficient Hessians of optimizer.py.  No forward operator is
 factored to synthesize data: ConstantDiffusionSolver solves a constant
 medium's by the 2-D DCT and preconditions any other medium's.  _pcg is
 the package's one preconditioned conjugate-gradient loop, which the
-forward solve, the state block and the coefficient blocks share.
+forward solve, the state block and the coefficient blocks share; it
+returns its last iterate even when it fails, so a caller can report it.
 """
 
 import functools
@@ -92,9 +93,10 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float,
     plus the preconditioned residual there, and stops once its residual
     is at most rtol times its norm of b; a zero column stops at the start.
 
-    Returns (x, iterations), the iterations the most over the columns, with
-    x None when cap iterations do not reach rtol or a direction has
-    p^T a p <= 0.
+    Returns (x, iterations, converged): x the last iterate, the iterations
+    the most over the columns, and converged False when cap iterations do
+    not reach rtol or a direction has p^T a p <= 0, x then being the
+    iterate before that direction.
     """
     x = precondition(b if x0 is None else b - a @ x0)
     if x0 is not None:
@@ -103,7 +105,7 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float,
     stop = rtol * np.linalg.norm(b, axis=0)
     cols = np.flatnonzero(np.linalg.norm(r, axis=0) > stop)
     if not cols.size:
-        return x, 0
+        return x, 0, True
     r = r[:, cols]
     z = precondition(r)
     p = z
@@ -112,19 +114,19 @@ def _pcg(a, b: np.ndarray, precondition, cap: int, rtol: float,
         ap = a @ p
         curvature = np.einsum("ij,ij->j", p, ap)
         if not (curvature > 0.0).all():
-            return None, k
+            return x, k, False
         step = rz / curvature
         x[:, cols] += step * p
         r = r - step * ap
         going = np.linalg.norm(r, axis=0) > stop[cols]
         if not going.any():
-            return x, k
+            return x, k, True
         if not going.all():
             cols, r, p, rz = cols[going], r[:, going], p[:, going], rz[going]
         z = precondition(r)
         rz, rz_old = np.einsum("ij,ij->j", r, z), rz
         p = z + (rz / rz_old) * p
-    return None, cap
+    return x, cap, False
 
 
 def _frozen(m):

@@ -13,23 +13,19 @@ each solving two convex subproblems:
     solves it by conjugate gradients preconditioned with A_c, the
     forward operator plus a Robin shift on the boundary cells that
     keeps it definite where mu vanishes; A_c is factored pivot-free
-    under a symmetric minimum-degree ordering (operators.SPD_LU) in the
-    first outer iteration and kept, since the coefficients move little
-    between iterations.  The excitations' right-hand sides are the
-    columns of one array in one CG loop, and converged columns drop
+    under a symmetric minimum-degree ordering (operators.SPD_LU), kept
+    with the cap STATE_PCG_MAX.  The excitations' right-hand sides are
+    the columns of one array in one CG loop, and converged columns drop
     out.  The first half-step starts from zero; later ones start each
     column from the Galerkin projection onto the span of the last
     HISTORY half-steps' cell states, pooled over the excitations
-    (Fischer 1998).  When CG overruns STATE_PCG_MAX iterations, the old
-    factor is freed and A_c of the current coefficients factored in its
-    place; one factor is alive at a time.  CG stops relative to the full
-    (u, p) right-hand side, whose flux rows the closed-form flux
-    satisfies, so the stop means what it would on the (u, p) system.
-    One half-step serves solve_state_subproblem and adi_reconstruct
-    alike: the residual is recomputed through the matrix-free normal
-    operator from the model module, keeping the two routes independent,
-    and a zero pivot or a residual above STATE_TOL raises
-    SubproblemFailure.
+    (Fischer 1998).  CG stops relative to the full (u, p) right-hand
+    side, whose flux rows the closed-form flux satisfies, so the stop
+    means what it would on the (u, p) system.  One half-step serves
+    solve_state_subproblem and adi_reconstruct alike: the residual is
+    recomputed through the matrix-free normal operator from the model
+    module, keeping the two routes independent, and one above STATE_TOL
+    raises SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
     least-squares problem plus the L1/H1/box penalty.  Its Hessian is
@@ -44,11 +40,16 @@ each solving two convex subproblems:
     which keeps it definite at alpha = 0), and an Armijo search on the
     projection arc keeps the subproblem value descending.  That system
     is solved by PCG preconditioned with one factor per coefficient
-    (operators.factor_spd), taken in the first outer iteration and kept
-    for the run; when PCG overruns COEFF_PCG_MAX iterations on it, it is
-    freed and the current system factored and solved in its place.  A
-    solve takes one to a few steps and stops at the fixed-point
-    tolerance COEFF_TOL, or after NEWTON_MAX steps, a safety cap.
+    (operators.factor_spd), kept with the cap COEFF_PCG_MAX.  A solve
+    takes one to a few steps and stops at the fixed-point tolerance
+    COEFF_TOL, or after NEWTON_MAX steps, a safety cap.
+
+Both blocks keep their factors by one rule (_KeptFactor), since the
+coefficients move little between outer iterations: PCG runs on the kept
+factor up to the block's cap; without a factor, or past the cap, the old
+one is freed and the current matrix factored and solved by PCG to
+convergence.  A zero pivot, or PCG failing on a fresh factor, raises
+SubproblemFailure naming the block.
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
@@ -204,6 +205,51 @@ _SERIES = {f.name: get_args(f.type)[1] for f in fields(ReconstructionReport)
 
 
 # ---------------------------------------------------------------------------
+# Kept factors: PCG on a factor taken once, retaken when PCG overruns
+# ---------------------------------------------------------------------------
+
+class _KeptFactor:
+    """One block's SuperLU factor lu, taken by factor(matrix) and kept as a
+    PCG preconditioner; fill is the entries stored for L and U of the last."""
+
+    def __init__(self, block: str, factor):
+        self.block = block
+        self._factor = factor
+        self.lu = None
+        self.factorizations = 0
+        self.fill = 0
+
+    def solve(self, a, b: np.ndarray, matrix, apply, cap: int, rtol,
+              x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """x with a x = b to rtol by PCG preconditioned with apply(lu, r),
+        capped at cap iterations on a kept factor, and the iterations,
+        summed over a failure there and the loop on matrix()'s factor."""
+        iterations = 0
+        if self.lu is not None:
+            x, iterations, converged = _pcg(a, b, lambda r: apply(self.lu, r), cap,
+                                            rtol, x0=x0)
+            if converged:
+                return x, iterations
+        self.lu = None              # free the old factor: never two alive at once
+        try:
+            self.lu = self._factor(matrix())
+        except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
+            raise SubproblemFailure(f"{self.block} factorization failed: {exc}") from exc
+        self.factorizations += 1
+        self.fill = int(self.lu.nnz)
+        # On a factor of the current matrix PCG runs to convergence; exact
+        # arithmetic would take at most one iteration per unknown.
+        x, more, converged = _pcg(a, b, lambda r: apply(self.lu, r), b.shape[0],
+                                  rtol, x0=x0)
+        if not converged:
+            residual = float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+            raise SubproblemFailure(
+                f"{self.block} PCG did not converge on a fresh factor (last "
+                f"iterate: relative residual {residual:.3e})", residual=residual)
+        return x, iterations + more
+
+
+# ---------------------------------------------------------------------------
 # State subproblem: PCG on the cells alone, one kept factor
 # ---------------------------------------------------------------------------
 
@@ -221,20 +267,18 @@ class _StateSolver:
     transform pair.  PCG on S is preconditioned by h^-2 A_c^-1 K A_c^-1,
     A_c = A + diag(T^T 1 / (2 h sigma)): at high frequencies A K^-1 is
     about sigma, so this shift stands in for the trace term.  assemble()
-    takes new coefficients and keeps the factor of A_c; it is refactored
-    only when PCG overruns STATE_PCG_MAX iterations or loses positive
-    curvature.  Each solve writes its cell states into a history of the
-    last HISTORY solves, one preallocated (n^2, HISTORY * excitations)
-    array, whose span gives the next PCG its projected start.
+    takes new coefficients; `factor` keeps the factor of A_c across them.
+    Each solve writes its cell states into a history of the last HISTORY
+    solves, one preallocated (n^2, HISTORY * excitations) array, whose
+    span gives the next PCG its projected start.
     """
 
     def __init__(self, grid: StaggeredGrid):
         ops = grid_operators(grid.n)
         self.grid = grid
-        self.factorizations = 0
-        self.lu_fill = 0            # entries stored for L and U of the factor
+        # splu looked up at call time, so that a patch of optimizer.splu applies
+        self.factor = _KeptFactor("state", lambda a: splu(a, **SPD_LU))
         self.start_residual = 0.0   # the last projected start's relative residual
-        self._lu = None
         self._k = ConstantDiffusionSolver(grid.n, 1.0, 1.0)     # K^-1
         self._k_matrix = ops.five_point(1.0, grad=(1.0, 1.0))   # K
         self._edges = ops.trace.T @ np.ones(4 * grid.n)         # diag(T^T T)
@@ -245,21 +289,14 @@ class _StateSolver:
         self._sigma, self._mu = q.sigma.values, q.mu.values
         self._forward = diffusion_matrix(self._sigma, self._mu)
 
-    def _factor(self) -> None:
-        """Factor A_c of the assembled coefficients in place of the old factor."""
-        self._lu = None             # free the old factor: never two alive at once
+    def _shifted(self) -> sp.csc_matrix:
+        """A_c of the assembled coefficients."""
         shift = self._edges.reshape(self._sigma.shape) / (2.0 * self.grid.h * self._sigma)
-        shifted = diffusion_matrix(self._sigma, self._mu + shift)
-        try:
-            self._lu = splu(shifted, **SPD_LU)
-        except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
-            raise SubproblemFailure(f"state factorization failed: {exc}") from exc
-        self.factorizations += 1
-        self.lu_fill = int(self._lu.nnz)
+        return diffusion_matrix(self._sigma, self._mu + shift)
 
     def release(self) -> None:
         """Free the factor and the history; the next solve starts afresh."""
-        self._lu = self._history = None
+        self.factor.lu = self._history = None
         self._stored = 0
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -268,8 +305,8 @@ class _StateSolver:
         a_k_a = self._forward @ self._k.solve(self._forward @ x)
         return h * h * a_k_a + h * (self._edges * x.T).T
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        return self._lu.solve(self._k_matrix @ self._lu.solve(r)) / self.grid.h ** 2
+    def _precondition(self, lu, r: np.ndarray) -> np.ndarray:
+        return lu.solve(self._k_matrix @ lu.solve(r)) / self.grid.h ** 2
 
     def rhs(self, g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The cell right-hand side h^2 A K^-1 g + h T^T f of the assembled
@@ -311,19 +348,8 @@ class _StateSolver:
             self.start_residual = float(np.max(
                 np.linalg.norm(rhs - self @ start, axis=0)
                 / np.where(norm_full > 0.0, norm_full, 1.0)))
-        # On a factor of the assembled coefficients PCG runs to convergence;
-        # exact arithmetic would take at most n^2 iterations.
-        fresh = self._lu is None
-        if fresh:
-            self._factor()
-        u, iterations = _pcg(self, rhs, self._precondition,
-                             n * n if fresh else STATE_PCG_MAX, rtol, x0=start)
-        if u is None and not fresh:
-            self._factor()
-            u, more = _pcg(self, rhs, self._precondition, n * n, rtol, x0=start)
-            iterations += more
-        if u is None:
-            raise SubproblemFailure("state PCG did not converge on a fresh factor")
+        u, iterations = self.factor.solve(self, rhs, self._shifted, self._precondition,
+                                          STATE_PCG_MAX, rtol, x0=start)
         slot = self._stored % HISTORY * k     # over the oldest half-step's states
         self._history[:, slot:slot + k] = u
         self._stored += 1
@@ -369,8 +395,8 @@ def _state_half_step(q: CoefficientPair, sources, traces,
 
     Returns the states, their largest verified normal-equation residual
     and the most PCG iterations an excitation took.  Raises
-    SubproblemFailure when a factorization hits a zero pivot, PCG fails
-    on a fresh factor or that residual misses STATE_TOL.
+    SubproblemFailure as the solver's factor does, or when that residual
+    misses STATE_TOL.
     """
     solver.assemble(q)
     states, pcg_iterations = solver.solve(sources, traces)
@@ -454,47 +480,14 @@ def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
     return _CoefficientProblem(hess, shift, reg, n)
 
 
-class _CoefficientFactor:
-    """One coefficient's kept factor, preconditioning PCG on its Newton systems.
-
-    The factor is of a masked shifted Hessian: H + rho I with the
-    couplings to the cells held on their bounds removed.  It is taken
-    when the run's first Newton system is solved and kept for the run.
-    When PCG overruns COEFF_PCG_MAX iterations on a later system, the old
-    factor is freed, that system's matrix factored in its place, and the
-    system solved on it directly.
-    """
-
-    def __init__(self):
-        self.lu = None
-        self.factorizations = 0
-
-    def _factor(self, matrix: sp.csc_matrix) -> None:
-        self.lu = None              # free the old factor: never two alive at once
-        try:
-            self.lu = factor_spd(matrix)
-        except RuntimeError as exc:     # a zero pivot: "Factor is exactly singular"
-            raise SubproblemFailure(f"coefficient factorization failed: {exc}") from exc
-        self.factorizations += 1
-
-    def solve(self, masked: sp.csc_matrix, b: np.ndarray, keep: np.ndarray,
-              rtol: float) -> tuple[np.ndarray, int]:
-        """x with masked x = b to the relative residual rtol, and the PCG
-        iterations spent; keep is 1 on the free cells and 0 on the others,
-        where b and x vanish."""
-        iterations = 0
-        if self.lu is not None:
-            x, iterations = _pcg(masked, b[:, None],
-                                 lambda r: keep[:, None] * self.lu.solve(r),
-                                 COEFF_PCG_MAX, rtol)
-            if x is not None:
-                return x[:, 0], iterations
-        self._factor(masked)
-        return keep * self.lu.solve(b), iterations
+def _coefficient_factors() -> dict:
+    """sigma's and mu's kept factors; factor_spd is looked up at call time."""
+    return {name: _KeptFactor("coefficient", lambda a: factor_spd(a))
+            for name in ("sigma", "mu")}
 
 
 def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
-                           factor: _CoefficientFactor):
+                           factor: _KeptFactor):
     """Projected Newton (Bertsekas 1982) on one coefficient's box QP.
 
     On the box q >= q_lo >= 0 the L1 term is linear, so the block is
@@ -549,10 +542,12 @@ def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
             # symmetric, so its CSR arrays read as CSC are the same matrix.
             masked = data * (keep[rows] * keep[hess.indices])
             masked[diagonal] = data[diagonal]
-            x, iterations = factor.solve(
-                with_pattern(sp.csc_matrix, masked, hess.indices, hess.indptr,
-                             hess.shape), b, keep, stop / norm_b)
-            d += x
+            matrix = with_pattern(sp.csc_matrix, masked, hess.indices, hess.indptr,
+                                  hess.shape)
+            x, iterations = factor.solve(matrix, b[:, None], lambda: matrix,
+                                         lambda lu, r: keep[:, None] * lu.solve(r),
+                                         COEFF_PCG_MAX, stop / norm_b)
+            d += x[:, 0]
             pcg_iterations += iterations
         t, delta = 1.0, -step       # the gradient step unless the arc gives one
         for _ in range(ARMIJO_MAX):
@@ -594,8 +589,7 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     if not states:
         raise ValueError("at least one state pair is required")
     n = warm_start.sigma.grid.n
-    if factors is None:
-        factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
+    factors = _coefficient_factors() if factors is None else factors
     factored_before = sum(f.factorizations for f in factors.values())
 
     prob = _sigma_problem(states, cfg.reg_sigma, n)
@@ -695,19 +689,19 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     record(j_history=eval_J(states, coeffs, sources, measurements,
                             cfg.reg_sigma, cfg.reg_mu))
     solver = _StateSolver(grid)
-    coeff_factors = {"sigma": _CoefficientFactor(), "mu": _CoefficientFactor()}
+    coeff_factors = _coefficient_factors()
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
-            factored_before = solver.factorizations
+            factored_before = solver.factor.factorizations
             new_states, residual, pcg_iterations = _state_half_step(
                 coeffs, sources, traces, solver)
-            factored = solver.factorizations - factored_before
+            factored = solver.factor.factorizations - factored_before
             record(state_residuals=residual,
                    state_factorizations=factored,
                    state_pcg_iterations=pcg_iterations,
                    state_start_residuals=solver.start_residual,
-                   state_lu_fill=solver.lu_fill if factored else 0,
+                   state_lu_fill=solver.factor.fill if factored else 0,
                    state_decrement_terms=_state_decrement(new_states, states,
                                                           coeffs, grid),
                    j_after_state=eval_J(new_states, coeffs, sources, measurements,
@@ -739,7 +733,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
                          "coefficient PCG %d, coefficient factors %d, "
                          "decrements %.3e (state) %.3e (coefficient), E %.3e",
                          k + 1, series["j_history"][-1], residual, pcg_iterations,
-                         solver.start_residual, factored == 1, solver.lu_fill,
+                         solver.start_residual, factored == 1, solver.factor.fill,
                          update.inner_iterations, update.pcg_iterations,
                          update.factorizations, series["state_decrement_terms"][-1],
                          series["coeff_decrement_terms"][-1],

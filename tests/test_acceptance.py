@@ -193,17 +193,52 @@ def test_criterion_6_block_optimality(ex1_exact):
               f"state {report.final_state_residual:.1e}, coeff {rs:.1e}/{rm:.1e}")
 
 
+def exact_reproduction(label, example, report, truth):
+    """Criterion 7a: every true inclusion's centre of mass within 0.05, and
+    the background of each reconstructed coefficient within 10%."""
+    met = compute_metrics(report.coefficients, truth)
+    errors = met.sigma.center_of_mass_errors + met.mu.center_of_mass_errors
+    pairs = [(report.coefficients.sigma, truth.sigma)]
+    if make_example(example).reconstruct_mu:
+        pairs.append((report.coefficients.mu, truth.mu))
+    bg = [background_deviation(rec, tru, 6) for rec, tru in pairs]
+    ok = all(e <= 0.05 for e in errors) and all(d <= 0.10 for d in bg)
+    criterion(label, f"{example} exact-data reproduction", ok,
+              f"com {errors}, bg {'/'.join(f'{d:.3f}' for d in bg)}")
+
+
 def test_criterion_7_example1_exact(ex1_exact):
     report, truth, _ = ex1_exact
-    met = compute_metrics(report.coefficients, truth)
-    com_ok = (all(e <= 0.05 for e in met.sigma.center_of_mass_errors)
-              and all(e <= 0.05 for e in met.mu.center_of_mass_errors))
-    bg_sigma = background_deviation(report.coefficients.sigma, truth.sigma, 6)
-    bg_mu = background_deviation(report.coefficients.mu, truth.mu, 6)
-    ok = com_ok and bg_sigma <= 0.10 and bg_mu <= 0.10
-    criterion("7a", "Example 1 exact-data reproduction", ok,
-              f"com {met.sigma.center_of_mass_errors + met.mu.center_of_mass_errors}, "
-              f"bg {bg_sigma:.3f}/{bg_mu:.3f}")
+    exact_reproduction("7a", "ex1", report, truth)
+
+
+# The rest of the exact-data reproduction matrix: criterion 7a on the
+# other four media, each run as run_pipeline runs it (n=50, oversample 2,
+# the example's excitations and params_exact, stage 2 from the sampling
+# stage's start).  Each fails on this code, so each is a strict xfail whose
+# reason records the reproduced setting and the numbers measured; one that
+# starts to pass fails the suite until its mark goes.  Areas are of the
+# inclusions rasterized at n=50 (cells whose centre lies inside).
+EXACT_MATRIX = {
+    "ex2_1": "max_outer 50, 1 excitation, sigma areas 0.0024 and 0.0024: "
+             "centre-of-mass errors 0.126 and 0.383, background deviation 10.3",
+    "ex2_2": "max_outer 50, 1 excitation, sigma areas 0.0100 and 0.0100: "
+             "centre-of-mass errors 0.080 and 0.092, background deviation 0.214",
+    "ex3": "max_outer 50, 1 excitation, sigma areas 0.0120 and 0.0120, mu areas "
+           "0.0120 and 0.0120: centre-of-mass errors inf and inf (sigma's support "
+           "is lost), 0.026 and 0.474 (mu), background deviation 0.282 (sigma) "
+           "and 0.697 (mu)",
+    "ex4": "max_outer 50, 2 excitations, sigma ring area 0.0144: centre-of-mass "
+           "error 0.003, background deviation 0.203",
+}
+
+
+@pytest.mark.parametrize("example", [
+    pytest.param(example, marks=pytest.mark.xfail(strict=True, reason=reason))
+    for example, reason in EXACT_MATRIX.items()])
+def test_criterion_7_exact_matrix(example):
+    report, truth, _ = run_pipeline(example, 50, 0.0, 0, max_outer=50)
+    exact_reproduction("7a", example, report, truth)
 
 
 @pytest.mark.xfail(strict=False, reason=(

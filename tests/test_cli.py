@@ -279,6 +279,19 @@ def test_misspelt_geometry_key_is_config_error(tmp_path):
     assert not (out / "truth_sigma.field").exists()
 
 
+@pytest.mark.parametrize("line", ["sigma_bg=abc", "mu_bg=", "excitations=two",
+                                  "excitations=2.0", "beta_mu=1e-3x"])
+def test_geometry_number_names_its_file_and_key(tmp_path, capsys, line):
+    geom = tmp_path / "geom.cfg"
+    geom.write_text(f"version=1\nsigma_square_0=0.25,0.65,0.1,20.0\n{line}\n")
+    out = tmp_path / "o"
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
+                   "--out", str(out)) == 2
+    key, value = line.split("=")
+    assert f"{geom}: bad number in {key}: {value!r}" in capsys.readouterr().err
+    assert not (out / "truth_sigma.field").exists()
+
+
 def test_missing_init_mu_is_config_error(tmp_path):
     out = tmp_path / "o"
     assert run_cli("generate", "--example", "ex1", "--grid", "8",

@@ -246,6 +246,22 @@ def test_forward_pcg_iterations_are_logged(caplog):
     assert all(int(m.split()[2]) > 0 for m in records)
 
 
+def test_pcg_failure_reports_its_last_iterate(monkeypatch):
+    # Two iterations miss tol on ex1's medium; the error carries the
+    # matrix-free residual of the iterate PCG reached, not of its start.
+    grid = StaggeredGrid(24)
+    truth = make_example("ex1").rasterize(grid)
+    solver = _ForwardSolver(truth.sigma, truth.mu)
+    h = default_excitations(grid, 1)[0]
+    b = neumann_to_source(h).values
+    start = solver._residual(ScalarField(grid, solver.background.solve(b)), b)
+    monkeypatch.setattr(forward, "FORWARD_PCG_MAX", 2)
+    with pytest.raises(ForwardSolverError, match="last iterate") as info:
+        solver.solve(h)
+    assert np.isfinite(info.value.residual) and info.value.residual < start
+    assert f"(last iterate: {info.value.residual:.3e})" in str(info.value)
+
+
 def test_shared_factor_keeps_the_residual_gate():
     grid = StaggeredGrid(8)
     truth = make_example("ex4").rasterize(grid)

@@ -20,8 +20,7 @@ from medrec.model import (CoefficientPair, StatePair, apply_L,
                           state_normal_residual, state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               ReconstructionReport, SubproblemFailure,
-                              _CoefficientFactor,
-                              _CoefficientProblem, _StateSolver,
+                              _CoefficientProblem, _KeptFactor, _StateSolver,
                               _mu_problem, _projected_start, _sigma_problem,
                               _solve_one_coefficient,
                               _state_half_step, adi_reconstruct,
@@ -31,7 +30,8 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
 from medrec.regularization import (RegConfig, eval_phi, eval_phi_smooth,
                                    prox_l1_box_array, smooth_grad_phi)
 from medrec.experiments import make_example
-from medrec.operators import SPD_LU, _pcg, diffusion_matrix, grid_operators
+from medrec.operators import (SPD_LU, _pcg, diffusion_matrix, factor_spd,
+                              grid_operators)
 from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
@@ -118,7 +118,9 @@ def state_solver(q, factored=None):
     (q itself by default)."""
     solver = _StateSolver(q.sigma.grid)
     solver.assemble(factored or q)
-    solver._factor()
+    # a zero right-hand side takes the factor and runs no PCG iteration
+    solver.factor.solve(solver, np.zeros((q.sigma.grid.n ** 2, 1)), solver._shifted,
+                        solver._precondition, STATE_PCG_MAX, optimizer.PCG_RTOL)
     solver.assemble(q)
     return solver
 
@@ -260,7 +262,7 @@ def test_exact_cancellations_add_no_fill():
     solver = state_solver(q)
     assert product.nnz == 31680 and (product.data != 0.0).all()
     fill = lu_nnz(splu(product, **SPD_LU))
-    assert lu_nnz(solver._lu) == solver._lu.nnz == solver.lu_fill == fill
+    assert lu_nnz(solver.factor.lu) == solver.factor.lu.nnz == solver.factor.fill == fill
 
 
 def random_box_coefficients(grid, rng):
@@ -286,10 +288,10 @@ def test_state_normal_matrix_is_spd_and_factored_pivot_free(n, seed):
     assert np.abs(schur - schur.T).max() <= 1e-13 * scale
     assert np.linalg.eigvalsh(0.5 * (schur + schur.T))[0] > 0.0
     # equal row and column permutations: no row was pivoted
-    assert np.array_equal(solver._lu.perm_r, solver._lu.perm_c)
+    assert np.array_equal(solver.factor.lu.perm_r, solver.factor.lu.perm_c)
     b = rng.standard_normal(n * n)
     reference = splu(shifted_forward_product(q)).solve(b)  # COLAMD, partial pivoting
-    assert np.abs(solver._lu.solve(b) - reference).max() \
+    assert np.abs(solver.factor.lu.solve(b) - reference).max() \
         <= 1e-10 * np.abs(reference).max()
 
 
@@ -300,7 +302,7 @@ def test_state_factor_fill_halves_against_colamd():
     # measured 0.62 on the shifted forward operator (0.45 on the (u, p)
     # normal matrix factored before); minimum degree with partial pivoting
     # fills far more
-    assert lu_nnz(solver._lu) < 0.7 * lu_nnz(splu(shifted_forward_product(q)))
+    assert lu_nnz(solver.factor.lu) < 0.7 * lu_nnz(splu(shifted_forward_product(q)))
 
 
 def perturbed(q, rng, spread):
@@ -318,7 +320,8 @@ def kept_factor_system(n, rng):
     grid = StaggeredGrid(n)
     q0 = random_box_coefficients(grid, rng)
     solver = state_solver(perturbed(q0, rng, 0.2), factored=q0)
-    return sp.csc_matrix(cell_matrix(solver)), solver._precondition
+    return (sp.csc_matrix(cell_matrix(solver)),
+            lambda r: solver._precondition(solver.factor.lu, r))
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,7 +339,7 @@ def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
         patch.setattr(optimizer, "STATE_PCG_MAX", 100)
         solver = state_solver(q1, factored=q0)
         states, residual, iterations = _state_half_step(q1, [g], [f], solver)
-    assert solver.factorizations == 1 and iterations > 0
+    assert solver.factor.factorizations == 1 and iterations > 0
     assert residual <= STATE_TOL
 
     # x - x_direct = S^-1 (r_direct - r), so the two solutions differ by at
@@ -368,8 +371,8 @@ def test_multi_column_pcg_matches_one_column_solves(n, k, seed):
     # cannot decide it.
     rtol, cap = 1e-8, 100
     with np.errstate(divide="raise", invalid="raise"):
-        x, iterations = _pcg(a, b, precondition, cap, rtol, x0=x0)
-    assert x is not None and x.shape == b.shape
+        x, iterations, converged = _pcg(a, b, precondition, cap, rtol, x0=x0)
+    assert converged and x.shape == b.shape
     norm_b = np.linalg.norm(b, axis=0)
     assert (np.linalg.norm(b - a @ x, axis=0) <= rtol * norm_b).all()
     assert not x[:, k].any()
@@ -379,8 +382,9 @@ def test_multi_column_pcg_matches_one_column_solves(n, k, seed):
     lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
     counts = []
     for j in range(b.shape[1]):
-        single, count = _pcg(a, b[:, j:j + 1], precondition, cap, rtol,
-                             x0=x0[:, j:j + 1])
+        single, count, converged = _pcg(a, b[:, j:j + 1], precondition, cap, rtol,
+                                        x0=x0[:, j:j + 1])
+        assert converged
         single = single[:, 0]
         counts.append(count)
         bound = (np.linalg.norm(b[:, j] - a @ x[:, j])
@@ -444,16 +448,30 @@ def test_stale_factor_past_the_bound_refactors():
     # 19 iterations); then the loop of a fresh solver runs on the new factor
     fresh, _, fresh_iterations = _state_half_step(q, [g], [f], _StateSolver(grid))
     assert iterations == STATE_PCG_MAX + fresh_iterations
-    assert solver.factorizations == 2
+    assert solver.factor.factorizations == 2
     assert residual <= STATE_TOL
     assert_rel_close(pack_state(states[0]), pack_state(fresh[0]))
 
 
 def test_pcg_stops_on_nonpositive_curvature():
     b = np.ones((3, 1))
-    x, iterations = _pcg(-sp.identity(3, format="csc"), b, lambda r: r, STATE_PCG_MAX,
-                         optimizer.PCG_RTOL)
-    assert x is None and iterations == 1
+    x, iterations, converged = _pcg(-sp.identity(3, format="csc"), b, lambda r: r,
+                                    STATE_PCG_MAX, optimizer.PCG_RTOL)
+    assert converged is False and iterations == 1
+    # the last iterate is the start, before the failed direction
+    assert np.array_equal(x, b)
+
+
+def test_pcg_failure_on_a_fresh_factor_carries_the_last_residual():
+    # -I factors, but PCG preconditioned by the identity meets p^T a p < 0
+    # at once; its last iterate, the start b, leaves the residual 2 b.
+    minus = -sp.identity(3, format="csc")
+    factor = _KeptFactor("test block", factor_spd)
+    with pytest.raises(SubproblemFailure, match="test block PCG did not converge") as info:
+        factor.solve(minus, np.ones((3, 1)), lambda: minus, lambda lu, r: r,
+                     STATE_PCG_MAX, optimizer.PCG_RTOL)
+    assert factor.factorizations == 1
+    assert info.value.residual == pytest.approx(2.0, rel=1e-15)
 
 
 # The report's per-iteration series, by the half-step that appends to them;
@@ -834,7 +852,7 @@ def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_b
     grid, problem, value = box_qp(n, rng, alpha, mu_block)
     warm = ScalarField(grid, rng.uniform(0.5, 30.0, (n, n)))
     field, residual, steps, _, converged = _solve_one_coefficient(
-        problem, warm, _CoefficientFactor())
+        problem, warm, _KeptFactor("coefficient", factor_spd))
     q = field.values.ravel()
     assert converged and residual <= COEFF_TOL
     assert q.min() >= 0.5 and q.max() <= 30.0
@@ -851,7 +869,7 @@ def test_gradient_fallback_descends(monkeypatch):
     grid, problem, value = box_qp(10, np.random.default_rng(3), 1e-2, False)
     warm = ScalarField(grid, np.full((10, 10), 15.0))
     solved, _, steps, pcg_iterations, _ = _solve_one_coefficient(
-        problem, warm, _CoefficientFactor())
+        problem, warm, _KeptFactor("coefficient", factor_spd))
     assert steps == optimizer.NEWTON_MAX and pcg_iterations > 0
     assert value(solved.values.ravel()) < 0.5 * value(warm.values.ravel())
 
@@ -871,14 +889,14 @@ def test_cells_creeping_onto_the_bound_land_in_one_step():
     target[pair] = -40.0
     problem = _CoefficientProblem(hess, hess @ target, reg, n)
     solution, _, _, _, converged = _solve_one_coefficient(
-        problem, ScalarField.constant(grid, 2.0), _CoefficientFactor())
+        problem, ScalarField.constant(grid, 2.0), _KeptFactor("coefficient", factor_spd))
     q = solution.values.ravel()
     assert converged and np.array_equal(np.flatnonzero(q == 0.5), pair)
 
     warm = q.copy()
     warm[pair] = 0.5 + 1e-4
     solved, residual, steps, _, converged = _solve_one_coefficient(
-        problem, ScalarField(grid, warm.reshape(n, n)), _CoefficientFactor())
+        problem, ScalarField(grid, warm.reshape(n, n)), _KeptFactor("coefficient", factor_spd))
     assert converged and residual <= COEFF_TOL
     assert steps == 1
     assert np.array_equal(np.flatnonzero(solved.values.ravel() == 0.5), pair)
