@@ -63,12 +63,16 @@ class RunConfig:
     def validate(self):
         if self.grid < 4:
             raise ConfigError("grid must be at least 4")
-        if self.noise < 0:
-            raise ConfigError("noise must be nonnegative")
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigError("noise must be finite and nonnegative")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
-        if self.cphi <= 0:
-            raise ConfigError("cphi must be positive")
+        if not 0.0 < self.cphi < math.inf:
+            raise ConfigError("cphi must be finite and positive")
+        for name in ("alpha_sigma", "beta_sigma", "alpha_mu", "beta_mu"):
+            weight = getattr(self, name)        # nan: the example's table value
+            if not (math.isnan(weight) or 0.0 <= weight < math.inf):
+                raise ConfigError(f"{name} must be finite and nonnegative")
         if self.oversample < 1:
             raise ConfigError("oversample must be >= 1")
         if self.max_outer < 1:
@@ -167,16 +171,19 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
         mu_square_<k>=cx,cy,width,value
         sigma_ring_<k>=cx,cy,outer,inner,value
         mu_ring_<k>=cx,cy,outer,inner,value
-    Any other key, a key given twice and a value that is not a number
-    are each a ConfigError naming the key, so none passes unseen.
+    Any other key, a key given twice and a value that is not a finite
+    number are each a ConfigError naming the key, so none passes unseen.
     """
     kv = _parse_kv_file(path)
 
     def number(key, text, kind=float):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            raise ConfigError(f"{path}: bad number in {key}: {text!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: bad number in {key}: {text!r}")
+        return value
 
     def floats(key, count):
         parts = kv[key].split(",")

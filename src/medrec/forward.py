@@ -10,12 +10,14 @@ the assembled operator is symmetric positive definite, and conjugate
 gradients solve it, preconditioned by the 2-D DCT of a constant medium
 (operators.ConstantDiffusionSolver, Concus & Golub 1973), which solves
 a constant medium, such as the sampling stage's homogeneous
-background, at PCG's start.  The solver depends on the medium alone, so
-generate_measurements sets it up once per medium and makes one
-residual-verified solve per excitation.  The solver exists only to
-manufacture Cauchy pairs (h, f); the reconstruction itself never calls
-it.  Data generation runs on a grid refined by an integer `oversample`
-and restricts back, so inversion never sees its own discretization.
+background, at PCG's start.  _ForwardSolver is built once from the
+medium, which its solves share, and each solve takes one excitation's
+data: generate_measurements builds one per medium, and solve_forward is
+one build and one solve.  Every solve is verified against FORWARD_TOL
+on its own.  The solver exists only to manufacture Cauchy pairs (h, f);
+the reconstruction itself never calls it.  Data generation runs on a
+grid refined by an integer `oversample` and restricts back, so
+inversion never sees its own discretization.
 """
 
 import logging
@@ -31,38 +33,19 @@ from .operators import ConstantDiffusionSolver, _pcg, diffusion_matrix
 
 logger = logging.getLogger("medrec")
 
-# PCG iterations per forward solve; the examples take 20-51 at tol 1e-10.
-FORWARD_PCG_MAX = 1000
+# Both are read at call time.  FORWARD_TOL is the relative residual every
+# forward solve is verified to, through the matrix-free operators.
+FORWARD_TOL = 1e-10
+FORWARD_PCG_MAX = 1000      # PCG iterations per solve; the examples take 20-51
 
 
 class ForwardSolverError(RuntimeError):
-    """The forward solve missed the requested relative residual; residual is
-    that of the last iterate, recomputed matrix-free."""
+    """The forward solve missed FORWARD_TOL; residual is that of the last
+    iterate, recomputed matrix-free."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class ForwardProblem:
-    """Coefficients and data for one forward solve."""
-
-    sigma: ScalarField
-    mu: ScalarField
-    neumann: BoundaryData
-    volumetric_source: ScalarField | None = None
-
-    def __post_init__(self):
-        _require_same_grid(self.sigma, self.mu)
-        _require_same_grid(self.sigma, self.neumann)
-        if self.volumetric_source is not None:
-            _require_same_grid(self.sigma, self.volumetric_source)
-        _check_coefficients(self.sigma, self.mu)
-
-    @property
-    def grid(self) -> StaggeredGrid:
-        return self.sigma.grid
 
 
 @dataclass
@@ -96,15 +79,6 @@ def check_measurements(measurements) -> list[MeasurementSet]:
     return out
 
 
-def _check_coefficients(sigma: ScalarField, mu: ScalarField) -> None:
-    if sigma.values.min() <= 0:
-        raise ValueError("diffusion coefficient must be strictly positive")
-    if mu.values.min() < 0:
-        raise ValueError("absorption coefficient must be nonnegative")
-    if mu.values.max() == 0:
-        raise ValueError("absorption coefficient must be positive somewhere")
-
-
 class _ForwardSolver:
     """One medium's operator, many data, and nothing factored.
 
@@ -115,15 +89,22 @@ class _ForwardSolver:
     medium's contrast, and a constant medium is solved exactly by PCG's
     start.  Where mu vanishes on some cell, mu_0 is the mean of mu
     instead, the constant mode's Rayleigh quotient.  Every solve is
-    verified on its own.
+    verified on its own.  GridMismatchError is raised for a mu, or a
+    solve's data, on another grid than sigma.
     """
 
     def __init__(self, sigma: ScalarField, mu: ScalarField):
-        _check_coefficients(sigma, mu)
+        _require_same_grid(sigma, mu)
+        s, m = sigma.values, mu.values
+        if s.min() <= 0:
+            raise ValueError("diffusion coefficient must be strictly positive")
+        if m.min() < 0:
+            raise ValueError("absorption coefficient must be nonnegative")
+        if m.max() == 0:
+            raise ValueError("absorption coefficient must be positive somewhere")
         self.grid = sigma.grid
         self.mu = mu
         self.sigma_faces = average_to_faces(sigma)
-        s, m = sigma.values, mu.values
         self.matrix = diffusion_matrix(s, m)
         mu_0 = m.min() or m.mean()
         self.background = ConstantDiffusionSolver(self.grid.n, float(s.min()),
@@ -131,14 +112,13 @@ class _ForwardSolver:
         self.iterations = 0         # the last solve's PCG iterations
 
     def solve(self, neumann: BoundaryData,
-              volumetric_source: ScalarField | None = None,
-              tol: float = 1e-10) -> ScalarField:
+              volumetric_source: ScalarField | None = None) -> ScalarField:
         """One right-hand side, with the guarantees of solve_forward."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        grid = self.grid
+        grid, tol = self.grid, FORWARD_TOL
+        _require_same_grid(self.mu, neumann)
         rhs_field = neumann_to_source(neumann)
         if volumetric_source is not None:
+            _require_same_grid(self.mu, volumetric_source)
             rhs_field = rhs_field + volumetric_source
         b = rhs_field.values
         if not np.any(b):
@@ -176,37 +156,37 @@ class _ForwardSolver:
         return float(np.linalg.norm(r.values - b) / np.linalg.norm(b))
 
 
-def solve_forward(problem: ForwardProblem, tol: float = 1e-10) -> ScalarField:
+def solve_forward(sigma: ScalarField, mu: ScalarField, neumann: BoundaryData,
+                  volumetric_source: ScalarField | None = None) -> ScalarField:
     """Solve the staggered discretization by PCG on the DCT of a constant
     medium, as _ForwardSolver does.
 
     The solution is returned only if its relative residual, recomputed
-    through the matrix-free operators of grid.py, is <= tol.  Raises
-    ForwardSolverError when PCG or that check misses tol, carrying that
-    residual of PCG's last iterate; ForwardProblem has already rejected
-    sigma <= 0, mu < 0 and mu == 0 on every cell.
+    through the matrix-free operators of grid.py, is <= FORWARD_TOL.
+    Raises ForwardSolverError when PCG or that check misses it, carrying
+    that residual of PCG's last iterate; ValueError for sigma <= 0,
+    mu < 0 or mu == 0 on every cell, and GridMismatchError for fields on
+    different grids.
     """
-    solver = _ForwardSolver(problem.sigma, problem.mu)
-    return solver.solve(problem.neumann, problem.volumetric_source, tol)
+    return _ForwardSolver(sigma, mu).solve(neumann, volumetric_source)
 
 
 EXCITATION_AMPLITUDE = 200.0
 EXCITATION_OFFSET = 0.25
 
 
-def default_excitations(grid: StaggeredGrid, count: int = 1,
-                        amplitude: float = EXCITATION_AMPLITUDE) -> list[BoundaryData]:
+def default_excitations(grid: StaggeredGrid, count: int = 1) -> list[BoundaryData]:
     """Boundary flux patterns used when none are supplied.
 
     #1 superposes a uniform influx (weight 0.25, which keeps the interior
     field positive so absorption stays observable) on a left-to-right
     push-pull; #2 is the same pattern rotated a quarter turn.  The
-    amplitude sets the data term's weight against the regularization in
-    the least-squares stage.
+    amplitude EXCITATION_AMPLITUDE sets the data term's weight against
+    the regularization in the least-squares stage.
     """
     if count < 1 or count > 2:
         raise ValueError("between 1 and 2 default excitations are defined")
-    c = EXCITATION_OFFSET
+    c, amplitude = EXCITATION_OFFSET, EXCITATION_AMPLITUDE
     out = [BoundaryData.from_sides(grid, c * amplitude, (c - 1.0) * amplitude,
                                    c * amplitude, (c + 1.0) * amplitude)]
     if count == 2:
@@ -217,16 +197,16 @@ def default_excitations(grid: StaggeredGrid, count: int = 1,
 
 
 def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
-                          excitations: list[BoundaryData], oversample: int = 2,
-                          tol: float = 1e-10) -> list[MeasurementSet]:
+                          excitations: list[BoundaryData],
+                          oversample: int = 2) -> list[MeasurementSet]:
     """Synthesize (h, f) pairs for each excitation.
 
     Each forward solve runs on a grid refined by `oversample`; the fine
     solution is block-averaged back before taking the trace, so the
     measured f carries genuine discretization mismatch relative to the
     inversion grid.  The fine-grid solver is set up once for the medium
-    and every excitation is one PCG solve on it, verified against tol on
-    its own exactly as solve_forward verifies it.  With oversample == 1
+    and every excitation is one PCG solve on it, verified against
+    FORWARD_TOL on its own exactly as solve_forward verifies it.  With oversample == 1
     the trace of the forward solve is returned unchanged.
     """
     if oversample < 1:
@@ -239,7 +219,7 @@ def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
                             prolong_cells(true_mu, oversample))
     sets = []
     for h_coarse in excitations:
-        u_fine = solver.solve(prolong_boundary(h_coarse, oversample), tol=tol)
+        u_fine = solver.solve(prolong_boundary(h_coarse, oversample))
         u_coarse = restrict_cells(u_fine, oversample)
         sets.append(MeasurementSet(h=h_coarse.copy(), f=boundary_trace(u_coarse)))
     return sets

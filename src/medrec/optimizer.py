@@ -9,21 +9,22 @@ each solving two convex subproblems:
     equations: S = h^2 A K^-1 A + h T^T T, with A the forward operator
     (operators.diffusion_matrix) and K = I + G^T G, solved by the 2-D
     DCT (operators.ConstantDiffusionSolver), so nothing of size (u, p)
-    is assembled or factored.  Every half-step, the first included,
-    solves it by conjugate gradients preconditioned with A_c, the
-    forward operator plus a Robin shift on the boundary cells that
-    keeps it definite where mu vanishes; A_c is factored pivot-free
-    under a symmetric minimum-degree ordering (operators.SPD_LU), kept
-    with the cap STATE_PCG_MAX.  The excitations' right-hand sides are
-    the columns of one array in one CG loop, and converged columns drop
-    out.  The first half-step starts from zero; later ones start each
-    column from the Galerkin projection onto the span of the last
-    HISTORY half-steps' cell states, pooled over the excitations
+    is assembled or factored.  One solver per run holds what every
+    half-step shares, the excitations' sources and traces as the columns
+    of one array; each half-step, solve(q), takes the new coefficients
+    and solves S by conjugate gradients preconditioned with A_c, the
+    forward operator plus a Robin shift on the boundary cells that keeps
+    it definite where mu vanishes; A_c is factored pivot-free under a
+    symmetric minimum-degree ordering (operators.SPD_LU), kept with the
+    cap STATE_PCG_MAX.  The excitations share one CG loop, and converged
+    columns drop out.  The first half-step starts from zero; later ones
+    start each column from the Galerkin projection onto the span of the
+    last HISTORY half-steps' cell states, pooled over the excitations
     (Fischer 1998).  CG stops relative to the full (u, p) right-hand
     side, whose flux rows the closed-form flux satisfies, so the stop
-    means what it would on the (u, p) system.  One half-step serves
-    solve_state_subproblem and adi_reconstruct alike: the residual is
-    recomputed through the matrix-free normal operator from the model
+    means what it would on the (u, p) system.  solve(q) serves
+    solve_state_subproblem and adi_reconstruct alike: it recomputes the
+    residual through the matrix-free normal operator from the model
     module, keeping the two routes independent, and one above STATE_TOL
     raises SubproblemFailure.
 
@@ -254,7 +255,7 @@ class _KeptFactor:
 # ---------------------------------------------------------------------------
 
 class _StateSolver:
-    """The state block of one grid on the cells alone, with one kept factor.
+    """The state block of one run's data on the cells alone, one kept factor.
 
     With A = diffusion_matrix(sigma, mu), K = I + G^T G and S_f the face
     means of sigma, the block's flux for fixed u is
@@ -266,24 +267,33 @@ class _StateSolver:
     S x.  K^-1 is the DCT, so S x is two five-point products and one
     transform pair.  PCG on S is preconditioned by h^-2 A_c^-1 K A_c^-1,
     A_c = A + diag(T^T 1 / (2 h sigma)): at high frequencies A K^-1 is
-    about sigma, so this shift stands in for the trace term.  assemble()
-    takes new coefficients; `factor` keeps the factor of A_c across them.
-    Each solve writes its cell states into a history of the last HISTORY
-    solves, one preallocated (n^2, HISTORY * excitations) array, whose
-    span gives the next PCG its projected start.
+    about sigma, so this shift stands in for the trace term.  Built once
+    from the run's sources and traces, with what depends on them alone
+    (h T^T f, K^-1 g, ||h^2 G g||); solve(q) takes new coefficients, and
+    `factor` keeps the factor of A_c across them.  Each solve writes its
+    cell states into a history of the last HISTORY solves, one (n^2,
+    HISTORY * excitations) array, whose span gives the next PCG its
+    projected start.
     """
 
-    def __init__(self, grid: StaggeredGrid):
+    def __init__(self, grid: StaggeredGrid, sources, traces):
         ops = grid_operators(grid.n)
+        h = grid.h
         self.grid = grid
+        self.sources, self.traces = sources, traces
         # splu looked up at call time, so that a patch of optimizer.splu applies
         self.factor = _KeptFactor("state", lambda a: splu(a, **SPD_LU))
         self.start_residual = 0.0   # the last projected start's relative residual
         self._k = ConstantDiffusionSolver(grid.n, 1.0, 1.0)     # K^-1
         self._k_matrix = ops.five_point(1.0, grad=(1.0, 1.0))   # K
         self._edges = ops.trace.T @ np.ones(4 * grid.n)         # diag(T^T T)
-        self._history = None        # (n^2, HISTORY * excitations) recent states
-        self._stored = 0            # half-steps written to the history
+        self._g = np.column_stack([s.values.ravel() for s in sources])
+        self._trace_f = ops.trace.T @ (h * np.column_stack([t.values for t in traces]))
+        self._k_g = self._k.solve(self._g)
+        self._norm_grad_g = np.linalg.norm(h * h * (ops.grad @ self._g), axis=0)
+        # the cell states of the last HISTORY solves
+        self._history = np.empty((grid.n ** 2, HISTORY * len(sources)), order="F")
+        self._stored = 0            # solves written to the history
 
     def assemble(self, q: CoefficientPair) -> None:
         self._sigma, self._mu = q.sigma.values, q.mu.values
@@ -295,9 +305,8 @@ class _StateSolver:
         return diffusion_matrix(self._sigma, self._mu + shift)
 
     def release(self) -> None:
-        """Free the factor and the history; the next solve starts afresh."""
+        """Free the factor and the history; the solver is not used again."""
         self.factor.lu = self._history = None
-        self._stored = 0
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x, for x of shape (n^2,) or (n^2, k)."""
@@ -308,29 +317,29 @@ class _StateSolver:
     def _precondition(self, lu, r: np.ndarray) -> np.ndarray:
         return lu.solve(self._k_matrix @ lu.solve(r)) / self.grid.h ** 2
 
-    def rhs(self, g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(self) -> tuple[np.ndarray, np.ndarray]:
         """The cell right-hand side h^2 A K^-1 g + h T^T f of the assembled
         coefficients, and the norm of the full (u, p) one, h^2 (mu g + N f,
-        G g), for sources g (n^2, k) and traces f (4n, k) in columns."""
+        G g), one column per excitation."""
         h = self.grid.h
-        ops = grid_operators(self.grid.n)
-        trace_f = ops.trace.T @ (h * f)
         norm_full = np.hypot(
-            np.linalg.norm(h * h * self._mu.reshape(-1, 1) * g + trace_f, axis=0),
-            np.linalg.norm(h * h * (ops.grad @ g), axis=0))
-        return h * h * (self._forward @ self._k.solve(g)) + trace_f, norm_full
+            np.linalg.norm(h * h * self._mu.reshape(-1, 1) * self._g + self._trace_f,
+                           axis=0),
+            self._norm_grad_g)
+        return h * h * (self._forward @ self._k_g) + self._trace_f, norm_full
 
-    def solve(self, sources, traces) -> tuple[list, int]:
-        """The states of every excitation for the assembled coefficients, and
-        the PCG iterations, the most over the excitations, summed over the
-        loops of a refactor.  Sets start_residual: the projected start's
-        relative residual, the most over the excitations, and 0 when no
-        history exists yet."""
+    def solve(self, q: CoefficientPair) -> tuple[list, float, int]:
+        """The states of every excitation for q, their largest normal-equation
+        residual, verified matrix-free against STATE_TOL, and the PCG
+        iterations, the most over the excitations, summed over the loops of
+        a refactor.  Sets start_residual: the projected start's relative
+        residual, the most over the excitations, and 0 when no history
+        exists yet."""
+        self.assemble(q)
         grid = self.grid
         n, nf = grid.n, (grid.n - 1) * grid.n
         ops = grid_operators(n)
-        g = np.column_stack([s.values.ravel() for s in sources])
-        rhs, norm_full = self.rhs(g, np.column_stack([t.values for t in traces]))
+        rhs, norm_full = self.rhs()
         # PCG's residual is that of the full (u, p) normal equations, whose
         # p-rows the closed-form p satisfies: each column stops relative to
         # their right-hand side, as the matrix-free check does.
@@ -339,8 +348,6 @@ class _StateSolver:
                                     where=norm_rhs > 0.0)
 
         k = rhs.shape[1]
-        if self._history is None:
-            self._history = np.empty((n * n, HISTORY * k), order="F")
         start, self.start_residual = None, 0.0
         if self._stored:
             start = _projected_start(
@@ -350,7 +357,7 @@ class _StateSolver:
                 / np.where(norm_full > 0.0, norm_full, 1.0)))
         u, iterations = self.factor.solve(self, rhs, self._shifted, self._precondition,
                                           STATE_PCG_MAX, rtol, x0=start)
-        slot = self._stored % HISTORY * k     # over the oldest half-step's states
+        slot = self._stored % HISTORY * k     # over the oldest solve's states
         self._history[:, slot:slot + k] = u
         self._stored += 1
 
@@ -358,12 +365,18 @@ class _StateSolver:
         sigma = self._sigma.ravel()
         means = np.concatenate([ops.ax @ sigma, ops.ay @ sigma])
         p = means[:, None] * (ops.grad @ u) \
-            - ops.grad @ self._k.solve(self._forward @ u - g)
+            - ops.grad @ self._k.solve(self._forward @ u - self._g)
         states = [StatePair(ScalarField(grid, uc.reshape(n, n)),
                             FluxField(grid, pc[:nf].reshape(n - 1, n),
                                       pc[nf:].reshape(n, n - 1)))
                   for uc, pc in zip(u.T, p.T)]
-        return states, iterations
+        residual = max(state_normal_residual(q, v, g, f)
+                       for v, g, f in zip(states, self.sources, self.traces))
+        if not residual <= STATE_TOL:
+            raise SubproblemFailure(
+                f"state normal equations solved to {residual:.3e} > {STATE_TOL:.1e}",
+                residual=residual)
+        return states, residual, iterations
 
 
 def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,32 +402,12 @@ def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w @ (c @ np.linalg.solve(reduced, c.T @ (w.T @ b)))
 
 
-def _state_half_step(q: CoefficientPair, sources, traces,
-                     solver: _StateSolver) -> tuple[list, float, int]:
-    """Solve the state block of every excitation for q on the solver.
-
-    Returns the states, their largest verified normal-equation residual
-    and the most PCG iterations an excitation took.  Raises
-    SubproblemFailure as the solver's factor does, or when that residual
-    misses STATE_TOL.
-    """
-    solver.assemble(q)
-    states, pcg_iterations = solver.solve(sources, traces)
-    residual = max(state_normal_residual(q, v, g, f)
-                   for v, g, f in zip(states, sources, traces))
-    if not residual <= STATE_TOL:
-        raise SubproblemFailure(
-            f"state normal equations solved to {residual:.3e} > {STATE_TOL:.1e}",
-            residual=residual)
-    return states, residual, pcg_iterations
-
-
 def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
                            cfg: AdiConfig) -> StatePair:
     """Minimize the state block for fixed coefficients, one excitation."""
     if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
         raise ValueError("coefficients must be box-feasible")
-    states, _, _ = _state_half_step(q, [g], [f], _StateSolver(q.sigma.grid))
+    states, _, _ = _StateSolver(q.sigma.grid, [g], [f]).solve(q)
     return states[0]
 
 
@@ -669,7 +662,6 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         raise ValueError("initial coefficients violate their boxes")
 
     sources = sources_from_measurements(measurements)
-    traces = [m.f for m in measurements]
     states = [StatePair.zeros(grid) for _ in measurements]
     coeffs = CoefficientPair(initial_q.sigma.copy(), initial_q.mu.copy())
 
@@ -688,14 +680,13 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
     record(j_history=eval_J(states, coeffs, sources, measurements,
                             cfg.reg_sigma, cfg.reg_mu))
-    solver = _StateSolver(grid)
+    solver = _StateSolver(grid, sources, [m.f for m in measurements])
     coeff_factors = _coefficient_factors()
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
             factored_before = solver.factor.factorizations
-            new_states, residual, pcg_iterations = _state_half_step(
-                coeffs, sources, traces, solver)
+            new_states, residual, pcg_iterations = solver.solve(coeffs)
             factored = solver.factor.factorizations - factored_before
             record(state_residuals=residual,
                    state_factorizations=factored,

@@ -30,8 +30,8 @@ class RegConfig:
     q_hi: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("regularization weights must be finite and nonnegative")
         if not self.q_lo < self.q_hi:
             raise ValueError(f"empty box [{self.q_lo}, {self.q_hi}]")
 

@@ -18,7 +18,7 @@ from medrec.dsm import (argmax_location, compute_index, homogeneous_reference,
 from medrec.experiments import (SquareInclusion, ExampleSpec, add_noise,
                                 background_deviation, compute_metrics, make_example)
 from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
-from medrec.forward import (ForwardProblem, MeasurementSet, default_excitations,
+from medrec.forward import (MeasurementSet, default_excitations,
                             generate_measurements, solve_forward)
 from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid, boundary_inner,
                          boundary_trace, cell_inner, cell_norm, divergence_to_cells,
@@ -36,7 +36,9 @@ def criterion(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed{suffix}"
 
 
-def run_pipeline(example, n, noise, seed, max_outer=50):
+def run_pipeline(example, n, noise, seed, max_outer=50, truth_start=False):
+    """Stage 2's report, the rasterized truth and stage 2's wall time; stage
+    2 starts from stage 1's initial pair, or from the truth itself."""
     spec = make_example(example)
     grid = StaggeredGrid(n)
     truth = spec.rasterize(grid)
@@ -45,8 +47,7 @@ def run_pipeline(example, n, noise, seed, max_outer=50):
     sets = [MeasurementSet(m.h, add_noise(m.f, noise, seed + i))
             for i, m in enumerate(sets)]
     a_s, b_s, a_m, b_m = spec.regularization_params(noisy=noise > 0)
-    locator = DirectSamplingLocator()
-    initial = locator.fit(sets).transform(sets)
+    initial = truth if truth_start else DirectSamplingLocator().fit(sets).transform(sets)
     solver = TotalLeastSquaresReconstructor(
         alpha_sigma=a_s, beta_sigma=b_s, alpha_mu=a_m, beta_mu=b_m,
         max_outer=max_outer, update_mu=spec.reconstruct_mu)
@@ -79,11 +80,9 @@ def test_criterion_1_forward_convergence():
         src = ScalarField.from_function(
             grid,
             lambda x, y: (2 * np.pi ** 2 + 1) * np.cos(np.pi * x) * np.cos(np.pi * y))
-        problem = ForwardProblem(ScalarField.constant(grid, 1.0),
-                                    ScalarField.constant(grid, 1.0),
-                                    BoundaryData.zeros(grid),
-                                    volumetric_source=src)
-        u = solve_forward(problem)
+        u = solve_forward(ScalarField.constant(grid, 1.0),
+                          ScalarField.constant(grid, 1.0), BoundaryData.zeros(grid),
+                          volumetric_source=src)
         exact = ScalarField.from_function(
             grid, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         return cell_norm(u - exact)
@@ -238,6 +237,33 @@ EXACT_MATRIX = {
     for example, reason in EXACT_MATRIX.items()])
 def test_criterion_7_exact_matrix(example):
     report, truth, _ = run_pipeline(example, 50, 0.0, 0, max_outer=50)
+    exact_reproduction("7a", example, report, truth)
+
+
+# Criterion 7a on all five media with stage 2 started from the rasterized
+# truth, on the data run_pipeline makes (n=50, oversample 2, the example's
+# excitations and params_exact, max_outer 50).  Where it fails, stage 2
+# leaves the truth it starts from: a background drifts while every centre
+# of mass stays put (each measured below 1e-3).
+TRUTH_START_FAILURES = {
+    "ex2_1": "truth start, max_outer 50, 1 excitation, sigma areas 0.0024 and "
+             "0.0024: centre-of-mass errors 0 and 0, background deviation 0.233",
+    "ex3": "truth start, max_outer 50, 1 excitation, sigma areas 0.0120 and "
+           "0.0120, mu areas 0.0120 and 0.0120: centre-of-mass errors 0, "
+           "background deviation 0.125 (sigma) and 0.009 (mu)",
+}
+
+
+@pytest.mark.parametrize("example", [
+    pytest.param(example, marks=pytest.mark.xfail(
+        strict=True, reason=TRUTH_START_FAILURES[example])
+        if example in TRUTH_START_FAILURES else ())
+    for example in ("ex1", "ex2_1", "ex2_2", "ex3", "ex4")])
+def test_criterion_7_truth_start_matrix(example):
+    # measured passing: ex1 (background deviation 0.061/0.002), ex2_2 (0.054)
+    # and ex4 (0.018)
+    report, truth, _ = run_pipeline(example, 50, 0.0, 0, max_outer=50,
+                                    truth_start=True)
     exact_reproduction("7a", example, report, truth)
 
 

@@ -280,7 +280,9 @@ def test_misspelt_geometry_key_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["sigma_bg=abc", "mu_bg=", "excitations=two",
-                                  "excitations=2.0", "beta_mu=1e-3x"])
+                                  "excitations=2.0", "beta_mu=1e-3x",
+                                  "sigma_bg=inf", "alpha_sigma=nan", "beta_sigma=inf",
+                                  "mu_bg=-inf"])
 def test_geometry_number_names_its_file_and_key(tmp_path, capsys, line):
     geom = tmp_path / "geom.cfg"
     geom.write_text(f"version=1\nsigma_square_0=0.25,0.65,0.1,20.0\n{line}\n")
@@ -290,6 +292,23 @@ def test_geometry_number_names_its_file_and_key(tmp_path, capsys, line):
     key, value = line.split("=")
     assert f"{geom}: bad number in {key}: {value!r}" in capsys.readouterr().err
     assert not (out / "truth_sigma.field").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("alpha_sigma", "inf"), ("beta_mu", "inf"), ("alpha_mu", "-1e-3"),
+    ("beta_sigma", "-inf"), ("noise", "nan"), ("noise", "inf"), ("cphi", "nan"),
+    ("cphi", "inf")])
+def test_non_finite_or_negative_flag_names_its_key(tmp_path, capsys, flag, value):
+    # nan stays the weights' "take the table value" default: only flags
+    # that must be finite are given it
+    out = tmp_path / "o"
+    assert run_cli("generate", "--example", "ex1", "--grid", "8",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--example", "ex1", "--grid", "8", "--max-outer", "1",
+                   f"--{flag.replace('_', '-')}={value}", "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
 
 
 def test_missing_init_mu_is_config_error(tmp_path):

@@ -10,30 +10,28 @@ import medrec.forward as forward
 import medrec.operators as operators
 import medrec.optimizer as optimizer
 from medrec.dsm import homogeneous_reference
-from medrec.forward import (ForwardProblem, ForwardSolverError, MeasurementSet,
-                            _ForwardSolver, default_excitations,
-                            generate_measurements, solve_forward)
+from medrec.forward import (ForwardSolverError, MeasurementSet, _ForwardSolver,
+                            default_excitations, generate_measurements,
+                            solve_forward)
 from medrec.operators import ConstantDiffusionSolver, diffusion_matrix
-from medrec.grid import (BoundaryData, ScalarField, StaggeredGrid,
+from medrec.grid import (BoundaryData, GridMismatchError, ScalarField, StaggeredGrid,
                          average_to_faces, boundary_trace, cell_norm,
                          divergence_to_cells, gradient_to_faces, neumann_to_source,
                          prolong_boundary, prolong_cells, restrict_cells)
 from medrec.experiments import make_example
 
 
-def constant_problem(grid, sigma=1.0, mu=1.0, g=None, h=None):
-    return ForwardProblem(
-        sigma=ScalarField.constant(grid, sigma),
-        mu=ScalarField.constant(grid, mu),
-        neumann=h if h is not None else BoundaryData.zeros(grid),
-        volumetric_source=g)
+def solve_constant(grid, sigma=1.0, mu=1.0, g=None, h=None):
+    return solve_forward(ScalarField.constant(grid, sigma),
+                         ScalarField.constant(grid, mu),
+                         h if h is not None else BoundaryData.zeros(grid), g)
 
 
 def manufactured_error(n):
     grid = StaggeredGrid(n)
     src = ScalarField.from_function(
         grid, lambda x, y: (2 * np.pi ** 2 + 1) * np.cos(np.pi * x) * np.cos(np.pi * y))
-    u = solve_forward(constant_problem(grid, g=src))
+    u = solve_constant(grid, g=src)
     exact = ScalarField.from_function(
         grid, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
     return cell_norm(u - exact)
@@ -41,7 +39,7 @@ def manufactured_error(n):
 
 def test_constants_balance():
     grid = StaggeredGrid(16)
-    u = solve_forward(constant_problem(grid, g=ScalarField.constant(grid, 1.0)))
+    u = solve_constant(grid, g=ScalarField.constant(grid, 1.0))
     assert np.abs(u.values - 1.0).max() < 1e-9
 
 
@@ -53,13 +51,21 @@ def test_manufactured_solution_second_order():
 def test_validation_errors():
     grid = StaggeredGrid(8)
     with pytest.raises(ValueError):
-        ForwardProblem(ScalarField.constant(grid, 0.0),
-                       ScalarField.constant(grid, 1.0), BoundaryData.zeros(grid))
+        solve_constant(grid, sigma=0.0)
     with pytest.raises(ValueError):
-        ForwardProblem(ScalarField.constant(grid, 1.0),
-                       ScalarField.constant(grid, -1.0), BoundaryData.zeros(grid))
-    with pytest.raises(ValueError):
-        solve_forward(constant_problem(grid, g=ScalarField.constant(grid, 1.0)), tol=0.0)
+        solve_constant(grid, mu=-1.0)
+
+
+def test_grid_mismatch_names_both_grids():
+    small, large = StaggeredGrid(8), StaggeredGrid(10)
+    one = ScalarField.constant(small, 1.0)
+    with pytest.raises(GridMismatchError, match="n=8 vs n=10"):
+        _ForwardSolver(one, ScalarField.constant(large, 1.0))
+    solver = _ForwardSolver(one, one)
+    with pytest.raises(GridMismatchError, match="n=8 vs n=10"):
+        solver.solve(BoundaryData(large, np.ones(40)))
+    with pytest.raises(GridMismatchError, match="n=8 vs n=10"):
+        solver.solve(BoundaryData.zeros(small), ScalarField.constant(large, 1.0))
 
 
 def test_absorption_free_medium_is_rejected():
@@ -67,7 +73,7 @@ def test_absorption_free_medium_is_rejected():
     grid = StaggeredGrid(8)
     h = BoundaryData.from_sides(grid, 0.0, -1.0, 0.0, 1.0)   # zero net flux
     with pytest.raises(ValueError, match="positive somewhere"):
-        constant_problem(grid, mu=0.0, h=h)
+        solve_constant(grid, mu=0.0, h=h)
     with pytest.raises(ValueError, match="positive somewhere"):
         generate_measurements(ScalarField.constant(grid, 1.0),
                               ScalarField.zeros(grid), [h])
@@ -121,30 +127,30 @@ def test_forward_pcg_matches_a_direct_solve_on_the_examples(example):
         assert np.linalg.norm(u - reference) <= 1e-11 * np.linalg.norm(reference)
 
 
-def test_residual_gate_rejects_unreachable_tolerance():
+def test_residual_gate_rejects_unreachable_tolerance(monkeypatch):
     grid = StaggeredGrid(8)
+    monkeypatch.setattr(forward, "FORWARD_TOL", 1e-30)
     with pytest.raises(ForwardSolverError) as info:
-        solve_forward(constant_problem(grid, g=ScalarField.constant(grid, 1.0)),
-                      tol=1e-30)
+        solve_constant(grid, g=ScalarField.constant(grid, 1.0))
     assert np.isfinite(info.value.residual) and info.value.residual > 1e-30
 
 
 def test_maximum_principle_sanity():
     grid = StaggeredGrid(12)
     g = ScalarField.from_function(grid, lambda x, y: (x < 0.5).astype(float))
-    u = solve_forward(constant_problem(grid, g=g,
-                                       h=BoundaryData(grid, np.full(48, 0.5))))
+    u = solve_constant(grid, g=g, h=BoundaryData(grid, np.full(48, 0.5)))
     assert u.values.min() >= -1e-9
 
 
-def test_linearity_in_data():
+def test_linearity_in_data(monkeypatch):
     grid = StaggeredGrid(12)
     rng = np.random.default_rng(3)
     g1 = ScalarField(grid, rng.standard_normal((12, 12)))
     g2 = ScalarField(grid, rng.standard_normal((12, 12)))
-    u1 = solve_forward(constant_problem(grid, g=g1), tol=1e-12)
-    u2 = solve_forward(constant_problem(grid, g=g2), tol=1e-12)
-    u12 = solve_forward(constant_problem(grid, g=g1 + g2), tol=1e-12)
+    monkeypatch.setattr(forward, "FORWARD_TOL", 1e-12)
+    u1 = solve_constant(grid, g=g1)
+    u2 = solve_constant(grid, g=g2)
+    u12 = solve_constant(grid, g=g1 + g2)
     assert cell_norm(u12 - (u1 + u2)) <= 1e-8 * max(cell_norm(u12), 1.0)
 
 
@@ -152,7 +158,7 @@ def test_example1_media_solution_bounded():
     grid = StaggeredGrid(32)
     truth = make_example("ex1").rasterize(grid)
     h = default_excitations(grid, 1)[0]
-    u = solve_forward(ForwardProblem(truth.sigma, truth.mu, h))
+    u = solve_forward(truth.sigma, truth.mu, h)
     assert np.isfinite(u.values).all()
     assert np.abs(u.values).max() < 10 * np.abs(h.values).max()
 
@@ -162,7 +168,7 @@ def test_generate_measurements_oversample_one_is_definitional():
     truth = make_example("ex1").rasterize(grid)
     h = default_excitations(grid, 1)[0]
     sets = generate_measurements(truth.sigma, truth.mu, [h], oversample=1)
-    direct = solve_forward(ForwardProblem(truth.sigma, truth.mu, h))
+    direct = solve_forward(truth.sigma, truth.mu, h)
     assert np.array_equal(sets[0].f.values, boundary_trace(direct).values)
     assert np.array_equal(sets[0].h.values, h.values)
 
@@ -210,7 +216,7 @@ def test_generate_factors_nothing(monkeypatch):
     # one solver for the medium: each excitation's data equal its own solve
     sigma_f, mu_f = prolong_cells(truth.sigma, 2), prolong_cells(truth.mu, 2)
     for m, h in zip(sets, excitations):
-        alone = solve_forward(ForwardProblem(sigma_f, mu_f, prolong_boundary(h, 2)))
+        alone = solve_forward(sigma_f, mu_f, prolong_boundary(h, 2))
         assert np.array_equal(m.f.values,
                               boundary_trace(restrict_cells(alone, 2)).values)
 
@@ -262,12 +268,12 @@ def test_pcg_failure_reports_its_last_iterate(monkeypatch):
     assert f"(last iterate: {info.value.residual:.3e})" in str(info.value)
 
 
-def test_shared_factor_keeps_the_residual_gate():
+def test_shared_factor_keeps_the_residual_gate(monkeypatch):
     grid = StaggeredGrid(8)
     truth = make_example("ex4").rasterize(grid)
+    monkeypatch.setattr(forward, "FORWARD_TOL", 1e-30)
     with pytest.raises(ForwardSolverError) as info:
-        generate_measurements(truth.sigma, truth.mu,
-                              default_excitations(grid, 2), tol=1e-30)
+        generate_measurements(truth.sigma, truth.mu, default_excitations(grid, 2))
     assert np.isfinite(info.value.residual) and info.value.residual > 1e-30
 
 

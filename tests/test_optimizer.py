@@ -22,8 +22,7 @@ from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               ReconstructionReport, SubproblemFailure,
                               _CoefficientProblem, _KeptFactor, _StateSolver,
                               _mu_problem, _projected_start, _sigma_problem,
-                              _solve_one_coefficient,
-                              _state_half_step, adi_reconstruct,
+                              _solve_one_coefficient, adi_reconstruct,
                               bregman_diagnostics,
                               solve_coefficient_subproblem,
                               solve_state_subproblem)
@@ -113,10 +112,12 @@ def record_state_factors(patch, matrices: list) -> None:
     patch.setattr(optimizer, "splu", recorded)
 
 
-def state_solver(q, factored=None):
-    """A state solver assembled for q, holding the factor of `factored`
-    (q itself by default)."""
-    solver = _StateSolver(q.sigma.grid)
+def state_solver(q, factored=None, g=None, f=None):
+    """A state solver of the data g, f (zero by default) assembled for q,
+    holding the factor of `factored` (q itself by default)."""
+    grid = q.sigma.grid
+    solver = _StateSolver(grid, [ScalarField.zeros(grid) if g is None else g],
+                          [BoundaryData.zeros(grid) if f is None else f])
     solver.assemble(factored or q)
     # a zero right-hand side takes the factor and runs no PCG iteration
     solver.factor.solve(solver, np.zeros((q.sigma.grid.n ** 2, 1)), solver._shifted,
@@ -147,7 +148,9 @@ def test_assembled_matches_matrix_free(rng):
         assert np.allclose(product_rhs(q, g, f), free, rtol=1e-12, atol=1e-12)
         # The solver's cell system is the Schur complement of the flux block.
         schur, c = schur_system(q, g, f)
-        rhs, full = solver.rhs(g.values.reshape(-1, 1), f.values.reshape(-1, 1))
+        data = _StateSolver(grid, [g], [f])
+        data.assemble(q)
+        rhs, full = data.rhs()
         assert_rel_close(rhs[:, 0], c)
         assert full[0] == pytest.approx(np.linalg.norm(free), rel=1e-12)
     assert_matrix_close(cell_matrix(solver), schur)
@@ -163,7 +166,7 @@ def test_cell_solve_and_closed_form_flux_match_the_full_system(n, seed, piecewis
     q = CoefficientPair(*(ScalarField(grid, c)
                           for c in draw_coefficients(n, rng, piecewise)))
     g, f = random_scalar(grid, rng), random_boundary(grid, rng)
-    states, residual, _ = _state_half_step(q, [g], [f], _StateSolver(grid))
+    states, residual, _ = _StateSolver(grid, [g], [f]).solve(q)
     assert residual <= STATE_TOL
     v = states[0]
 
@@ -337,8 +340,8 @@ def test_pcg_on_a_kept_factor_matches_a_fresh_solve(n, seed):
     # policy: extreme +-20% draws take up to about 15 iterations.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "STATE_PCG_MAX", 100)
-        solver = state_solver(q1, factored=q0)
-        states, residual, iterations = _state_half_step(q1, [g], [f], solver)
+        solver = state_solver(q1, factored=q0, g=g, f=f)
+        states, residual, iterations = solver.solve(q1)
     assert solver.factor.factorizations == 1 and iterations > 0
     assert residual <= STATE_TOL
 
@@ -442,11 +445,12 @@ def test_stale_factor_past_the_bound_refactors():
     rng = np.random.default_rng(7)
     g, f = random_scalar(grid, rng), random_boundary(grid, rng)
     q = CoefficientPair.constant(grid, 30.0, 30.0)
-    solver = state_solver(q, factored=CoefficientPair.constant(grid, 0.5, 0.5))
-    states, residual, iterations = _state_half_step(q, [g], [f], solver)
+    solver = state_solver(q, factored=CoefficientPair.constant(grid, 0.5, 0.5),
+                          g=g, f=f)
+    states, residual, iterations = solver.solve(q)
     # PCG on the sigma = mu = 0.5 factor overruns the bound (it would need
     # 19 iterations); then the loop of a fresh solver runs on the new factor
-    fresh, _, fresh_iterations = _state_half_step(q, [g], [f], _StateSolver(grid))
+    fresh, _, fresh_iterations = _StateSolver(grid, [g], [f]).solve(q)
     assert iterations == STATE_PCG_MAX + fresh_iterations
     assert solver.factor.factorizations == 2
     assert residual <= STATE_TOL
@@ -919,8 +923,8 @@ def test_state_subproblem_beats_forward_state():
     v = solve_state_subproblem(truth, source, sets[0].f, cfg)
     assert state_normal_residual(truth, v, source, sets[0].f) <= STATE_TOL
     # the solved state fits at least as well as the forward-model state
-    from medrec.forward import ForwardProblem, solve_forward
-    u_fwd = solve_forward(ForwardProblem(truth.sigma, truth.mu, sets[0].h))
+    from medrec.forward import solve_forward
+    u_fwd = solve_forward(truth.sigma, truth.mu, sets[0].h)
     s_face = average_to_faces(truth.sigma)
     gu = gradient_to_faces(u_fwd)
     v_fwd = StatePair(u_fwd, FluxField(grid, s_face.x_values * gu.x_values,

@@ -18,6 +18,13 @@ def test_config_validation():
         RegConfig(0.0, 0.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (math.nan, 0.0),
+                                         (0.0, math.inf), (0.0, math.nan)])
+def test_non_finite_weights_are_rejected(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        RegConfig(alpha, beta, 0.0, 1.0)
+
+
 def test_eval_phi_constant_field(grid16):
     cfg = RegConfig(0.5, 0.25, -10.0, 10.0)
     q = ScalarField.constant(grid16, 3.0)
