@@ -65,6 +65,8 @@ class RunConfig:
             raise ConfigError("grid must be at least 4")
         if not 0.0 <= self.noise < math.inf:
             raise ConfigError("noise must be finite and nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
         if not 0.0 < self.cphi < math.inf:
@@ -171,8 +173,9 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
         mu_square_<k>=cx,cy,width,value
         sigma_ring_<k>=cx,cy,outer,inner,value
         mu_ring_<k>=cx,cy,outer,inner,value
-    Any other key, a key given twice and a value that is not a finite
-    number are each a ConfigError naming the key, so none passes unseen.
+    Any other key, a key given twice, and a value that is not a finite
+    number or lies outside its domain are each a ConfigError naming the
+    file and the key, so none passes unseen.
     """
     kv = _parse_kv_file(path)
 
@@ -185,6 +188,15 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
             raise ConfigError(f"{path}: bad number in {key}: {text!r}")
         return value
 
+    def check(key, valid, need):
+        if not valid:
+            raise ConfigError(f"{path}: {key} needs {need}: {kv[key]!r}")
+
+    def coefficient(key, value):        # sigma > 0, mu >= 0, by the key's prefix
+        sigma = key.startswith("sigma")
+        check(key, value > 0 if sigma else value >= 0, "sigma > 0" if sigma else "mu >= 0")
+        return value
+
     def floats(key, count):
         parts = kv[key].split(",")
         if len(parts) != count:
@@ -195,24 +207,29 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
     for key in sorted(kv):
         if key.startswith(("sigma_square_", "mu_square_")):
             cx, cy, width, value = floats(key, 4)
-            shape = SquareInclusion((cx, cy), width, value)
+            check(key, width > 0, "a width > 0")
+            shape = SquareInclusion((cx, cy), width, coefficient(key, value))
             (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key.startswith(("sigma_ring_", "mu_ring_")):
             cx, cy, outer, inner, value = floats(key, 5)
-            shape = RingInclusion((cx, cy), outer, inner, value)
+            check(key, 0 <= inner < outer, "widths 0 <= inner < outer")
+            shape = RingInclusion((cx, cy), outer, inner, coefficient(key, value))
             (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key not in _GEOMETRY_KEYS:
             raise ConfigError(f"{path}: unknown geometry key {key!r}")
     params = tuple(number(key, kv.get(key, default)) for key, default in (
         ("alpha_sigma", 1e-2), ("beta_sigma", 2e-2), ("alpha_mu", 5e-4),
         ("beta_mu", 5e-4)))
+    excitations = number("excitations", kv.get("excitations", 1), int)
+    check("excitations", excitations in (1, 2), "1 or 2")
     return ExampleSpec(
         name=kv.get("name", path.stem),
         sigma_inclusions=tuple(sigma_shapes),
         mu_inclusions=tuple(mu_shapes),
-        sigma_background=number("sigma_bg", kv.get("sigma_bg", BACKGROUND_SIGMA)),
-        mu_background=number("mu_bg", kv.get("mu_bg", BACKGROUND_MU)),
-        excitation_count=number("excitations", kv.get("excitations", 1), int),
+        sigma_background=coefficient("sigma_bg", number(
+            "sigma_bg", kv.get("sigma_bg", BACKGROUND_SIGMA))),
+        mu_background=coefficient("mu_bg", number("mu_bg", kv.get("mu_bg", BACKGROUND_MU))),
+        excitation_count=excitations,
         params_exact=params, params_noisy=params)
 
 

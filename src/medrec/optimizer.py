@@ -22,35 +22,34 @@ each solving two convex subproblems:
     last HISTORY half-steps' cell states, pooled over the excitations
     (Fischer 1998).  CG stops relative to the full (u, p) right-hand
     side, whose flux rows the closed-form flux satisfies, so the stop
-    means what it would on the (u, p) system.  solve(q) serves
-    solve_state_subproblem and adi_reconstruct alike: it recomputes the
+    means what it would on the (u, p) system.  solve(q) recomputes the
     residual through the matrix-free normal operator from the model
     module, keeping the two routes independent, and one above STATE_TOL
     raises SubproblemFailure.
 
   * coefficient block: sigma and mu decouple and each is a linear
-    least-squares problem plus the L1/H1/box penalty.  Its Hessian is
-    filled by value on the layer's five-point pattern once per outer
-    iteration, its misfit matrix stays row scales of a fixed map of the
-    layer, and the minimization runs on raw cell arrays.  The box has
-    q_lo >= 0, where the L1 term is linear, so each block is a convex
-    box QP with a constant Hessian H, solved by projected Newton
-    (Bertsekas 1982): cells within eps of a bound that the gradient
-    pushes out move onto it, the free block's Newton system is solved
-    on H + rho I (rho = HESSIAN_SHIFT times the Gershgorin bound of H,
-    which keeps it definite at alpha = 0), and an Armijo search on the
-    projection arc keeps the subproblem value descending.  That system
-    is solved by PCG preconditioned with one factor per coefficient
-    (operators.factor_spd), kept with the cap COEFF_PCG_MAX.  A solve
-    takes one to a few steps and stops at the fixed-point tolerance
-    COEFF_TOL, or after NEWTON_MAX steps, a safety cap.
+    least-squares problem plus the L1/H1/box penalty.  One solver per
+    coefficient and run holds its regularizer and box; each outer
+    iteration fills the Hessian by value on the layer's five-point
+    pattern, and solve(hess, shift, warm) runs on raw cell arrays.  With
+    q_lo >= 0 the L1 term is linear, so each block is a convex box QP
+    with a constant Hessian H, solved by projected Newton (Bertsekas
+    1982): cells within eps of a bound that the gradient pushes out move
+    onto it, the free block's Newton system is solved on H + rho I (rho
+    = HESSIAN_SHIFT times the Gershgorin bound of H, which keeps it
+    definite at alpha = 0) by PCG preconditioned with the solver's
+    factor (operators.factor_spd), kept with the cap COEFF_PCG_MAX, and
+    an Armijo search on the projection arc keeps the subproblem value
+    descending.  A solve takes one to a few steps and stops at the
+    fixed-point tolerance COEFF_TOL or after NEWTON_MAX, a safety cap.
 
-Both blocks keep their factors by one rule (_KeptFactor), since the
+Every block keeps its factor by one rule (_KeptFactor), since the
 coefficients move little between outer iterations: PCG runs on the kept
 factor up to the block's cap; without a factor, or past the cap, the old
 one is freed and the current matrix factored and solved by PCG to
 convergence.  A zero pivot, or PCG failing on a fresh factor, raises
-SubproblemFailure naming the block.
+SubproblemFailure naming the block.  The run's three solvers are built
+once; release() frees each one's factor when the run returns or raises.
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
@@ -402,42 +401,11 @@ def _projected_start(a, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w @ (c @ np.linalg.solve(reduced, c.T @ (w.T @ b)))
 
 
-def solve_state_subproblem(q: CoefficientPair, g: ScalarField, f,
-                           cfg: AdiConfig) -> StatePair:
-    """Minimize the state block for fixed coefficients, one excitation."""
-    if not (box_feasible(q.sigma, cfg.reg_sigma) and box_feasible(q.mu, cfg.reg_mu)):
-        raise ValueError("coefficients must be box-feasible")
-    states, _, _ = _StateSolver(q.sigma.grid, [g], [f]).solve(q)
-    return states[0]
-
-
 # ---------------------------------------------------------------------------
 # Coefficient subproblem: projected Newton on a kept, shifted factor
 # ---------------------------------------------------------------------------
 
-class _CoefficientProblem:
-    """One coefficient's subproblem on raveled (n*n,) cell arrays.
-
-    With the states fixed the misfit is linear least squares in q, so the
-    smooth part h^2 (||B q - t||^2 + alpha/2 (||G q||^2 + ||q||^2)) has the
-    constant Hessian hess = 2 B^T B + alpha (G^T G + I) in the h^2-weighted
-    cell product; it is filled once on the layer's five-point pattern, and
-    the shift 2 B^T t is computed once, so the smooth gradient is
-    hess @ q - shift.  B is never formed: it stacks diag(scale_e) P over
-    the excitations e, with P a fixed map of the layer, the face average
-    [Ax; Ay] for sigma and the identity for mu.
-    """
-
-    def __init__(self, hess: sp.csr_matrix, shift: np.ndarray, reg: RegConfig,
-                 n: int):
-        self.hess = hess
-        self.shift = shift
-        self.reg = reg
-        self.n = n
-        self.h = 1.0 / n
-
-
-def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
+def _sigma_problem(states, reg: RegConfig, n: int) -> tuple:
     """Flux residual p - sigma_face grad u = t - B sigma on interior faces.
 
     B = diag(G u) [Ax; Ay] per excitation, so B^T B = Ax^T diag((Gx u)^2) Ax
@@ -452,11 +420,10 @@ def _sigma_problem(states, reg: RegConfig, n: int) -> _CoefficientProblem:
     hess = ops.five_point(reg.alpha, grad=(reg.alpha, reg.alpha),
                           avg=(w[:nf], w[nf:]))
     st = (scales * target.reshape(scales.shape)).sum(axis=0)
-    shift = 2.0 * (ops.ax.T @ st[:nf] + ops.ay.T @ st[nf:])
-    return _CoefficientProblem(hess, shift, reg, n)
+    return hess, 2.0 * (ops.ax.T @ st[:nf] + ops.ay.T @ st[nf:])
 
 
-def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
+def _mu_problem(states, sources, reg: RegConfig, n: int) -> tuple:
     """Divergence residual -div p + mu u - g = B mu - t, div p = -G^T p.
 
     B = diag(u) per excitation, so B^T B = diag(sum of u^2).
@@ -469,92 +436,112 @@ def _mu_problem(states, sources, reg: RegConfig, n: int) -> _CoefficientProblem:
         for v, g in zip(states, sources)])
     hess = ops.five_point(2.0 * (scales * scales).sum(axis=0) + reg.alpha,
                           grad=(reg.alpha, reg.alpha))
-    shift = 2.0 * (scales * target.reshape(scales.shape)).sum(axis=0)
-    return _CoefficientProblem(hess, shift, reg, n)
+    return hess, 2.0 * (scales * target.reshape(scales.shape)).sum(axis=0)
 
 
-def _coefficient_factors() -> dict:
-    """sigma's and mu's kept factors; factor_spd is looked up at call time."""
-    return {name: _KeptFactor("coefficient", lambda a: factor_spd(a))
-            for name in ("sigma", "mu")}
+class _CoefficientSolver:
+    """One coefficient's block on raveled (n*n,) cell arrays, one kept factor.
 
-
-def _solve_one_coefficient(problem: _CoefficientProblem, warm: ScalarField,
-                           factor: _KeptFactor):
-    """Projected Newton (Bertsekas 1982) on one coefficient's box QP.
-
-    On the box q >= q_lo >= 0 the L1 term is linear, so the block is
-    min 1/2 q^T H q - (shift - beta)^T q over [q_lo, q_hi].  Each step
-    takes Bertsekas' eps-active set, eps = min(ACTIVE_EPS (q_hi - q_lo),
-    ||q - P(q - g/L)||) with L the Gershgorin bound of H: those cells move
-    straight onto their bound.  The free block's Newton system is solved
-    on H + rho I, rho = HESSIAN_SHIFT L (with alpha = 0, H is only
-    semidefinite), by PCG with the kept factor, to the accuracy the
-    stopping test needs; the other cells' couplings are dropped from the
-    matrix.  An Armijo search on the projection arc accepts the step; if
-    it finds none, the projected-gradient step 1/L is taken.  So every
-    step lowers the subproblem value, from the clipped warm start.
-
-    Returns (iterate, fixed-point residual, Newton steps, PCG iterations,
-    converged); the residual h ||q - P(q - g/L)|| / (1 + h ||q||) is that
-    of the projected-gradient map with step 1/L, converged once it is at
-    most COEFF_TOL.
+    With the states fixed the misfit is linear least squares in q, so the
+    smooth part h^2 (||B q - t||^2 + alpha/2 (||G q||^2 + ||q||^2)) has the
+    constant Hessian hess = 2 B^T B + alpha (G^T G + I) in the h^2-weighted
+    cell product, and its gradient is hess @ q - shift, shift = 2 B^T t.
+    B stacks diag(scale_e) P over the excitations e, with P a fixed map of
+    the layer; _sigma_problem and _mu_problem fill (hess, shift) without
+    forming it.  Built once per run from the coefficient's regularizer and
+    box; solve takes each outer iteration's (hess, shift), and `factor`
+    keeps the factor of the shifted Hessian across them.
     """
-    reg, hess, h, n = problem.reg, problem.hess, problem.h, problem.n
-    lo, hi = reg.q_lo, reg.q_hi
-    rows, diagonal = grid_operators(n).stencil_rows
-    # (the floor only matters for H = 0: zero states and alpha = 0)
-    bound = max(float(np.add.reduceat(np.abs(hess.data), hess.indptr[:-1]).max()), 1e-12)
-    tau = 1.0 / bound
-    data = hess.data.copy()
-    data[diagonal] += HESSIAN_SHIFT * bound
-    linear = reg.beta - problem.shift
 
-    q = prox_l1_box(warm, 0.0, lo, hi).values.ravel()    # clip into the box
-    eps_max = ACTIVE_EPS * (hi - lo)
-    steps = pcg_iterations = 0
-    while True:
-        g = hess @ q + linear
-        step = q - np.clip(q - tau * g, lo, hi)
-        residual = h * float(np.linalg.norm(step)) / (1.0 + h * float(np.linalg.norm(q)))
-        if residual <= COEFF_TOL or steps == NEWTON_MAX:
-            break
-        steps += 1
-        eps = min(eps_max, float(np.linalg.norm(step)))
-        lower = (q <= lo + eps) & (g > 0.0)
-        upper = (q >= hi - eps) & (g < 0.0)
-        keep = (~(lower | upper)).astype(float)
-        d = np.where(lower, lo - q, np.where(upper, hi - q, 0.0))
-        b = -keep * (g + hess @ d)
-        # Inexact Newton: the free gradient left after a full step is PCG's
-        # residual, so a tenth of the tolerance's worth of it suffices.
-        stop = 0.1 * COEFF_TOL * (1.0 + h * float(np.linalg.norm(q))) / (h * tau)
-        norm_b = float(np.linalg.norm(b))
-        if norm_b > stop:
-            # H + rho I without the couplings to the held cells; H is
-            # symmetric, so its CSR arrays read as CSC are the same matrix.
-            masked = data * (keep[rows] * keep[hess.indices])
-            masked[diagonal] = data[diagonal]
-            matrix = with_pattern(sp.csc_matrix, masked, hess.indices, hess.indptr,
-                                  hess.shape)
-            x, iterations = factor.solve(matrix, b[:, None], lambda: matrix,
-                                         lambda lu, r: keep[:, None] * lu.solve(r),
-                                         COEFF_PCG_MAX, stop / norm_b)
-            d += x[:, 0]
-            pcg_iterations += iterations
-        t, delta = 1.0, -step       # the gradient step unless the arc gives one
-        for _ in range(ARMIJO_MAX):
-            trial = np.clip(q + t * d, lo, hi) - q
-            slope = g @ trial
-            # the exact change of a quadratic, free of cancellation
-            if slope < 0.0 and slope + 0.5 * (trial @ (hess @ trial)) <= ARMIJO * slope:
-                delta = trial
+    def __init__(self, reg: RegConfig, n: int):
+        self.reg = reg
+        self.n = n
+        self.h = 1.0 / n
+        # looked up at call time, so that a patch of optimizer.factor_spd applies
+        self.factor = _KeptFactor("coefficient", lambda a: factor_spd(a))
+
+    def release(self) -> None:
+        """Free the factor; the solver is not used again."""
+        self.factor.lu = None
+
+    def solve(self, hess: sp.csr_matrix, shift: np.ndarray, warm: ScalarField):
+        """Projected Newton (Bertsekas 1982) on the block's box QP.
+
+        On the box q >= q_lo >= 0 the L1 term is linear, so the block is
+        min 1/2 q^T H q - (shift - beta)^T q over [q_lo, q_hi].  Each step
+        takes Bertsekas' eps-active set, eps = min(ACTIVE_EPS (q_hi - q_lo),
+        ||q - P(q - g/L)||) with L the Gershgorin bound of H: those cells
+        move straight onto their bound.  The free block's Newton system is
+        solved on H + rho I, rho = HESSIAN_SHIFT L (with alpha = 0, H is
+        only semidefinite), by PCG with the kept factor, to the accuracy
+        the stopping test needs; the other cells' couplings are dropped
+        from the matrix.  An Armijo search on the projection arc accepts
+        the step; if it finds none, the projected-gradient step 1/L is
+        taken.  So every step lowers the subproblem value, from the
+        clipped warm start.
+
+        Returns (iterate, fixed-point residual, Newton steps, PCG
+        iterations, converged); the residual h ||q - P(q - g/L)|| / (1 + h
+        ||q||) is that of the projected-gradient map with step 1/L,
+        converged once it is at most COEFF_TOL.
+        """
+        reg, h, n = self.reg, self.h, self.n
+        lo, hi = reg.q_lo, reg.q_hi
+        rows, diagonal = grid_operators(n).stencil_rows
+        # (the floor only matters for H = 0: zero states and alpha = 0)
+        bound = max(float(np.add.reduceat(np.abs(hess.data), hess.indptr[:-1]).max()),
+                    1e-12)
+        tau = 1.0 / bound
+        data = hess.data.copy()
+        data[diagonal] += HESSIAN_SHIFT * bound
+        linear = reg.beta - shift
+
+        q = prox_l1_box(warm, 0.0, lo, hi).values.ravel()    # clip into the box
+        eps_max = ACTIVE_EPS * (hi - lo)
+        steps = pcg_iterations = 0
+        while True:
+            g = hess @ q + linear
+            step = q - np.clip(q - tau * g, lo, hi)
+            residual = h * float(np.linalg.norm(step)) / (1.0 + h * float(np.linalg.norm(q)))
+            if residual <= COEFF_TOL or steps == NEWTON_MAX:
                 break
-            t *= 0.5
-        q = q + delta
+            steps += 1
+            eps = min(eps_max, float(np.linalg.norm(step)))
+            lower = (q <= lo + eps) & (g > 0.0)
+            upper = (q >= hi - eps) & (g < 0.0)
+            keep = (~(lower | upper)).astype(float)
+            d = np.where(lower, lo - q, np.where(upper, hi - q, 0.0))
+            b = -keep * (g + hess @ d)
+            # Inexact Newton: the free gradient a full step leaves is PCG's
+            # residual, so a tenth of the tolerance's worth of it suffices.
+            stop = 0.1 * COEFF_TOL * (1.0 + h * float(np.linalg.norm(q))) / (h * tau)
+            norm_b = float(np.linalg.norm(b))
+            if norm_b > stop:
+                # H + rho I without the couplings to the held cells; H is
+                # symmetric, so its CSR arrays read as CSC are the same matrix.
+                masked = data * (keep[rows] * keep[hess.indices])
+                masked[diagonal] = data[diagonal]
+                matrix = with_pattern(sp.csc_matrix, masked, hess.indices, hess.indptr,
+                                      hess.shape)
+                x, iterations = self.factor.solve(
+                    matrix, b[:, None], lambda: matrix,
+                    lambda lu, r: keep[:, None] * lu.solve(r), COEFF_PCG_MAX,
+                    stop / norm_b)
+                d += x[:, 0]
+                pcg_iterations += iterations
+            t, delta = 1.0, -step       # the gradient step unless the arc gives one
+            for _ in range(ARMIJO_MAX):
+                trial = np.clip(q + t * d, lo, hi) - q
+                slope = g @ trial
+                # the exact change of a quadratic, free of cancellation
+                if slope < 0.0 and slope + 0.5 * (trial @ (hess @ trial)) <= ARMIJO * slope:
+                    delta = trial
+                    break
+                t *= 0.5
+            q = q + delta
 
-    return (ScalarField(warm.grid, q.reshape(n, n)), residual, steps, pcg_iterations,
-            residual <= COEFF_TOL)
+        return (ScalarField(warm.grid, q.reshape(n, n)), residual, steps, pcg_iterations,
+                residual <= COEFF_TOL)
 
 
 @dataclass
@@ -570,33 +557,28 @@ class CoefficientUpdate:
 
 def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
                                  warm_start: CoefficientPair,
-                                 factors: dict | None = None) -> CoefficientUpdate:
-    """Minimize the coefficient block for fixed states.
+                                 solvers: tuple) -> CoefficientUpdate:
+    """Minimize the coefficient block, states fixed, on the run's (sigma, mu) solvers.
 
     sigma and mu decouple (sigma only enters the flux residual, mu only
     the divergence residual) and are solved independently; mu frozen by
     the config keeps its warm-start value and reports a NaN residual.
-    factors maps "sigma" and "mu" to a run's kept factors; without it
-    each block is factored afresh.
     """
     if not states:
         raise ValueError("at least one state pair is required")
-    n = warm_start.sigma.grid.n
-    factors = _coefficient_factors() if factors is None else factors
-    factored_before = sum(f.factorizations for f in factors.values())
+    sigma_solver, mu_solver = solvers
+    factored_before = sum(s.factor.factorizations for s in solvers)
 
-    prob = _sigma_problem(states, cfg.reg_sigma, n)
-    sigma, fp_sigma, steps, pcg_iterations, converged = _solve_one_coefficient(
-        prob, warm_start.sigma, factors["sigma"])
+    sigma, fp_sigma, steps, pcg_iterations, converged = sigma_solver.solve(
+        *_sigma_problem(states, sigma_solver.reg, sigma_solver.n), warm_start.sigma)
     mu, fp_mu = warm_start.mu, math.nan
     if cfg.update_mu:
-        prob = _mu_problem(states, sources, cfg.reg_mu, n)
-        mu, fp_mu, more_steps, more_pcg, ok = _solve_one_coefficient(
-            prob, warm_start.mu, factors["mu"])
+        mu, fp_mu, more_steps, more_pcg, ok = mu_solver.solve(
+            *_mu_problem(states, sources, mu_solver.reg, mu_solver.n), warm_start.mu)
         steps = max(steps, more_steps)
         pcg_iterations += more_pcg
         converged &= ok
-    factored = sum(f.factorizations for f in factors.values()) - factored_before
+    factored = sum(s.factor.factorizations for s in solvers) - factored_before
     return CoefficientUpdate(CoefficientPair(sigma, mu), fp_sigma, fp_mu,
                              steps, converged, pcg_iterations, factored)
 
@@ -681,7 +663,8 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     record(j_history=eval_J(states, coeffs, sources, measurements,
                             cfg.reg_sigma, cfg.reg_mu))
     solver = _StateSolver(grid, sources, [m.f for m in measurements])
-    coeff_factors = _coefficient_factors()
+    coeff_solvers = (_CoefficientSolver(cfg.reg_sigma, grid.n),
+                     _CoefficientSolver(cfg.reg_mu, grid.n))
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
@@ -701,7 +684,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
             # -- coefficient half-step ---------------------------------------
             update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
-                                                  factors=coeff_factors)
+                                                  coeff_solvers)
             new_coeffs = update.coefficients
             grad_sigma, grad_mu = _summed_misfit_gradients(states, new_coeffs, sources)
             record(coeff_residual_sigma=update.fp_residual_sigma,
@@ -735,9 +718,8 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
     finally:
         # The traceback of a failure keeps this frame alive; the factors and
         # the state history go now.
-        for factor in coeff_factors.values():
-            factor.lu = None
-        solver.release()
+        for block in (solver, *coeff_solvers):
+            block.release()
 
     return _partial_report(STOP_MAX_ITERATIONS)
 

@@ -294,6 +294,36 @@ def test_geometry_number_names_its_file_and_key(tmp_path, capsys, line):
     assert not (out / "truth_sigma.field").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "sigma_bg=0", "mu_bg=-1", "sigma_square_0=0.3,0.3,0.1,-2",
+    "mu_square_0=0.3,0.3,0.1,-2", "excitations=3", "excitations=0",
+    "sigma_square_0=0.3,0.3,-0.1,5", "sigma_ring_0=0.5,0.5,0.1,0.2,5",
+    "mu_ring_0=0.5,0.5,0.2,-0.1,5", "sigma_ring_0=0.5,0.5,0.2,0.1,0"])
+def test_geometry_value_outside_its_domain_names_its_file_and_key(tmp_path, capsys,
+                                                                  line):
+    geom = tmp_path / "geom.cfg"
+    geom.write_text(f"version=1\n{line}\n")
+    out = tmp_path / "o"
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "8",
+                   "--out", str(out)) == 2
+    key = line.split("=")[0]
+    assert f"{geom}: {key} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_negative_seed_is_config_error(tmp_path, capsys, from_file):
+    # numpy would refuse it only once the truth fields were written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("version=1\nseed=-1\n")
+    seed = ["--config", str(cfg)] if from_file else ["--seed", "-1"]
+    out = tmp_path / "o"
+    assert run_cli("generate", "--example", "ex1", "--grid", "8", "--noise", "0.1",
+                   *seed, "--out", str(out)) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not list(out.glob("*.field"))
+
+
 @pytest.mark.parametrize("flag, value", [
     ("alpha_sigma", "inf"), ("beta_mu", "inf"), ("alpha_mu", "-1e-3"),
     ("beta_sigma", "-inf"), ("noise", "nan"), ("noise", "inf"), ("cphi", "nan"),

@@ -20,12 +20,10 @@ from medrec.model import (CoefficientPair, StatePair, apply_L,
                           state_normal_residual, state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               ReconstructionReport, SubproblemFailure,
-                              _CoefficientProblem, _KeptFactor, _StateSolver,
+                              _CoefficientSolver, _KeptFactor, _StateSolver,
                               _mu_problem, _projected_start, _sigma_problem,
-                              _solve_one_coefficient, adi_reconstruct,
-                              bregman_diagnostics,
-                              solve_coefficient_subproblem,
-                              solve_state_subproblem)
+                              adi_reconstruct, bregman_diagnostics,
+                              solve_coefficient_subproblem)
 from medrec.regularization import (RegConfig, eval_phi, eval_phi_smooth,
                                    prox_l1_box_array, smooth_grad_phi)
 from medrec.experiments import make_example
@@ -48,6 +46,11 @@ def default_config(max_outer=10, **kw):
     return AdiConfig(reg_sigma=RegConfig(1e-2, 2e-2, 0.5, 30.0),
                      reg_mu=RegConfig(5e-4, 5e-4, 0.5, 30.0),
                      max_outer=max_outer, **kw)
+
+
+def coefficient_solvers(cfg, n):
+    """A run's sigma and mu solvers, as adi_reconstruct builds them."""
+    return _CoefficientSolver(cfg.reg_sigma, n), _CoefficientSolver(cfg.reg_mu, n)
 
 
 def pack_state(v: StatePair) -> np.ndarray:
@@ -194,10 +197,8 @@ def test_state_subproblem_without_absorption_meets_the_tolerance():
     q = CoefficientPair(truth.sigma, ScalarField.zeros(grid))
     forward = diffusion_matrix(q.sigma.values, q.mu.values)
     assert np.abs(forward @ np.ones(grid.n ** 2)).max() <= 1e-12 * abs(forward).max()
-    cfg = AdiConfig(reg_sigma=RegConfig(1e-2, 2e-2, 0.5, 30.0),
-                    reg_mu=RegConfig(5e-4, 5e-4, 0.0, 30.0))
     source = sources_from_measurements(sets)[0]
-    v = solve_state_subproblem(q, source, sets[0].f, cfg)
+    v = _StateSolver(grid, [source], [sets[0].f]).solve(q)[0][0]
     assert state_normal_residual(q, v, source, sets[0].f) <= STATE_TOL
 
 
@@ -248,8 +249,8 @@ def test_filled_blocks_equal_the_products(n, seed, piecewise):
               for _ in range(2)]
     sources = [random_scalar(grid, rng) for _ in states]
     reg = RegConfig(float(rng.random()), 0.1, 0.5, 30.0)
-    filled = (_sigma_problem(states, reg, n).hess,
-              _mu_problem(states, sources, reg, n).hess)
+    filled = (_sigma_problem(states, reg, n)[0],
+              _mu_problem(states, sources, reg, n)[0])
     for hess, product in zip(filled, product_hessians(states, reg, n)):
         assert_matrix_close(hess, product)
 
@@ -636,6 +637,42 @@ def test_one_coefficient_factor_each_and_none_left_after_the_run(monkeypatch):
     np.testing.assert_allclose(kept.j_history, every.j_history, rtol=1e-7, atol=0)
 
 
+def test_one_coefficient_solver_keeps_its_factor_across_outer_iterations(monkeypatch):
+    grid, truth, sets = small_problem(n=12)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    cfg = default_config(max_outer=2)
+    systems = []        # sigma's (hess, shift) of the two outer iterations
+    real_problem = optimizer._sigma_problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_sigma_problem",
+                      lambda *args: systems.append(real_problem(*args)) or systems[-1])
+        report = adi_reconstruct(sets, init, cfg)
+    assert len(systems) == 2
+
+    real = optimizer.factor_spd
+    factors = []
+
+    def tracked(*args, **kwargs):
+        lu = _TrackedFactor(real(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(optimizer, "factor_spd", tracked)
+    solver = _CoefficientSolver(cfg.reg_sigma, grid.n)
+    sigma = init.sigma
+    for hess, shift in systems:
+        sigma, _, _, pcg_iterations, converged = solver.solve(hess, shift, sigma)
+        assert converged
+    # the second system ran PCG on the first one's factor
+    assert pcg_iterations > 0
+    assert len(factors) == solver.factor.factorizations == 1
+    # the run's sigma solver took the same steps on the same factor
+    assert np.array_equal(sigma.values, report.coefficients.sigma.values)
+    solver.release()
+    assert factors[0]() is None
+
+
 def test_coefficient_zero_pivot_carries_the_partial_report(monkeypatch):
     grid, truth, sets = small_problem(n=8)
     real = optimizer.factor_spd
@@ -710,10 +747,10 @@ def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
     fields = (q.sigma, q.mu)
 
     grads = [coefficient_misfit_gradients(v, q, g) for v, g in zip(states, sources)]
-    for k, (problem, fld) in enumerate(zip(problems, fields)):
+    for k, ((hess, shift), fld) in enumerate(zip(problems, fields)):
         free = sum(gr[k].values for gr in grads) + smooth_grad_phi(fld, reg).values
         x = fld.values.ravel()
-        assert_rel_close(problem.hess @ x - problem.shift, free.ravel())
+        assert_rel_close(hess @ x - shift, free.ravel())
 
     # sigma and mu split the misfit between them: flux and divergence parts.
     # Each block's smooth value is h^2 (x^T H x / 2 - shift^T x) plus its
@@ -721,9 +758,9 @@ def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
     h2 = grid.h ** 2
     zero = CoefficientPair.constant(grid, 0.0, 0.0)
     assembled = sum(misfit_value(v, zero, g) for v, g in zip(states, sources))
-    for problem, fld in zip(problems, fields):
+    for (hess, shift), fld in zip(problems, fields):
         x = fld.values.ravel()
-        assembled += h2 * (0.5 * x @ (problem.hess @ x) - problem.shift @ x
+        assembled += h2 * (0.5 * x @ (hess @ x) - shift @ x
                            + beta * np.abs(x).sum())
     free = sum(misfit_value(v, q, g) for v, g in zip(states, sources)) \
         + sum(eval_phi_smooth(f, reg) + beta * h2 * np.abs(f.values).sum()
@@ -731,14 +768,14 @@ def test_coefficient_problems_match_matrix_free_model(n, excitations, seed,
     assert abs(assembled - free) <= 1e-12 * abs(free)
 
 
-def apg_oracle(problem, value, q0, iterations=10000):
+def apg_oracle(solver, hess, shift, value, q0, iterations=10000):
     """The accelerated monotone proximal gradient this package used before
     projected Newton: step 1/L with L from 20 power iterations plus 5%,
     strong-convexity momentum with function-value restarts (FISTA when
     alpha = 0) and the best iterate kept; it stops at COEFF_TOL, checked
     every 10 iterations.  value is the block's value (block_value).
     Returns the best iterate."""
-    reg, hess = problem.reg, problem.hess
+    reg = solver.reg
     x = np.random.default_rng(1234).standard_normal(hess.shape[0])
     lam = 0.0
     for _ in range(20):
@@ -749,11 +786,11 @@ def apg_oracle(problem, value, q0, iterations=10000):
     tau = 1.0 / l_eff
 
     def prox_step(y):
-        return prox_l1_box_array(y - tau * (hess @ y - problem.shift), tau * reg.beta,
+        return prox_l1_box_array(y - tau * (hess @ y - shift), tau * reg.beta,
                                  reg.q_lo, reg.q_hi)
 
     def residual(q):
-        h = problem.h
+        h = solver.h
         return h * np.linalg.norm(q - prox_step(q)) / (1.0 + h * np.linalg.norm(q))
 
     best = z_prev = y = np.clip(q0, reg.q_lo, reg.q_hi)
@@ -799,8 +836,8 @@ def box_qp(n, rng, alpha, mu_block):
     most draws on each of the two.
 
     sigma: fluxes p = mean(q~) G u on the faces; mu: sources
-    g = u q~ + G^T p, for random u and p.  Returns the grid, the block and
-    its block_value.
+    g = u q~ + G^T p, for random u and p.  Returns the grid, the block's
+    solver, its (hess, shift) and its block_value.
     """
     grid = StaggeredGrid(n)
     q_target = ScalarField(grid, rng.uniform(-30.0, 60.0, (n, n)))
@@ -818,18 +855,19 @@ def box_qp(n, rng, alpha, mu_block):
                           mean.y_values * grad.y_values)
             sources.append(ScalarField.zeros(grid))     # the flux residual reads none
         states.append(StatePair(u, p))
-    problem = (_mu_problem(states, sources, reg, n) if mu_block
-               else _sigma_problem(states, reg, n))
-    return grid, problem, block_value(states, sources, reg, mu_block)
+    system = (_mu_problem(states, sources, reg, n) if mu_block
+              else _sigma_problem(states, reg, n))
+    return (grid, _CoefficientSolver(reg, n), system,
+            block_value(states, sources, reg, mu_block))
 
 
-def assert_kkt(problem, q):
+def assert_kkt(solver, hess, shift, q):
     """Optimality of q on the box, each cell's gradient measured against the
     tolerance its share of the fixed-point residual allows.  Returns the
     masks of the cells on q_lo and on q_hi."""
-    reg, h = problem.reg, problem.h
-    g = problem.hess @ q - problem.shift + reg.beta
-    bound = abs(problem.hess).sum(axis=1).max()
+    reg, h = solver.reg, solver.h
+    g = hess @ q - shift + reg.beta
+    bound = abs(hess).sum(axis=1).max()
     tol = COEFF_TOL * (1.0 + h * np.linalg.norm(q)) * bound / h
     at_lo, at_hi = q == reg.q_lo, q == reg.q_hi
     assert (g[at_lo] >= -tol).all()
@@ -853,27 +891,25 @@ BOTH_BOUNDS = dict(n=10, alpha=1e-2, mu_block=True, seed=0)
 def test_projected_newton_meets_kkt_and_beats_the_gradient_oracle(n, alpha, mu_block,
                                                                    seed):
     rng = np.random.default_rng(seed)
-    grid, problem, value = box_qp(n, rng, alpha, mu_block)
+    grid, solver, system, value = box_qp(n, rng, alpha, mu_block)
     warm = ScalarField(grid, rng.uniform(0.5, 30.0, (n, n)))
-    field, residual, steps, _, converged = _solve_one_coefficient(
-        problem, warm, _KeptFactor("coefficient", factor_spd))
+    field, residual, steps, _, converged = solver.solve(*system, warm)
     q = field.values.ravel()
     assert converged and residual <= COEFF_TOL
     assert q.min() >= 0.5 and q.max() <= 30.0
-    at_lo, at_hi = assert_kkt(problem, q)
+    at_lo, at_hi = assert_kkt(solver, *system, q)
     if dict(n=n, alpha=alpha, mu_block=mu_block, seed=seed) == BOTH_BOUNDS:
         assert at_lo.any() and at_hi.any()
-    oracle = value(apg_oracle(problem, value, warm.values.ravel()))
+    oracle = value(apg_oracle(solver, *system, value, warm.values.ravel()))
     assert value(q) <= oracle + 1e-12 * abs(oracle)
 
 
 def test_gradient_fallback_descends(monkeypatch):
     # With no arc step allowed, every step is the projected-gradient one.
     monkeypatch.setattr(optimizer, "ARMIJO_MAX", 0)
-    grid, problem, value = box_qp(10, np.random.default_rng(3), 1e-2, False)
+    grid, solver, system, value = box_qp(10, np.random.default_rng(3), 1e-2, False)
     warm = ScalarField(grid, np.full((10, 10), 15.0))
-    solved, _, steps, pcg_iterations, _ = _solve_one_coefficient(
-        problem, warm, _KeptFactor("coefficient", factor_spd))
+    solved, _, steps, pcg_iterations, _ = solver.solve(*system, warm)
     assert steps == optimizer.NEWTON_MAX and pcg_iterations > 0
     assert value(solved.values.ravel()) < 0.5 * value(warm.values.ravel())
 
@@ -891,16 +927,15 @@ def test_cells_creeping_onto_the_bound_land_in_one_step():
     target = np.full(n * n, 2.0)
     pair = [14, 15]
     target[pair] = -40.0
-    problem = _CoefficientProblem(hess, hess @ target, reg, n)
-    solution, _, _, _, converged = _solve_one_coefficient(
-        problem, ScalarField.constant(grid, 2.0), _KeptFactor("coefficient", factor_spd))
+    solution, _, _, _, converged = _CoefficientSolver(reg, n).solve(
+        hess, hess @ target, ScalarField.constant(grid, 2.0))
     q = solution.values.ravel()
     assert converged and np.array_equal(np.flatnonzero(q == 0.5), pair)
 
     warm = q.copy()
     warm[pair] = 0.5 + 1e-4
-    solved, residual, steps, _, converged = _solve_one_coefficient(
-        problem, ScalarField(grid, warm.reshape(n, n)), _KeptFactor("coefficient", factor_spd))
+    solved, residual, steps, _, converged = _CoefficientSolver(reg, n).solve(
+        hess, hess @ target, ScalarField(grid, warm.reshape(n, n)))
     assert converged and residual <= COEFF_TOL
     assert steps == 1
     assert np.array_equal(np.flatnonzero(solved.values.ravel() == 0.5), pair)
@@ -909,18 +944,16 @@ def test_cells_creeping_onto_the_bound_land_in_one_step():
 def test_state_subproblem_zero_data_gives_zero(grid16):
     q = CoefficientPair(ScalarField.constant(grid16, 1.0),
                         ScalarField.constant(grid16, 1.0))
-    cfg = default_config()
-    v = solve_state_subproblem(q, ScalarField.zeros(grid16),
-                               BoundaryData.zeros(grid16), cfg)
+    v = _StateSolver(grid16, [ScalarField.zeros(grid16)],
+                     [BoundaryData.zeros(grid16)]).solve(q)[0][0]
     assert np.abs(v.u.values).max() == 0.0
     assert np.abs(v.p.x_values).max() == 0.0
 
 
 def test_state_subproblem_beats_forward_state():
     grid, truth, sets = small_problem()
-    cfg = default_config()
     source = sources_from_measurements(sets)[0]
-    v = solve_state_subproblem(truth, source, sets[0].f, cfg)
+    v = _StateSolver(grid, [source], [sets[0].f]).solve(truth)[0][0]
     assert state_normal_residual(truth, v, source, sets[0].f) <= STATE_TOL
     # the solved state fits at least as well as the forward-model state
     from medrec.forward import solve_forward
@@ -939,8 +972,8 @@ def test_state_factor_failure_is_subproblem_failure(grid16, singular_factor):
     q = CoefficientPair(ScalarField.constant(grid16, 1.0),
                         ScalarField.constant(grid16, 1.0))
     with pytest.raises(SubproblemFailure, match="exactly singular"):
-        solve_state_subproblem(q, ScalarField.zeros(grid16),
-                               BoundaryData.zeros(grid16), default_config())
+        _StateSolver(grid16, [ScalarField.zeros(grid16)],
+                     [BoundaryData.zeros(grid16)]).solve(q)
 
 
 def test_adi_state_factor_failure_carries_report(singular_factor):
@@ -949,15 +982,6 @@ def test_adi_state_factor_failure_carries_report(singular_factor):
         adi_reconstruct(sets, truth, default_config(max_outer=2))
     assert info.value.report.stop_reason == "subproblem_failure"
     assert info.value.report.iterations == 0
-
-
-def test_state_subproblem_requires_feasible_coefficients(grid16):
-    cfg = default_config()
-    q = CoefficientPair(ScalarField.constant(grid16, 0.1),  # below the box
-                        ScalarField.constant(grid16, 1.0))
-    with pytest.raises(ValueError):
-        solve_state_subproblem(q, ScalarField.zeros(grid16),
-                               BoundaryData.zeros(grid16), cfg)
 
 
 def test_coefficient_subproblem_recovers_truth_from_exact_state(rng):
@@ -979,7 +1003,8 @@ def test_coefficient_subproblem_recovers_truth_from_exact_state(rng):
                     reg_mu=RegConfig(1e-10, 0.0, -100.0, 100.0))
     warm = CoefficientPair(ScalarField.constant(grid, 1.0),
                            ScalarField.constant(grid, 1.0))
-    update = solve_coefficient_subproblem([v], [g], cfg, warm)
+    update = solve_coefficient_subproblem([v], [g], cfg, warm,
+                                          coefficient_solvers(cfg, 16))
     # pointwise oracle for mu (its misfit is diagonal): mu = u (g + div p) / u^2
     mu_oracle = (u.values * (g.values + divergence_to_cells(p).values)) / u.values ** 2
     assert np.abs(update.coefficients.mu.values - mu_oracle).max() <= 1e-4
@@ -992,7 +1017,8 @@ def test_coefficient_subproblem_zero_state_minimizes_phi_alone(grid16):
     g = ScalarField.zeros(grid16)
     warm = CoefficientPair(ScalarField.constant(grid16, 2.0),
                            ScalarField.constant(grid16, 2.0))
-    update = solve_coefficient_subproblem([v], [g], cfg, warm)
+    update = solve_coefficient_subproblem([v], [g], cfg, warm,
+                                          coefficient_solvers(cfg, 16))
     # argmin of phi alone shrinks to zero then clips to the lower bound
     assert np.allclose(update.coefficients.sigma.values, 0.5)
     assert np.allclose(update.coefficients.mu.values, 0.5)
