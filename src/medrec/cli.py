@@ -217,9 +217,12 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
             (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key not in _GEOMETRY_KEYS:
             raise ConfigError(f"{path}: unknown geometry key {key!r}")
-    params = tuple(number(key, kv.get(key, default)) for key, default in (
+    weights = {key: number(key, kv.get(key, default)) for key, default in (
         ("alpha_sigma", 1e-2), ("beta_sigma", 2e-2), ("alpha_mu", 5e-4),
-        ("beta_mu", 5e-4)))
+        ("beta_mu", 5e-4))}
+    for key, value in weights.items():
+        check(key, value >= 0, "a weight >= 0")
+    params = tuple(weights.values())
     excitations = number("excitations", kv.get("excitations", 1), int)
     check("excitations", excitations in (1, 2), "1 or 2")
     return ExampleSpec(
@@ -264,10 +267,29 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _empty_inclusions(cfg: RunConfig, spec: ExampleSpec, grid: StaggeredGrid):
+    """Names of the inclusions that hold no cell centre of grid, and so
+    are missing from the rasterized truth."""
+    keys = sorted(_parse_kv_file(Path(cfg.geometry))) if cfg.geometry else ()
+    x, y = grid.cell_centers()
+    for coef in ("sigma", "mu"):
+        shapes = getattr(spec, f"{coef}_inclusions")
+        if cfg.geometry:        # parse_geometry_file adds shapes in key order
+            names = [f"geometry key {key}" for key in keys
+                     if key.startswith((f"{coef}_square_", f"{coef}_ring_"))]
+        else:
+            names = [f"{spec.name}'s {coef} inclusion {k}" for k in range(len(shapes))]
+        yield from (name for name, shape in zip(names, shapes)
+                    if not shape.contains(x, y).any())
+
+
 def cmd_generate(cfg: RunConfig) -> None:
     spec = _example_for(cfg)
     grid = StaggeredGrid(cfg.grid)
     truth = spec.rasterize(grid)
+    for name in _empty_inclusions(cfg, spec, grid):
+        warnings.warn(f"{name} holds no cell centre of the {grid.n}x{grid.n} "
+                      "grid, so the truth lacks it")
     excitations = default_excitations(grid, spec.excitation_count)
     sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                  oversample=cfg.oversample)
@@ -375,17 +397,17 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     sets = _load_measurements(out)
     grid = sets[0].grid
 
+    init_sigma = ScalarField.constant(grid, spec.sigma_background)
+    init_mu = ScalarField.constant(grid, spec.mu_background)
     init_sigma_path = out / "init_sigma.field"
     if init_sigma_path.exists():
         try:
             init_sigma = _read_scalar(init_sigma_path, grid)
-            init_mu = _read_scalar(out / "init_mu.field", grid)
+            if spec.reconstruct_mu:     # else mu is known: its background
+                init_mu = _read_scalar(out / "init_mu.field", grid)
         except OSError as exc:
             raise ConfigError(f"cannot read initial guess {exc.filename}: "
                               f"{exc.strerror}") from None
-    else:
-        init_sigma = ScalarField.constant(grid, spec.sigma_background)
-        init_mu = ScalarField.constant(grid, spec.mu_background)
     initial = CoefficientPair(clip_to_box(init_sigma), clip_to_box(init_mu))
     settings = TotalLeastSquaresReconstructor(
         *_reg_params(cfg, spec), max_outer=cfg.max_outer,

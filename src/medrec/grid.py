@@ -83,12 +83,50 @@ def _as_values(values, shape, what: str) -> np.ndarray:
     return arr
 
 
+class _FieldArithmetic:
+    """Array-by-array arithmetic shared by the grid fields.
+
+    Each field names its arrays once, in `_arrays`.  Every result goes
+    through the constructor, so it is validated and owns its arrays.
+    """
+
+    _arrays: tuple[str, ...]
+
+    def copy(self):
+        return type(self)(self.grid, *[getattr(self, a) for a in self._arrays])
+
+    def __add__(self, other):
+        _require_same_grid(self, other)
+        return type(self)(self.grid, *[getattr(self, a) + getattr(other, a)
+                                       for a in self._arrays])
+
+    def __sub__(self, other):
+        _require_same_grid(self, other)
+        return type(self)(self.grid, *[getattr(self, a) - getattr(other, a)
+                                       for a in self._arrays])
+
+    def __mul__(self, other):
+        """Entry by entry with a field of the same type, else by a number."""
+        if isinstance(other, type(self)):
+            _require_same_grid(self, other)
+            return type(self)(self.grid, *[getattr(self, a) * getattr(other, a)
+                                           for a in self._arrays])
+        s = float(other)
+        return type(self)(self.grid, *[getattr(self, a) * s for a in self._arrays])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.grid, *[-getattr(self, a) for a in self._arrays])
+
+
 @dataclass
-class ScalarField:
+class ScalarField(_FieldArithmetic):
     """Cell-centered scalar field; values[i, j] at ((i+1/2)h, (j+1/2)h)."""
 
     grid: StaggeredGrid
     values: np.ndarray
+    _arrays = ("values",)
 
     def __post_init__(self):
         n = self.grid.n
@@ -108,31 +146,9 @@ class ScalarField:
         x, y = grid.cell_centers()
         return cls(grid, fn(x, y))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values)
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _require_same_grid(self, other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
 
 @dataclass
-class FluxField:
+class FluxField(_FieldArithmetic):
     """Interior-face vector field (p_x on vertical, p_y on horizontal faces).
 
     Boundary-normal faces carry no entry: p.nu = 0 there by construction.
@@ -141,6 +157,7 @@ class FluxField:
     grid: StaggeredGrid
     x_values: np.ndarray
     y_values: np.ndarray
+    _arrays = ("x_values", "y_values")
 
     def __post_init__(self):
         n = self.grid.n
@@ -152,39 +169,14 @@ class FluxField:
         n = grid.n
         return cls(grid, np.zeros((n - 1, n)), np.zeros((n, n - 1)))
 
-    def copy(self) -> "FluxField":
-        return FluxField(self.grid, self.x_values, self.y_values)
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return FluxField(self.grid, self.x_values + other.x_values,
-                         self.y_values + other.y_values)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return FluxField(self.grid, self.x_values - other.x_values,
-                         self.y_values - other.y_values)
-
-    def __mul__(self, other):
-        if isinstance(other, FluxField):
-            _require_same_grid(self, other)
-            return FluxField(self.grid, self.x_values * other.x_values,
-                             self.y_values * other.y_values)
-        s = float(other)
-        return FluxField(self.grid, self.x_values * s, self.y_values * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FluxField(self.grid, -self.x_values, -self.y_values)
-
 
 @dataclass
-class BoundaryData:
+class BoundaryData(_FieldArithmetic):
     """Values at the 4n boundary face midpoints (bottom, right, top, left)."""
 
     grid: StaggeredGrid
     values: np.ndarray
+    _arrays = ("values",)
 
     def __post_init__(self):
         self.values = _as_values(np.ravel(self.values), (4 * self.grid.n,),
@@ -206,22 +198,6 @@ class BoundaryData:
         n = self.grid.n
         v = self.values
         return v[0:n], v[n:2 * n], v[2 * n:3 * n], v[3 * n:4 * n]
-
-    def copy(self) -> "BoundaryData":
-        return BoundaryData(self.grid, self.values)
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return BoundaryData(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return BoundaryData(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        return BoundaryData(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
 
 
 def _require_same_grid(a, b):
@@ -330,8 +306,6 @@ def boundary_norm(a: BoundaryData) -> float:
 
 def prolong_cells(u: ScalarField, factor: int) -> ScalarField:
     """Piecewise-constant refinement of a cell field by an integer factor."""
-    if factor < 1:
-        raise GridError("factor must be >= 1")
     fine = u.grid.refined(factor)
     vals = np.repeat(np.repeat(u.values, factor, axis=0), factor, axis=1)
     return ScalarField(fine, vals)
@@ -351,7 +325,5 @@ def restrict_cells(u: ScalarField, factor: int) -> ScalarField:
 
 def prolong_boundary(b: BoundaryData, factor: int) -> BoundaryData:
     """Replicate boundary values onto the refined boundary faces."""
-    if factor < 1:
-        raise GridError("factor must be >= 1")
     fine = b.grid.refined(factor)
     return BoundaryData(fine, np.repeat(b.values, factor))

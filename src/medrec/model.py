@@ -91,11 +91,7 @@ def apply_L(v: StatePair, q: CoefficientPair, g: ScalarField) -> Residuals:
     r_div = ScalarField(
         v.u.grid,
         -divergence_to_cells(v.p).values + q.mu.values * v.u.values - g.values)
-    s_face = average_to_faces(q.sigma)
-    grad_u = gradient_to_faces(v.u)
-    r_flux = FluxField(v.u.grid,
-                       v.p.x_values - s_face.x_values * grad_u.x_values,
-                       v.p.y_values - s_face.y_values * grad_u.y_values)
+    r_flux = v.p - average_to_faces(q.sigma) * gradient_to_faces(v.u)
     return Residuals(r_div=r_div, r_flux=r_flux)
 
 
@@ -131,11 +127,10 @@ def eval_J(states, coeffs: CoefficientPair, sources, measurements,
 
     total = 0.0
     for v, g, m in zip(state_list, source_list, meas_list):
-        res = apply_L(v, coeffs, g)
-        r_data = boundary_trace(v.u) - m.f
+        res = full_residuals(v, coeffs, g, m.f)
         total += cell_inner(res.r_div, res.r_div)
         total += face_inner(res.r_flux, res.r_flux)
-        total += boundary_inner(r_data, r_data)
+        total += boundary_inner(res.r_data, res.r_data)
     total += eval_phi(coeffs.sigma, reg_sigma)
     total += eval_phi(coeffs.mu, reg_mu)
     return float(total)
@@ -148,22 +143,12 @@ def eval_J(states, coeffs: CoefficientPair, sources, measurements,
 def state_normal_apply(q: CoefficientPair, v: StatePair) -> StatePair:
     """Apply the symmetric positive definite state-block normal operator."""
     grid = v.u.grid
-    mu = q.mu.values
-    s_face = average_to_faces(q.sigma)
-    grad_u = gradient_to_faces(v.u)
-
-    r1 = -divergence_to_cells(v.p).values + mu * v.u.values
-    r2x = v.p.x_values - s_face.x_values * grad_u.x_values
-    r2y = v.p.y_values - s_face.y_values * grad_u.y_values
-    # Like p, r2 has no boundary-normal entries; the divergence reads them as 0.
-    s_r2 = FluxField(grid, s_face.x_values * r2x, s_face.y_values * r2y)
-
-    a_u = mu * r1 + divergence_to_cells(s_r2).values \
+    res = apply_L(v, q, ScalarField.zeros(grid))
+    # Like p, r_flux has no boundary-normal entries; the divergence reads them as 0.
+    s_r_flux = average_to_faces(q.sigma) * res.r_flux
+    a_u = q.mu.values * res.r_div.values + divergence_to_cells(s_r_flux).values \
         + neumann_to_source(boundary_trace(v.u)).values
-    r1_field = ScalarField(grid, r1)
-    g_r1 = gradient_to_faces(r1_field)
-    a_p = FluxField(grid, g_r1.x_values + r2x, g_r1.y_values + r2y)
-    return StatePair(ScalarField(grid, a_u), a_p)
+    return StatePair(ScalarField(grid, a_u), gradient_to_faces(res.r_div) + res.r_flux)
 
 
 def state_normal_rhs(q: CoefficientPair, g: ScalarField, f: BoundaryData) -> StatePair:
@@ -199,10 +184,7 @@ def coefficient_misfit_gradients(v: StatePair, q: CoefficientPair,
     averaging map).
     """
     res = apply_L(v, q, g)
-    grad_u = gradient_to_faces(v.u)
-    weighted = FluxField(v.u.grid,
-                         grad_u.x_values * res.r_flux.x_values,
-                         grad_u.y_values * res.r_flux.y_values)
+    weighted = gradient_to_faces(v.u) * res.r_flux
     grad_sigma = ScalarField(v.u.grid, -2.0 * average_to_faces_adjoint(weighted).values)
     grad_mu = ScalarField(v.u.grid, 2.0 * v.u.values * res.r_div.values)
     return grad_sigma, grad_mu

@@ -76,12 +76,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .forward import check_measurements
-from .grid import (FluxField, ScalarField, StaggeredGrid, average_to_faces,
-                   boundary_inner, boundary_trace, cell_inner, face_inner,
-                   gradient_to_faces)
-from .model import (CoefficientPair, StatePair, apply_L,
-                    coefficient_misfit_gradients, eval_J,
-                    sources_from_measurements, state_normal_residual)
+from .grid import (FluxField, ScalarField, StaggeredGrid, boundary_inner,
+                   boundary_trace)
+from .model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
+                    eval_J, misfit_value, sources_from_measurements,
+                    state_normal_residual)
 from .operators import (SPD_LU, ConstantDiffusionSolver, _pcg, diffusion_matrix,
                         factor_spd, grid_operators, with_pattern)
 from .regularization import RegConfig, box_feasible, bregman_distance, prox_l1_box
@@ -604,27 +603,23 @@ def _state_decrement(states_new, states_old, coeffs, grid) -> float:
     total = 0.0
     for v_new, v_old in zip(states_new, states_old):
         delta = v_new - v_old
-        res = apply_L(delta, coeffs, zero)
-        total += cell_inner(res.r_div, res.r_div)
-        total += face_inner(res.r_flux, res.r_flux)
         tr = boundary_trace(delta.u)
+        total += misfit_value(delta, coeffs, zero)
         total += boundary_inner(tr, tr)
     return total
 
 
 def _coeff_decrement(states, coeffs_new, coeffs_old, grid) -> float:
-    """Sum of ||Phi_u (q+ - q)||^2 over excitations."""
-    d_sigma = coeffs_new.sigma - coeffs_old.sigma
-    d_mu = coeffs_new.mu - coeffs_old.mu
-    s_face = average_to_faces(d_sigma)
-    total = 0.0
-    for v in states:
-        gu = gradient_to_faces(v.u)
-        flux_part = FluxField(grid, s_face.x_values * gu.x_values,
-                              s_face.y_values * gu.y_values)
-        cell_part = ScalarField(grid, d_mu.values * v.u.values)
-        total += cell_inner(cell_part, cell_part) + face_inner(flux_part, flux_part)
-    return total
+    """Sum of ||Phi_u (q+ - q)||^2 over excitations.
+
+    Phi_u dq is L_dq (u, 0) with no source, up to the sign of its flux
+    part, which the square drops.
+    """
+    step = CoefficientPair(coeffs_new.sigma - coeffs_old.sigma,
+                           coeffs_new.mu - coeffs_old.mu)
+    zero = ScalarField.zeros(grid)
+    no_flux = FluxField.zeros(grid)
+    return sum(misfit_value(StatePair(v.u, no_flux), step, zero) for v in states)
 
 
 def adi_reconstruct(measurements, initial_q: CoefficientPair,

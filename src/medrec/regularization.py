@@ -44,16 +44,13 @@ def eval_phi(q: ScalarField, cfg: RegConfig) -> float:
     """Value of the full regularizer; +inf outside the box."""
     if not box_feasible(q, cfg):
         return math.inf
-    grad = gradient_to_faces(q)
-    h1 = 0.5 * cfg.alpha * (face_inner(grad, grad) + cell_inner(q, q))
     l1 = cfg.beta * q.grid.h ** 2 * np.abs(q.values).sum()
-    return float(h1 + l1)
+    return float(eval_phi_smooth(q, cfg) + l1)
 
 
 def eval_phi_smooth(q: ScalarField, cfg: RegConfig) -> float:
     """H1 part only (no L1, no box)."""
-    grad = gradient_to_faces(q)
-    return float(0.5 * cfg.alpha * (face_inner(grad, grad) + cell_inner(q, q)))
+    return float(0.5 * cfg.alpha * h1_stencil_norm_sq(q))
 
 
 def smooth_grad_phi(q: ScalarField, cfg: RegConfig) -> ScalarField:
@@ -95,6 +92,6 @@ def bregman_distance(q: ScalarField, p: ScalarField, xi: ScalarField,
 
 
 def h1_stencil_norm_sq(d: ScalarField) -> float:
-    """||grad d||^2 + ||d||^2 with the same face stencil phi uses."""
+    """||grad d||^2 + ||d||^2: the H1 sum of phi's smooth part."""
     g = gradient_to_faces(d)
     return face_inner(g, g) + cell_inner(d, d)

@@ -1,9 +1,8 @@
 """Acceptance gate: one test per criterion, one PASS/FAIL line each.
 
 The desk-scale reproductions (criteria 5-8) share module-scoped pipeline
-runs.  Criteria 7's noisy clause and criterion 8 exercise noise levels
-at which the scattered signal sits far below the injected noise in this
-measurement geometry; they are asserted exactly as stated.
+runs.  Criteria 7's noisy clause and criterion 8 are asserted exactly as
+stated; their xfail reasons record what was measured.
 """
 
 import math
@@ -48,6 +47,9 @@ def run_pipeline(example, n, noise, seed, max_outer=50, truth_start=False):
             for i, m in enumerate(sets)]
     a_s, b_s, a_m, b_m = spec.regularization_params(noisy=noise > 0)
     initial = truth if truth_start else DirectSamplingLocator().fit(sets).transform(sets)
+    if not spec.reconstruct_mu:     # mu is known: its background
+        initial = CoefficientPair(initial.sigma,
+                                  ScalarField.constant(grid, spec.mu_background))
     solver = TotalLeastSquaresReconstructor(
         alpha_sigma=a_s, beta_sigma=b_s, alpha_mu=a_m, beta_mu=b_m,
         max_outer=max_outer, update_mu=spec.reconstruct_mu)
@@ -268,10 +270,12 @@ def test_criterion_7_truth_start_matrix(example):
 
 
 @pytest.mark.xfail(strict=False, reason=(
-    "at eps=0.10 the injected noise (eps * max|f| per boundary point) carries "
-    "~12x the scattered-signal energy in the informative boundary modes of "
-    "this geometry, so no sampling stage can localize and the least-squares "
-    "stage cannot relocate a misplaced prior; asserted as stated regardless"))
+    "from the sampling stage's start, seed 0 measured centre-of-mass errors "
+    "inf (sigma's support is lost) and 0.203 (mu); that start already fails "
+    "7b at eps=0.01 on seeds 0-3 (worst errors 0.178, 0.170, inf, 0.394). "
+    "Stage 2 started from the truth passes 7b at eps=0.10 on seeds 0-3 "
+    "(every error below 2e-4), so the noise defeats the sampling stage; "
+    "asserted as stated regardless"))
 def test_criterion_7_example1_noisy(ex1_noisy):
     report, truth, _ = ex1_noisy
     met = compute_metrics(report.coefficients, truth)
@@ -281,9 +285,12 @@ def test_criterion_7_example1_noisy(ex1_noisy):
 
 
 @pytest.mark.xfail(strict=False, reason=(
-    "at eps=0.20 the noise energy in the informative boundary modes is ~16x "
-    "the scattered-signal energy for this medium, which defeats the sampling "
-    "stage and drives the data term to fit noise; asserted as stated regardless"))
+    "from the sampling stage's start, seed 0 measured 32 components, whose "
+    "nearest lie 0.139 and 0.143 from the two true centres (exit J 11,396; "
+    "0.139 and 0.191 at J 11,461 while mu was frozen at the sampling "
+    "stage's guess). Started from the truth, the same run keeps both within "
+    "6e-4, so the noise defeats the sampling stage; asserted as stated "
+    "regardless"))
 def test_criterion_8_example21_noisy(ex21_noisy):
     report, truth, _ = ex21_noisy
     sig = report.coefficients.sigma.values

@@ -221,6 +221,33 @@ def test_custom_geometry_file(tmp_path):
     assert truth.values.max() == 15.0
 
 
+def test_inclusion_that_covers_no_cell_warns(tmp_path):
+    # a cell belongs to an inclusion only if its centre does
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nsigma_square_0=0.5,0.5,0.01,20.0\n")
+    out = tmp_path / "geometry"
+    with pytest.warns(UserWarning, match="geometry key sigma_square_0 .* 16x16 grid"):
+        assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
+                       "--out", str(out)) == 0
+    assert (deserialize_field(out / "truth_sigma.field").values == 1.0).all()
+    with pytest.warns(UserWarning, match="ex2_1's sigma inclusion 1 .* 16x16 grid"):
+        assert run_cli("generate", "--example", "ex2_1", "--grid", "16",
+                       "--out", str(tmp_path / "ex2_1")) == 0
+
+
+@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
+def test_sigma_only_reconstruct_keeps_mu_at_its_background(tmp_path):
+    # under noise dsm thresholds a mu mask even for a sigma-only example;
+    # reconstruct ignores that guess, since mu is known there
+    common = ("--example", "ex2_1", "--grid", "24", "--noise", "0.05",
+              "--out", str(tmp_path))
+    for stage in ("generate", "dsm"):
+        assert run_cli(stage, *common) == 0
+    assert (deserialize_field(tmp_path / "init_mu.field").values != 1.0).any()
+    assert run_cli("reconstruct", *common, "--max-outer", "2") == 0
+    assert (deserialize_field(tmp_path / "recon_mu.field").values == 1.0).all()
+
+
 def test_unknown_example_is_config_error(tmp_path):
     # argparse catches bad choices itself; a bad geometry path maps to exit 2
     assert run_cli("generate", "--geometry", str(tmp_path / "nope.cfg"),
@@ -298,7 +325,8 @@ def test_geometry_number_names_its_file_and_key(tmp_path, capsys, line):
     "sigma_bg=0", "mu_bg=-1", "sigma_square_0=0.3,0.3,0.1,-2",
     "mu_square_0=0.3,0.3,0.1,-2", "excitations=3", "excitations=0",
     "sigma_square_0=0.3,0.3,-0.1,5", "sigma_ring_0=0.5,0.5,0.1,0.2,5",
-    "mu_ring_0=0.5,0.5,0.2,-0.1,5", "sigma_ring_0=0.5,0.5,0.2,0.1,0"])
+    "mu_ring_0=0.5,0.5,0.2,-0.1,5", "sigma_ring_0=0.5,0.5,0.2,0.1,0",
+    "alpha_sigma=-1", "beta_sigma=-1e-3", "alpha_mu=-1", "beta_mu=-1e-3"])
 def test_geometry_value_outside_its_domain_names_its_file_and_key(tmp_path, capsys,
                                                                   line):
     geom = tmp_path / "geom.cfg"

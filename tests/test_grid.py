@@ -191,3 +191,25 @@ def test_prolong_restrict_round_trip(rng):
     fb = gr.prolong_boundary(b, 2)
     assert fb.grid.n == 16
     assert np.allclose(fb.values[::2], b.values)
+
+
+@pytest.mark.parametrize("make, arrays", [
+    (random_scalar, ("values",)), (random_admissible_flux, ("x_values", "y_values")),
+    (random_boundary, ("values",))])
+def test_field_arithmetic_is_array_arithmetic(grid16, rng, make, arrays):
+    a, b = make(grid16, rng), make(grid16, rng)
+    cases = [(a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y),
+             (a * b, lambda x, y: x * y), (2 * a, lambda x, y: 2.0 * x),
+             (a * 2, lambda x, y: x * 2.0), (-a, lambda x, y: -x),
+             (a.copy(), lambda x, y: x)]
+    for out, expect in cases:
+        assert type(out) is type(a) and out.grid == grid16
+        for name in arrays:
+            got, x, y = getattr(out, name), getattr(a, name), getattr(b, name)
+            assert np.array_equal(got, expect(x, y))
+            # each result owns its arrays
+            assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
+    other = make(StaggeredGrid(8), rng)
+    for op in (lambda: a + other, lambda: a - other, lambda: a * other):
+        with pytest.raises(GridMismatchError):
+            op()
