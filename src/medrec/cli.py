@@ -23,18 +23,19 @@ import numpy as np
 from .dsm import DEFAULT_THETA
 from .estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
 from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, DEFAULT_C_PHI,
-                          ExampleSpec, FieldFormatError, RingInclusion,
+                          DEFAULT_WEIGHTS, ExampleSpec, FieldFormatError, RingInclusion,
                           SquareInclusion, add_noise, background_deviation,
                           clip_to_box, compute_metrics, deserialize_field,
                           example_names, make_example, render_pgm,
                           serialize_field)
-from .forward import (ForwardSolverError, MeasurementSet, default_excitations,
-                      generate_measurements)
+from .forward import (EXCITATION_SIDES, ForwardSolverError, MeasurementSet,
+                      default_excitations, generate_measurements)
 from .grid import BoundaryData, GridError, ScalarField, StaggeredGrid
 from .model import CoefficientPair
 from .optimizer import SubproblemFailure, adi_reconstruct
 
 CONFIG_VERSION = "1"
+_WEIGHT_KEYS = ("alpha_sigma", "beta_sigma", "alpha_mu", "beta_mu")
 
 
 class ConfigError(ValueError):
@@ -71,7 +72,7 @@ class RunConfig:
             raise ConfigError("theta must lie in (0, 1)")
         if not 0.0 < self.cphi < math.inf:
             raise ConfigError("cphi must be finite and positive")
-        for name in ("alpha_sigma", "beta_sigma", "alpha_mu", "beta_mu"):
+        for name in _WEIGHT_KEYS:
             weight = getattr(self, name)        # nan: the example's table value
             if not (math.isnan(weight) or 0.0 <= weight < math.inf):
                 raise ConfigError(f"{name} must be finite and nonnegative")
@@ -159,8 +160,7 @@ def _write_kv_file(path: Path, entries: dict, comment: str = "") -> None:
 # Custom geometry files
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_KEYS = {"version", "name", "sigma_bg", "mu_bg", "excitations",
-                  "alpha_sigma", "beta_sigma", "alpha_mu", "beta_mu"}
+_GEOMETRY_KEYS = {"version", "name", "sigma_bg", "mu_bg", "excitations", *_WEIGHT_KEYS}
 
 
 def parse_geometry_file(path: Path) -> ExampleSpec:
@@ -177,6 +177,12 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
     number or lies outside its domain are each a ConfigError naming the
     file and the key, so none passes unseen.
     """
+    return _read_geometry(path)[0]
+
+
+def _read_geometry(path: Path) -> tuple[ExampleSpec, list[str]]:
+    """parse_geometry_file's spec and the name of each of its inclusions,
+    sigma's then mu's: its geometry key, in sorted key order."""
     kv = _parse_kv_file(path)
 
     def number(key, text, kind=float):
@@ -203,55 +209,58 @@ def parse_geometry_file(path: Path) -> ExampleSpec:
             raise ConfigError(f"{path}: {key} needs {count} comma-separated values")
         return [number(key, p) for p in parts]
 
-    sigma_shapes, mu_shapes = [], []
+    shapes, names = {"sigma": [], "mu": []}, {"sigma": [], "mu": []}
     for key in sorted(kv):
+        coef = key.partition("_")[0]
         if key.startswith(("sigma_square_", "mu_square_")):
             cx, cy, width, value = floats(key, 4)
             check(key, width > 0, "a width > 0")
             shape = SquareInclusion((cx, cy), width, coefficient(key, value))
-            (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key.startswith(("sigma_ring_", "mu_ring_")):
             cx, cy, outer, inner, value = floats(key, 5)
             check(key, 0 <= inner < outer, "widths 0 <= inner < outer")
             shape = RingInclusion((cx, cy), outer, inner, coefficient(key, value))
-            (sigma_shapes if key.startswith("sigma") else mu_shapes).append(shape)
         elif key not in _GEOMETRY_KEYS:
             raise ConfigError(f"{path}: unknown geometry key {key!r}")
-    weights = {key: number(key, kv.get(key, default)) for key, default in (
-        ("alpha_sigma", 1e-2), ("beta_sigma", 2e-2), ("alpha_mu", 5e-4),
-        ("beta_mu", 5e-4))}
-    for key, value in weights.items():
+        else:
+            continue
+        shapes[coef].append(shape)
+        names[coef].append(f"geometry key {key}")
+    params = tuple(number(key, kv.get(key, default))
+                   for key, default in zip(_WEIGHT_KEYS, DEFAULT_WEIGHTS))
+    for key, value in zip(_WEIGHT_KEYS, params):
         check(key, value >= 0, "a weight >= 0")
-    params = tuple(weights.values())
     excitations = number("excitations", kv.get("excitations", 1), int)
-    check("excitations", excitations in (1, 2), "1 or 2")
-    return ExampleSpec(
+    patterns = range(1, len(EXCITATION_SIDES) + 1)
+    check("excitations", excitations in patterns, " or ".join(map(str, patterns)))
+    spec = ExampleSpec(
         name=kv.get("name", path.stem),
-        sigma_inclusions=tuple(sigma_shapes),
-        mu_inclusions=tuple(mu_shapes),
+        sigma_inclusions=tuple(shapes["sigma"]), mu_inclusions=tuple(shapes["mu"]),
         sigma_background=coefficient("sigma_bg", number(
             "sigma_bg", kv.get("sigma_bg", BACKGROUND_SIGMA))),
         mu_background=coefficient("mu_bg", number("mu_bg", kv.get("mu_bg", BACKGROUND_MU))),
         excitation_count=excitations,
         params_exact=params, params_noisy=params)
+    return spec, names["sigma"] + names["mu"]
 
 
-def _example_for(cfg: RunConfig) -> ExampleSpec:
+def _example_for(cfg: RunConfig) -> tuple[ExampleSpec, list[str]]:
+    """The run's medium and the name of each of its inclusions, sigma's
+    then mu's, as the empty-inclusion warning gives them."""
     if cfg.geometry:
-        return parse_geometry_file(Path(cfg.geometry))
+        return _read_geometry(Path(cfg.geometry))
     try:
-        return make_example(cfg.example)
+        spec = make_example(cfg.example)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return spec, [f"{spec.name}'s {coef} inclusion {k}" for coef in ("sigma", "mu")
+                  for k in range(len(getattr(spec, f"{coef}_inclusions")))]
 
 
 def _reg_params(cfg: RunConfig, spec: ExampleSpec) -> tuple[float, float, float, float]:
     table = spec.regularization_params(noisy=cfg.noise > 0)
-    out = []
-    for flag, fallback in zip((cfg.alpha_sigma, cfg.beta_sigma,
-                               cfg.alpha_mu, cfg.beta_mu), table):
-        out.append(fallback if math.isnan(flag) else flag)
-    return tuple(out)
+    return tuple(fallback if math.isnan(flag) else flag for flag, fallback in
+                 zip((getattr(cfg, key) for key in _WEIGHT_KEYS), table))
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +276,15 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _empty_inclusions(cfg: RunConfig, spec: ExampleSpec, grid: StaggeredGrid):
-    """Names of the inclusions that hold no cell centre of grid, and so
-    are missing from the rasterized truth."""
-    keys = sorted(_parse_kv_file(Path(cfg.geometry))) if cfg.geometry else ()
-    x, y = grid.cell_centers()
-    for coef in ("sigma", "mu"):
-        shapes = getattr(spec, f"{coef}_inclusions")
-        if cfg.geometry:        # parse_geometry_file adds shapes in key order
-            names = [f"geometry key {key}" for key in keys
-                     if key.startswith((f"{coef}_square_", f"{coef}_ring_"))]
-        else:
-            names = [f"{spec.name}'s {coef} inclusion {k}" for k in range(len(shapes))]
-        yield from (name for name, shape in zip(names, shapes)
-                    if not shape.contains(x, y).any())
-
-
 def cmd_generate(cfg: RunConfig) -> None:
-    spec = _example_for(cfg)
+    spec, names = _example_for(cfg)
     grid = StaggeredGrid(cfg.grid)
     truth = spec.rasterize(grid)
-    for name in _empty_inclusions(cfg, spec, grid):
-        warnings.warn(f"{name} holds no cell centre of the {grid.n}x{grid.n} "
-                      "grid, so the truth lacks it")
+    x, y = grid.cell_centers()
+    for name, shape in zip(names, spec.sigma_inclusions + spec.mu_inclusions):
+        if not shape.contains(x, y).any():
+            warnings.warn(f"{name} holds no cell centre of the {grid.n}x{grid.n} "
+                          "grid, so the truth lacks it")
     excitations = default_excitations(grid, spec.excitation_count)
     sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                  oversample=cfg.oversample)
@@ -359,7 +354,7 @@ def _check_generated(command: str, keys: tuple[str, ...], cfg: RunConfig,
 
 
 def cmd_dsm(cfg: RunConfig) -> None:
-    spec = _example_for(cfg)
+    spec, _ = _example_for(cfg)
     out = _outdir(cfg)
     _check_generated("dsm", ("example", "geometry", "grid", "oversample"), cfg, out)
     sets = _load_measurements(out)
@@ -391,7 +386,7 @@ def cmd_dsm(cfg: RunConfig) -> None:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
-    spec = _example_for(cfg)
+    spec, _ = _example_for(cfg)
     out = _outdir(cfg)
     _check_generated("reconstruct", ("example", "geometry", "grid", "noise"), cfg, out)
     sets = _load_measurements(out)
@@ -488,10 +483,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="noise seed")
     parser.add_argument("--theta", type=float, help="index cutoff in (0,1)")
     parser.add_argument("--cphi", type=float, help="initial-guess magnitude")
-    parser.add_argument("--alpha-sigma", dest="alpha_sigma", type=float)
-    parser.add_argument("--beta-sigma", dest="beta_sigma", type=float)
-    parser.add_argument("--alpha-mu", dest="alpha_mu", type=float)
-    parser.add_argument("--beta-mu", dest="beta_mu", type=float)
+    for key in _WEIGHT_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     parser.add_argument("--oversample", type=int, help="data-synthesis refinement")
     parser.add_argument("--max-outer", dest="max_outer", type=int,
                         help="alternating iterations (default 50)")

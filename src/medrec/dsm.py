@@ -453,8 +453,7 @@ def _fit_sources(probes: _ProbeFamily, v: np.ndarray):
         picks = _refine_positions(probes, v, picks, rounds=1)
         resid = probes.joint_residual(v, picks)
 
-    base = probes.joint_residual(v, picks)
-    base_rn = float(base @ base)
+    base_rn = float(resid @ resid)      # resid: the joint residual of picks
     kept = []
     for idx in range(len(picks)):
         others = [p for i, p in enumerate(picks) if i != idx]

@@ -19,7 +19,7 @@ these classes only orchestrate and validate inputs.
 """
 
 from . import dsm
-from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI, clip_to_box
+from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI, DEFAULT_WEIGHTS, clip_to_box
 from .forward import check_measurements
 from .grid import ScalarField
 from .model import CoefficientPair
@@ -75,8 +75,9 @@ class DirectSamplingLocator:
 class TotalLeastSquaresReconstructor:
     """Stage two: alternating minimization from an initial coefficient pair."""
 
-    def __init__(self, alpha_sigma=1e-2, beta_sigma=2e-2,
-                 alpha_mu=5e-4, beta_mu=5e-4, max_outer=50, update_mu=True):
+    def __init__(self, alpha_sigma=DEFAULT_WEIGHTS[0], beta_sigma=DEFAULT_WEIGHTS[1],
+                 alpha_mu=DEFAULT_WEIGHTS[2], beta_mu=DEFAULT_WEIGHTS[3],
+                 max_outer=50, update_mu=True):
         self.alpha_sigma = alpha_sigma
         self.beta_sigma = beta_sigma
         self.alpha_mu = alpha_mu

@@ -21,6 +21,8 @@ BACKGROUND_MU = 1.0
 BOX_LO = 0.5
 BOX_HI = 30.0
 DEFAULT_C_PHI = 20.0
+# (alpha_sigma, beta_sigma, alpha_mu, beta_mu) where none are given: ex1's exact-data ones
+DEFAULT_WEIGHTS = (1.0e-2, 2.0e-2, 5.0e-4, 5.0e-4)
 
 _EDGE_TOL = 1e-12
 
@@ -67,7 +69,7 @@ class ExampleSpec:
     sigma_background: float = BACKGROUND_SIGMA
     mu_background: float = BACKGROUND_MU
     excitation_count: int = 1
-    params_exact: tuple = (1e-2, 2e-2, 5e-4, 5e-4)   # (a_sigma, b_sigma, a_mu, b_mu)
+    params_exact: tuple = DEFAULT_WEIGHTS
     params_noisy: tuple = (1e-2, 2e-2, 5e-4, 1e-3)
 
     @property
@@ -97,7 +99,7 @@ _EXAMPLES = {
         sigma_inclusions=(SquareInclusion((0.25, 0.65), 0.05, 20.0),),
         mu_inclusions=(SquareInclusion((0.35, 0.30), 0.05, 20.0),),
         excitation_count=1,
-        params_exact=(1.0e-2, 2.0e-2, 5.0e-4, 5.0e-4),
+        params_exact=DEFAULT_WEIGHTS,
         params_noisy=(1.0e-2, 2.0e-2, 5.0e-4, 1.0e-3)),
     "ex2_1": ExampleSpec(
         name="ex2_1",

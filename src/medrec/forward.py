@@ -172,11 +172,15 @@ def solve_forward(sigma: ScalarField, mu: ScalarField, neumann: BoundaryData,
 
 
 EXCITATION_AMPLITUDE = 200.0
-EXCITATION_OFFSET = 0.25
+# Side weights (bottom, right, top, left) of each default pattern; a
+# pattern is EXCITATION_AMPLITUDE times one row.
+EXCITATION_SIDES = ((0.25, -0.75, 0.25, 1.25),
+                    (1.25, 0.25, -0.75, 0.25))
 
 
 def default_excitations(grid: StaggeredGrid, count: int = 1) -> list[BoundaryData]:
-    """Boundary flux patterns used when none are supplied.
+    """Boundary flux patterns used when none are supplied, the first count
+    rows of EXCITATION_SIDES.
 
     #1 superposes a uniform influx (weight 0.25, which keeps the interior
     field positive so absorption stays observable) on a left-to-right
@@ -184,16 +188,11 @@ def default_excitations(grid: StaggeredGrid, count: int = 1) -> list[BoundaryDat
     amplitude EXCITATION_AMPLITUDE sets the data term's weight against
     the regularization in the least-squares stage.
     """
-    if count < 1 or count > 2:
-        raise ValueError("between 1 and 2 default excitations are defined")
-    c, amplitude = EXCITATION_OFFSET, EXCITATION_AMPLITUDE
-    out = [BoundaryData.from_sides(grid, c * amplitude, (c - 1.0) * amplitude,
-                                   c * amplitude, (c + 1.0) * amplitude)]
-    if count == 2:
-        out.append(BoundaryData.from_sides(grid, (c + 1.0) * amplitude,
-                                           c * amplitude, (c - 1.0) * amplitude,
-                                           c * amplitude))
-    return out
+    if not 1 <= count <= len(EXCITATION_SIDES):
+        raise ValueError(f"between 1 and {len(EXCITATION_SIDES)} default "
+                         "excitations are defined")
+    return [BoundaryData.from_sides(grid, *(w * EXCITATION_AMPLITUDE for w in sides))
+            for sides in EXCITATION_SIDES[:count]]
 
 
 def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,

@@ -47,9 +47,10 @@ Every block keeps its factor by one rule (_KeptFactor), since the
 coefficients move little between outer iterations: PCG runs on the kept
 factor up to the block's cap; without a factor, or past the cap, the old
 one is freed and the current matrix factored and solved by PCG to
-convergence.  A zero pivot, or PCG failing on a fresh factor, raises
-SubproblemFailure naming the block.  The run's three solvers are built
-once; release() frees each one's factor when the run returns or raises.
+convergence, from the capped run's last iterate.  A zero pivot, or PCG
+failing on a fresh factor, raises SubproblemFailure naming the block.
+The run's three solvers are built once; release() frees each one's
+factor when the run returns or raises.
 
 The report carries enough per-iteration bookkeeping (Bregman distances,
 half-step decrement norms) to check the telescoped descent certificate
@@ -222,13 +223,14 @@ class _KeptFactor:
               x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """x with a x = b to rtol by PCG preconditioned with apply(lu, r),
         capped at cap iterations on a kept factor, and the iterations,
-        summed over a failure there and the loop on matrix()'s factor."""
+        summed over a failure there and the loop on matrix()'s factor,
+        which starts from the failed run's last iterate."""
         iterations = 0
         if self.lu is not None:
-            x, iterations, converged = _pcg(a, b, lambda r: apply(self.lu, r), cap,
-                                            rtol, x0=x0)
+            x0, iterations, converged = _pcg(a, b, lambda r: apply(self.lu, r), cap,
+                                             rtol, x0=x0)
             if converged:
-                return x, iterations
+                return x0, iterations
         self.lu = None              # free the old factor: never two alive at once
         try:
             self.lu = self._factor(matrix())

@@ -1,4 +1,5 @@
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +234,27 @@ def test_inclusion_that_covers_no_cell_warns(tmp_path):
     with pytest.warns(UserWarning, match="ex2_1's sigma inclusion 1 .* 16x16 grid"):
         assert run_cli("generate", "--example", "ex2_1", "--grid", "16",
                        "--out", str(tmp_path / "ex2_1")) == 0
+
+
+def test_generate_reads_the_geometry_file_once(tmp_path, monkeypatch):
+    # the warning names each empty shape by its key from the one parse that
+    # built the medium: sigma's shapes, then mu's, each in key order
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nsigma_square_b=0.5,0.5,0.01,20.0\n"
+                    "sigma_square_a=0.3,0.3,0.2,5.0\nmu_ring_0=0.7,0.7,0.012,0.004,3.0\n")
+    reads, read_text = [], Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    with pytest.warns(UserWarning, match="holds no cell centre") as record:
+        assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
+                       "--out", str(tmp_path / "out")) == 0
+    assert reads.count(geom) == 1
+    assert [str(w.message).split(" holds")[0] for w in record] == [
+        "geometry key sigma_square_b", "geometry key mu_ring_0"]
 
 
 @pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")

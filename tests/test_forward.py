@@ -283,3 +283,14 @@ def test_default_excitation_count_validation():
         default_excitations(grid, 0)
     with pytest.raises(ValueError):
         default_excitations(grid, 3)
+
+
+def test_default_excitations_are_the_amplitude_times_the_table():
+    # the paper's push-pull on a uniform influx, then its quarter turn
+    grid = StaggeredGrid(8)
+    first, second = default_excitations(grid, 2)
+    assert [side[0] for side in first.sides()] == [50.0, -150.0, 50.0, 250.0]
+    assert [side[0] for side in second.sides()] == [250.0, 50.0, -150.0, 50.0]
+    for h, weights in zip((first, second), forward.EXCITATION_SIDES, strict=True):
+        assert np.array_equal(h.values, np.repeat(
+            np.multiply(weights, forward.EXCITATION_AMPLITUDE), grid.n))

@@ -1,6 +1,6 @@
 import math
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,9 +33,23 @@ from conftest import (assert_matrix_close, draw_coefficients,
                       random_admissible_flux, random_boundary, random_scalar)
 
 
+def holding_medium(example: str):
+    """The example's medium with every square widened to 0.2, so that each
+    inclusion holds cell centres at every n the tests here use (8 to 24):
+    the 0.05-wide squares of ex1 and ex2_1 hold no sigma cell below n = 24."""
+    spec = make_example(example)
+    widen = lambda shapes: tuple(replace(shape, width=0.2) for shape in shapes)
+    return replace(spec, sigma_inclusions=widen(spec.sigma_inclusions),
+                   mu_inclusions=widen(spec.mu_inclusions))
+
+
 def small_problem(n=16, example="ex1", oversample=2, excitations=1):
     grid = StaggeredGrid(n)
-    truth = make_example(example).rasterize(grid)
+    medium = holding_medium(example)
+    x, y = grid.cell_centers()
+    assert all(shape.contains(x, y).any()
+               for shape in medium.sigma_inclusions + medium.mu_inclusions)
+    truth = medium.rasterize(grid)
     excitations = default_excitations(grid, excitations)
     sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                  oversample=oversample)
@@ -441,18 +455,32 @@ def test_projected_start_drops_a_repeated_state():
     assert not _projected_start(a, np.zeros((a.shape[0], 3)), b).any()
 
 
-def test_stale_factor_past_the_bound_refactors():
+def test_stale_factor_past_the_bound_refactors(monkeypatch):
     grid = StaggeredGrid(16)
     rng = np.random.default_rng(7)
     g, f = random_scalar(grid, rng), random_boundary(grid, rng)
     q = CoefficientPair.constant(grid, 30.0, 30.0)
     solver = state_solver(q, factored=CoefficientPair.constant(grid, 0.5, 0.5),
                           g=g, f=f)
+    runs = []       # (x0, returned iterate, iterations, converged) of each PCG loop
+    real = optimizer._pcg
+
+    def recorded(a, b, precondition, cap, rtol, x0=None):
+        x, iterations, converged = real(a, b, precondition, cap, rtol, x0=x0)
+        runs.append((x0, x.copy(), iterations, converged))
+        return x, iterations, converged
+
+    monkeypatch.setattr(optimizer, "_pcg", recorded)
     states, residual, iterations = solver.solve(q)
+    monkeypatch.undo()
     # PCG on the sigma = mu = 0.5 factor overruns the bound (it would need
-    # 19 iterations); then the loop of a fresh solver runs on the new factor
+    # 19 iterations); the loop on the new factor then starts from its last
+    # iterate, and so takes fewer iterations than a fresh solver's loop
+    (_, capped, capped_iterations, capped_ok), (start, _, more, ok) = runs
+    assert not capped_ok and capped_iterations == STATE_PCG_MAX and ok
+    assert np.array_equal(start, capped)
     fresh, _, fresh_iterations = _StateSolver(grid, [g], [f]).solve(q)
-    assert iterations == STATE_PCG_MAX + fresh_iterations
+    assert iterations == STATE_PCG_MAX + more < STATE_PCG_MAX + fresh_iterations
     assert solver.factor.factorizations == 2
     assert residual <= STATE_TOL
     assert_rel_close(pack_state(states[0]), pack_state(fresh[0]))
