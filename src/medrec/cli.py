@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -22,8 +21,9 @@ import numpy as np
 
 from .dsm import DEFAULT_THETA
 from .estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
-from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, DEFAULT_C_PHI,
-                          DEFAULT_WEIGHTS, ExampleSpec, FieldFormatError, RingInclusion,
+from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
+                          DEFAULT_C_PHI, DEFAULT_WEIGHTS, ExampleSpec,
+                          FieldFormatError, RingInclusion,
                           SquareInclusion, add_noise, background_deviation,
                           clip_to_box, compute_metrics, deserialize_field,
                           example_names, make_example, render_pgm,
@@ -267,6 +267,10 @@ def _reg_params(cfg: RunConfig, spec: ExampleSpec) -> tuple[float, float, float,
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     try:
@@ -283,8 +287,8 @@ def cmd_generate(cfg: RunConfig) -> None:
     x, y = grid.cell_centers()
     for name, shape in zip(names, spec.sigma_inclusions + spec.mu_inclusions):
         if not shape.contains(x, y).any():
-            warnings.warn(f"{name} holds no cell centre of the {grid.n}x{grid.n} "
-                          "grid, so the truth lacks it")
+            _warn(f"{name} holds no cell centre of the {grid.n}x{grid.n} "
+                  "grid, so the truth lacks it")
     excitations = default_excitations(grid, spec.excitation_count)
     sets = generate_measurements(truth.sigma, truth.mu, excitations,
                                  oversample=cfg.oversample)
@@ -355,6 +359,9 @@ def _check_generated(command: str, keys: tuple[str, ...], cfg: RunConfig,
 
 def cmd_dsm(cfg: RunConfig) -> None:
     spec, _ = _example_for(cfg)
+    if spec.mu_background <= 0:  # the probe functions' background solve needs it
+        raise ConfigError(f"{cfg.geometry or cfg.example}: dsm needs mu_bg > 0, "
+                          f"got mu_bg={spec.mu_background}")
     out = _outdir(cfg)
     _check_generated("dsm", ("example", "geometry", "grid", "oversample"), cfg, out)
     sets = _load_measurements(out)
@@ -366,8 +373,8 @@ def cmd_dsm(cfg: RunConfig) -> None:
     for name, mask, unknown in (("sigma", loc.mask_sigma_, True),
                                 ("mu", loc.mask_mu_, spec.reconstruct_mu)):
         if unknown and mask.is_empty:
-            warnings.warn(f"thresholded subdomain is empty for {name}; the "
-                          "initial guess falls back to the background")
+            _warn(f"thresholded subdomain is empty for {name}; the "
+                  "initial guess falls back to the background")
     serialize_field(loc.index_sigma_, out / "phi_sigma.field")
     serialize_field(loc.index_mu_, out / "phi_mu.field")
     serialize_field(ScalarField(grid, loc.mask_sigma_.mask.astype(float)),
@@ -387,6 +394,10 @@ def cmd_dsm(cfg: RunConfig) -> None:
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
     spec, _ = _example_for(cfg)
+    if not spec.reconstruct_mu and not BOX_LO <= spec.mu_background <= BOX_HI:
+        raise ConfigError(f"{cfg.geometry or cfg.example}: the known mu_bg="
+                          f"{spec.mu_background} lies outside the box "
+                          f"[{BOX_LO}, {BOX_HI}] that reconstruct works in")
     out = _outdir(cfg)
     _check_generated("reconstruct", ("example", "geometry", "grid", "noise"), cfg, out)
     sets = _load_measurements(out)
@@ -403,7 +414,9 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot read initial guess {exc.filename}: "
                               f"{exc.strerror}") from None
-    initial = CoefficientPair(clip_to_box(init_sigma), clip_to_box(init_mu))
+    if spec.reconstruct_mu:     # a known mu is checked above, not clipped
+        init_mu = clip_to_box(init_mu)
+    initial = CoefficientPair(clip_to_box(init_sigma), init_mu)
     settings = TotalLeastSquaresReconstructor(
         *_reg_params(cfg, spec), max_outer=cfg.max_outer,
         update_mu=spec.reconstruct_mu).config()

@@ -59,6 +59,8 @@ MAX_ATOMS = 8
 REFINE_WINDOW = 4
 DEFAULT_THETA = 0.55
 
+_FAMILIES = {"m": "phi_mu", "d": "phi_sigma"}  # kind -> index field, in gains() order
+
 
 class EmptyDataError(ValueError):
     """All scattered-data vectors are identically zero; nothing to image."""
@@ -260,16 +262,17 @@ class _ProbeFamily:
         return mono, dip
 
     def columns(self, picks):
-        """Boundary rows of the picked atoms: one per monopole, two per dipole."""
-        cols, owners = [], []
+        """The picked atoms' boundary rows as the columns of one (4n, k)
+        basis, one per monopole and two per dipole in picks order, and
+        each pick's slice of those columns."""
+        cols, spans = [], []
         for kind, cell in picks:
             rows = self._rows.get((kind, cell))
             if rows is None:
-                rows = self._rows[kind, cell] = list(
-                    self.gather(kind, np.array([cell]))[0])
+                rows = self._rows[kind, cell] = self.gather(kind, np.array([cell]))[0]
+            spans.append(slice(len(cols), len(cols) + len(rows)))
             cols.extend(rows)
-            owners.extend([kind] * len(rows))
-        return cols, owners
+        return np.array(cols).T, spans
 
     def gather(self, kind: str, cells: np.ndarray) -> np.ndarray:
         """Boundary rows of one kind of atom at every cell given, in one read.
@@ -320,8 +323,7 @@ class _ProbeFamily:
         top = np.einsum("mkd,mkd->mk", cols, cols).max(axis=1)  # s_max^2
         coef, proj, resid = np.zeros(cols.shape[:2] + (0,)), cols, v
         if others:
-            u, s, _ = np.linalg.svd(np.array(self.columns(others)[0]).T,
-                                    full_matrices=False)
+            u, s, _ = np.linalg.svd(self.columns(others)[0], full_matrices=False)
             keep = s > tol * s[0]
             u, s = u[:, keep], s[keep]
             top = np.maximum(top, s[0] ** 2)
@@ -348,26 +350,25 @@ class _ProbeFamily:
         return score
 
     def joint_parts(self, v: np.ndarray, picks):
-        """Joint least-squares split of v into (monopole, dipole, residual).
-
-        The fitted coefficients, in columns() order, come fourth.
-        """
-        cols, owners = self.columns(picks)
-        if not cols:
-            return np.zeros_like(v), np.zeros_like(v), v, np.zeros(0)
-        basis = np.array(cols).T
+        """Joint least-squares split of v: the fitted part of each family
+        that picks hold (kind -> part, in _FAMILIES order), the residual,
+        and the coefficients in columns() order."""
+        parts = {kind: np.zeros_like(v) for kind in _FAMILIES
+                 if any(k == kind for k, _ in picks)}
+        if not picks:
+            return parts, v, np.zeros(0)
+        basis, spans = self.columns(picks)
         coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        mono = np.zeros_like(v)
-        dip = np.zeros_like(v)
-        for col, owner, c in zip(cols, owners, coef):
-            if owner == "m":
-                mono += c * col
-            else:
-                dip += c * col
-        return mono, dip, v - mono - dip, coef
+        for (kind, _), span in zip(picks, spans):
+            for c, col in zip(coef[span], basis.T[span]):
+                parts[kind] += c * col
+        resid = v
+        for part in parts.values():
+            resid = resid - part
+        return parts, resid, coef
 
     def joint_residual(self, v, picks):
-        return self.joint_parts(v, picks)[2]
+        return self.joint_parts(v, picks)[1]
 
 
 def _lowpass(values: np.ndarray) -> np.ndarray:
@@ -420,6 +421,14 @@ def _refine_positions(probes: _ProbeFamily, v: np.ndarray, picks,
     return picks
 
 
+def _strongest(probes: _ProbeFamily, r: np.ndarray, kinds: str = "dm"):
+    """(kind, cell, gain) of the one atom of the families in kinds that
+    explains the largest share of ||r||^2; the dipole wins a tie."""
+    gains = dict(zip(_FAMILIES, probes.gains(r)))
+    kind = max((k for k in "dm" if k in kinds), key=lambda k: gains[k].max())
+    return kind, int(np.argmax(gains[kind])), float(gains[kind].max())
+
+
 def _fit_sources(probes: _ProbeFamily, v: np.ndarray):
     """Greedy monopole/dipole decomposition with joint refits.
 
@@ -430,23 +439,13 @@ def _fit_sources(probes: _ProbeFamily, v: np.ndarray):
     media.
     """
     total = float(v @ v)
-    gm, gd = probes.gains(v)
-    if gd.max() >= gm.max():
-        picks = [("d", int(np.argmax(gd)))]
-        gm, _ = probes.gains(probes.joint_residual(v, picks))
-        picks.append(("m", int(np.argmax(gm))))
-    else:
-        picks = [("m", int(np.argmax(gm)))]
-        _, gd = probes.gains(probes.joint_residual(v, picks))
-        picks.append(("d", int(np.argmax(gd))))
+    picks = [_strongest(probes, v)[:2]]
+    picks.append(_strongest(probes, probes.joint_residual(v, picks),
+                            "dm".replace(picks[0][0], ""))[:2])
     picks = _refine_positions(probes, v, picks)
     resid = probes.joint_residual(v, picks)
     for _ in range(MAX_ATOMS - 2):
-        gm, gd = probes.gains(resid)
-        if gd.max() >= gm.max():
-            kind, cell, gain = "d", int(np.argmax(gd)), float(gd.max())
-        else:
-            kind, cell, gain = "m", int(np.argmax(gm)), float(gm.max())
+        kind, cell, gain = _strongest(probes, resid)
         if gain < GREEDY_ENERGY_FRAC * total:
             break
         picks.append((kind, cell))
@@ -467,12 +466,11 @@ def _describe(probes: _ProbeFamily, v: np.ndarray, picks, coef) -> list[Atom]:
     """Atom records of one excitation's fit, from joint_parts' coefficients."""
     total = float(v @ v)
     n, h = probes.grid.n, probes.grid.h
-    atoms, k = [], 0
-    for kind, cell in picks:
-        cols, _ = probes.columns([(kind, cell)])
-        c = coef[k:k + len(cols)]
-        k += len(cols)
-        part = np.array(cols).T @ c
+    basis, spans = probes.columns(picks)
+    atoms = []
+    for (kind, cell), span in zip(picks, spans):
+        c = coef[span]
+        part = basis[:, span] @ c
         i, j = divmod(cell, n)
         atoms.append(Atom(kind, ((i + 0.5) * h, (j + 0.5) * h),
                           tuple(float(x) for x in c), float(part @ part) / total))
@@ -521,10 +519,7 @@ def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
         raise EmptyDataError("scattered data is identically zero")
 
     probes = _ProbeFamily(grid, background_sigma, background_mu)
-    n = grid.n
-    acc_mu = np.zeros(n * n)
-    acc_sigma = np.zeros(n * n)
-    any_mu = any_sigma = False
+    summed = {}  # kind -> its pairings summed over the excitations
     atoms = []
     for d in delta_f:
         v = _lowpass(d.values)
@@ -532,24 +527,17 @@ def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
             atoms.append([])
             continue
         picks = _fit_sources(probes, v)
-        has_mono = any(kind == "m" for kind, _ in picks)
-        has_dip = any(kind == "d" for kind, _ in picks)
-        mono_part, dip_part, resid, coef = probes.joint_parts(v, picks)
+        parts, resid, coef = probes.joint_parts(v, picks)
         atoms.append(_describe(probes, v, picks, coef))
-        v_mu = mono_part + resid
-        v_sigma = dip_part + resid
-        if has_mono and float(v_mu @ v_mu) > 0:
-            acc_mu += probes.pairings(v_mu)[0]
-            any_mu = True
-        if has_dip and float(v_sigma @ v_sigma) > 0:
-            acc_sigma += probes.pairings(v_sigma)[1]
-            any_sigma = True
+        for kind, part in parts.items():
+            purged = part + resid  # the data less the other family's part
+            if float(purged @ purged) > 0:
+                pairing = dict(zip(_FAMILIES, probes.pairings(purged)))[kind]
+                summed[kind] = summed.get(kind, 0.0) + pairing
 
-    phi_mu = _sharpen(_rescale_unit(acc_mu)) if any_mu else np.zeros(n * n)
-    phi_sigma = _sharpen(_rescale_unit(acc_sigma)) if any_sigma else np.zeros(n * n)
-    return IndexResult(phi_sigma=ScalarField(grid, phi_sigma.reshape(n, n)),
-                       phi_mu=ScalarField(grid, phi_mu.reshape(n, n)),
-                       atoms=atoms)
+    return IndexResult(atoms=atoms, **{
+        name: ScalarField(grid, _sharpen(_rescale_unit(summed[kind])).reshape(grid.n, -1))
+        if kind in summed else ScalarField.zeros(grid) for kind, name in _FAMILIES.items()})
 
 
 def threshold_subdomain(phi: ScalarField, theta: float) -> SubdomainMask:

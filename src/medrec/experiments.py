@@ -23,6 +23,8 @@ BOX_HI = 30.0
 DEFAULT_C_PHI = 20.0
 # (alpha_sigma, beta_sigma, alpha_mu, beta_mu) where none are given: ex1's exact-data ones
 DEFAULT_WEIGHTS = (1.0e-2, 2.0e-2, 5.0e-4, 5.0e-4)
+# ... and where the data are noisy: ex1's noisy-data ones
+NOISY_WEIGHTS = (1.0e-2, 2.0e-2, 5.0e-4, 1.0e-3)
 
 _EDGE_TOL = 1e-12
 
@@ -70,7 +72,7 @@ class ExampleSpec:
     mu_background: float = BACKGROUND_MU
     excitation_count: int = 1
     params_exact: tuple = DEFAULT_WEIGHTS
-    params_noisy: tuple = (1e-2, 2e-2, 5e-4, 1e-3)
+    params_noisy: tuple = NOISY_WEIGHTS
 
     @property
     def reconstruct_mu(self) -> bool:
@@ -100,7 +102,7 @@ _EXAMPLES = {
         mu_inclusions=(SquareInclusion((0.35, 0.30), 0.05, 20.0),),
         excitation_count=1,
         params_exact=DEFAULT_WEIGHTS,
-        params_noisy=(1.0e-2, 2.0e-2, 5.0e-4, 1.0e-3)),
+        params_noisy=NOISY_WEIGHTS),
     "ex2_1": ExampleSpec(
         name="ex2_1",
         sigma_inclusions=(SquareInclusion((0.15, 0.50), 0.05, 20.0),

@@ -1,4 +1,5 @@
 import argparse
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,21 +223,29 @@ def test_custom_geometry_file(tmp_path):
     assert truth.values.max() == 15.0
 
 
-def test_inclusion_that_covers_no_cell_warns(tmp_path):
+def test_inclusion_that_covers_no_cell_warns(tmp_path, capsys):
     # a cell belongs to an inclusion only if its centre does
     geom = tmp_path / "geom.cfg"
     geom.write_text("version=1\nsigma_square_0=0.5,0.5,0.01,20.0\n")
     out = tmp_path / "geometry"
-    with pytest.warns(UserWarning, match="geometry key sigma_square_0 .* 16x16 grid"):
-        assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
-                       "--out", str(out)) == 0
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
+                   "--out", str(out)) == 0
+    assert re.search("geometry key sigma_square_0 .* 16x16 grid", capsys.readouterr().err)
     assert (deserialize_field(out / "truth_sigma.field").values == 1.0).all()
-    with pytest.warns(UserWarning, match="ex2_1's sigma inclusion 1 .* 16x16 grid"):
-        assert run_cli("generate", "--example", "ex2_1", "--grid", "16",
-                       "--out", str(tmp_path / "ex2_1")) == 0
+    assert run_cli("generate", "--example", "ex2_1", "--grid", "16",
+                   "--out", str(tmp_path / "ex2_1")) == 0
+    assert re.search("ex2_1's sigma inclusion 1 .* 16x16 grid", capsys.readouterr().err)
 
 
-def test_generate_reads_the_geometry_file_once(tmp_path, monkeypatch):
+def test_warning_is_one_line_without_a_source_location(tmp_path, capsys):
+    # a warning reads like an error line: its text, no file, line or code
+    assert run_cli("generate", "--example", "ex1", "--grid", "12",
+                   "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ("warning: ex1's sigma inclusion 0 holds no "
+                                       "cell centre of the 12x12 grid, so the truth lacks it\n")
+
+
+def test_generate_reads_the_geometry_file_once(tmp_path, monkeypatch, capsys):
     # the warning names each empty shape by its key from the one parse that
     # built the medium: sigma's shapes, then mu's, each in key order
     geom = tmp_path / "geom.cfg"
@@ -249,15 +258,13 @@ def test_generate_reads_the_geometry_file_once(tmp_path, monkeypatch):
         return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counted)
-    with pytest.warns(UserWarning, match="holds no cell centre") as record:
-        assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
-                       "--out", str(tmp_path / "out")) == 0
+    assert run_cli("generate", "--geometry", str(geom), "--grid", "16",
+                   "--out", str(tmp_path / "out")) == 0
     assert reads.count(geom) == 1
-    assert [str(w.message).split(" holds")[0] for w in record] == [
-        "geometry key sigma_square_b", "geometry key mu_ring_0"]
+    record = re.findall("warning: (.*) holds no cell centre", capsys.readouterr().err)
+    assert record == ["geometry key sigma_square_b", "geometry key mu_ring_0"]
 
 
-@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
 def test_sigma_only_reconstruct_keeps_mu_at_its_background(tmp_path):
     # under noise dsm thresholds a mu mask even for a sigma-only example;
     # reconstruct ignores that guess, since mu is known there
@@ -268,6 +275,41 @@ def test_sigma_only_reconstruct_keeps_mu_at_its_background(tmp_path):
     assert (deserialize_field(tmp_path / "init_mu.field").values != 1.0).any()
     assert run_cli("reconstruct", *common, "--max-outer", "2") == 0
     assert (deserialize_field(tmp_path / "recon_mu.field").values == 1.0).all()
+
+
+def test_known_mu_outside_the_box_is_config_error(tmp_path, capsys):
+    # a sigma-only run holds mu at mu_bg; one outside the box is refused,
+    # not clipped into it, before anything is written
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nmu_bg=0.1\nsigma_square_0=0.5,0.5,0.2,5.0\n")
+    common = ("--geometry", str(geom), "--grid", "24", "--out", str(tmp_path / "o"))
+    for stage in ("generate", "dsm"):
+        assert run_cli(stage, *common) == 0
+    capsys.readouterr()
+    assert run_cli("reconstruct", *common, "--max-outer", "1") == 2
+    err = capsys.readouterr().err
+    assert "mu_bg=0.1" in err and "[0.5, 30.0]" in err and str(geom) in err
+    assert not list((tmp_path / "o").glob("recon_*"))
+    # a known mu inside the box comes back as it is
+    geom.write_text("version=1\nmu_bg=2.0\nsigma_square_0=0.5,0.5,0.2,5.0\n")
+    common = ("--geometry", str(geom), "--grid", "24", "--out", str(tmp_path / "in"))
+    for stage in ("generate", "dsm"):
+        assert run_cli(stage, *common) == 0
+    assert run_cli("reconstruct", *common, "--max-outer", "1") == 0
+    assert (deserialize_field(tmp_path / "in" / "recon_mu.field").values == 2.0).all()
+
+
+def test_dsm_names_a_background_it_cannot_use(tmp_path, capsys):
+    # the probe functions solve on the constant background, which needs mu_bg > 0
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\nmu_bg=0.0\nmu_square_0=0.35,0.35,0.1,2.0\n")
+    common = ("--geometry", str(geom), "--grid", "24", "--out", str(tmp_path / "o"))
+    assert run_cli("generate", *common) == 0
+    capsys.readouterr()
+    assert run_cli("dsm", *common) == 2
+    err = capsys.readouterr().err
+    assert "mu_bg=0.0" in err and str(geom) in err
+    assert not (tmp_path / "o" / "phi_mu.field").exists()
 
 
 def test_unknown_example_is_config_error(tmp_path):
@@ -439,7 +481,6 @@ def test_repeated_config_key_is_config_error(tmp_path):
     assert not (out / "run.cfg").exists()
 
 
-@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
 def test_dsm_oversample_must_match_generate(tmp_path, capsys):
     out = tmp_path / "o"
     common = ("--example", "ex1", "--grid", "12", "--out", str(out))
@@ -496,7 +537,6 @@ def test_geometry_must_match_generate(tmp_path, capsys):
     assert run_cli("dsm", "--geometry", same, "--grid", "12", "--out", out) == 0
 
 
-@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
 def test_reconstruct_noise_must_match_generate(tmp_path, capsys):
     # the noise level selects the example's regularization column
     out = str(tmp_path / "o")
@@ -511,7 +551,6 @@ def test_reconstruct_noise_must_match_generate(tmp_path, capsys):
     assert run_cli("reconstruct", "--noise", "0.05", "--max-outer", "1", *common) == 0
 
 
-@pytest.mark.filterwarnings("ignore:thresholded subdomain is empty")
 def test_cli_and_library_reconstruct_identically(tmp_path):
     # n=16 leaves the sigma mask empty; the mu mask still seeds stage two
     n, max_outer = 16, 2
