@@ -394,10 +394,10 @@ def cmd_dsm(cfg: RunConfig) -> None:
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
     spec, _ = _example_for(cfg)
-    if not spec.reconstruct_mu and not BOX_LO <= spec.mu_background <= BOX_HI:
-        raise ConfigError(f"{cfg.geometry or cfg.example}: the known mu_bg="
-                          f"{spec.mu_background} lies outside the box "
-                          f"[{BOX_LO}, {BOX_HI}] that reconstruct works in")
+    for key, bg in (("sigma_bg", spec.sigma_background), ("mu_bg", spec.mu_background)):
+        if not BOX_LO <= bg <= BOX_HI:  # stage two keeps every iterate in the box
+            raise ConfigError(f"{cfg.geometry or cfg.example}: {key}={bg} lies outside "
+                              f"the box [{BOX_LO}, {BOX_HI}] that reconstruct works in")
     out = _outdir(cfg)
     _check_generated("reconstruct", ("example", "geometry", "grid", "noise"), cfg, out)
     sets = _load_measurements(out)
@@ -409,17 +409,15 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     if init_sigma_path.exists():
         try:
             init_sigma = _read_scalar(init_sigma_path, grid)
-            if spec.reconstruct_mu:     # else mu is known: its background
+            if spec.reconstruct_mu:     # else the solver holds the known mu
                 init_mu = _read_scalar(out / "init_mu.field", grid)
         except OSError as exc:
             raise ConfigError(f"cannot read initial guess {exc.filename}: "
                               f"{exc.strerror}") from None
-    if spec.reconstruct_mu:     # a known mu is checked above, not clipped
-        init_mu = clip_to_box(init_mu)
-    initial = CoefficientPair(clip_to_box(init_sigma), init_mu)
+    initial = CoefficientPair(clip_to_box(init_sigma), clip_to_box(init_mu))
     settings = TotalLeastSquaresReconstructor(
         *_reg_params(cfg, spec), max_outer=cfg.max_outer,
-        update_mu=spec.reconstruct_mu).config()
+        known_mu=None if spec.reconstruct_mu else spec.mu_background).config()
     # adi_reconstruct is called through this module, where bench/run.py
     # captures the report.
     report = adi_reconstruct(sets, initial, settings)

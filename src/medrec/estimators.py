@@ -12,8 +12,8 @@ runs them in turn:
 Their constructor arguments are the method's own parameters, stored
 under their own names: the backgrounds, the cutoff theta, the scale
 c_phi and the oversampling for stage one; the weights alpha and beta per
-coefficient, the outer-iteration count and whether mu is unknown for
-stage two.  Both stages work in the box [BOX_LO, BOX_HI] of the
+coefficient, the outer-iteration count and mu's value where it is known
+for stage two.  Both stages work in the box [BOX_LO, BOX_HI] of the
 experiments module.  All numerical work lives in the functional modules;
 these classes only orchestrate and validate inputs.
 """
@@ -77,22 +77,22 @@ class TotalLeastSquaresReconstructor:
 
     def __init__(self, alpha_sigma=DEFAULT_WEIGHTS[0], beta_sigma=DEFAULT_WEIGHTS[1],
                  alpha_mu=DEFAULT_WEIGHTS[2], beta_mu=DEFAULT_WEIGHTS[3],
-                 max_outer=50, update_mu=True):
+                 max_outer=50, known_mu=None):
         self.alpha_sigma = alpha_sigma
         self.beta_sigma = beta_sigma
         self.alpha_mu = alpha_mu
         self.beta_mu = beta_mu
         self.max_outer = max_outer
-        self.update_mu = update_mu
+        self.known_mu = known_mu
 
     def config(self) -> AdiConfig:
         """The alternation's settings: these weights on the box
-        [BOX_LO, BOX_HI], the outer-iteration count and whether mu is
-        unknown.  The command line's reconstruct stage runs with them too."""
+        [BOX_LO, BOX_HI], the outer-iteration count and the known mu.  The
+        command line's reconstruct stage runs with them too."""
         return AdiConfig(
             reg_sigma=RegConfig(self.alpha_sigma, self.beta_sigma, BOX_LO, BOX_HI),
             reg_mu=RegConfig(self.alpha_mu, self.beta_mu, BOX_LO, BOX_HI),
-            max_outer=self.max_outer, update_mu=self.update_mu)
+            max_outer=self.max_outer, known_mu=self.known_mu)
 
     def fit(self, measurements, initial: CoefficientPair | None = None):
         sets = check_measurements(measurements)

@@ -25,6 +25,7 @@ DEFAULT_C_PHI = 20.0
 DEFAULT_WEIGHTS = (1.0e-2, 2.0e-2, 5.0e-4, 5.0e-4)
 # ... and where the data are noisy: ex1's noisy-data ones
 NOISY_WEIGHTS = (1.0e-2, 2.0e-2, 5.0e-4, 1.0e-3)
+BACKGROUND_DILATION = 6     # cells background_deviation adds around a support
 
 _EDGE_TOL = 1e-12
 
@@ -246,18 +247,17 @@ def compute_metrics(reconstructed: CoefficientPair, truth: CoefficientPair) -> M
                    mu=_metrics_for(reconstructed.mu, truth.mu))
 
 
-def background_deviation(rec: ScalarField, tru: ScalarField,
-                         dilate_cells: int = 6) -> float:
+def background_deviation(rec: ScalarField, tru: ScalarField) -> float:
     """Largest relative deviation from the background away from inclusions.
 
-    The true supports are dilated by a few cells before carving out the
-    background region, so edge smearing does not count against it.
+    The true supports are dilated by BACKGROUND_DILATION cells first, so
+    edge smearing does not count against the background.
     """
     from scipy import ndimage  # as in _centers_of_mass
     bg, thr = _support_threshold(tru.values)
     support = tru.values > thr
-    if support.any() and dilate_cells > 0:
-        size = 2 * dilate_cells + 1
+    if support.any():
+        size = 2 * BACKGROUND_DILATION + 1
         support = ndimage.binary_dilation(support, np.ones((size, size), bool))
     outside = ~support
     if not outside.any():

@@ -69,7 +69,7 @@ half-step's record call.
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Annotated, get_args, get_origin
 
 import numpy as np
@@ -126,13 +126,13 @@ class AdiConfig:
     """The method's parameters.
 
     Each coefficient's regularization (L1/H1 weights and box), the number
-    of outer iterations, and whether mu is unknown; sigma always is.
+    of outer iterations, and the known mu (None where mu, like sigma, is unknown).
     """
 
     reg_sigma: RegConfig
     reg_mu: RegConfig
     max_outer: int = 50
-    update_mu: bool = True
+    known_mu: float | None = None
 
     def __post_init__(self):
         if self.max_outer < 1:
@@ -562,8 +562,8 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     """Minimize the coefficient block, states fixed, on the run's (sigma, mu) solvers.
 
     sigma and mu decouple (sigma only enters the flux residual, mu only
-    the divergence residual) and are solved independently; mu frozen by
-    the config keeps its warm-start value and reports a NaN residual.
+    the divergence residual) and are solved independently; a mu the config
+    knows keeps its warm-start value and reports a NaN residual.
     """
     if not states:
         raise ValueError("at least one state pair is required")
@@ -573,7 +573,7 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
     sigma, fp_sigma, steps, pcg_iterations, converged = sigma_solver.solve(
         *_sigma_problem(states, sigma_solver.reg, sigma_solver.n), warm_start.sigma)
     mu, fp_mu = warm_start.mu, math.nan
-    if cfg.update_mu:
+    if cfg.known_mu is None:
         mu, fp_mu, more_steps, more_pcg, ok = mu_solver.solve(
             *_mu_problem(states, sources, mu_solver.reg, mu_solver.n), warm_start.mu)
         steps = max(steps, more_steps)
@@ -630,12 +630,14 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
 
     The state starts from zero, so j_history[0] is the functional of the
     raw data against the initial coefficients.  Always runs cfg.max_outer
-    alternations.  Each coefficient keeps one factor of its shifted
-    Hessian for the run; these factors, the state factor and the state
-    history are freed when the run returns or raises.
+    alternations; a known mu replaces initial_q.mu.  Each coefficient keeps
+    one factor of its shifted Hessian for the run; these factors, the state
+    factor and the state history are freed when the run returns or raises.
     """
     measurements = check_measurements(measurements)
     grid = measurements[0].grid
+    if cfg.known_mu is not None:
+        initial_q = replace(initial_q, mu=ScalarField.constant(grid, cfg.known_mu))
     if not (box_feasible(initial_q.sigma, cfg.reg_sigma)
             and box_feasible(initial_q.mu, cfg.reg_mu)):
         raise ValueError("initial coefficients violate their boxes")

@@ -46,13 +46,12 @@ def run_pipeline(example, n, noise, seed, max_outer=50, truth_start=False):
     sets = [MeasurementSet(m.h, add_noise(m.f, noise, seed + i))
             for i, m in enumerate(sets)]
     a_s, b_s, a_m, b_m = spec.regularization_params(noisy=noise > 0)
-    initial = truth if truth_start else DirectSamplingLocator().fit(sets).transform(sets)
-    if not spec.reconstruct_mu:     # mu is known: its background
-        initial = CoefficientPair(initial.sigma,
-                                  ScalarField.constant(grid, spec.mu_background))
+    initial = truth if truth_start else DirectSamplingLocator(
+        spec.sigma_background, spec.mu_background).fit(sets).transform(sets)
     solver = TotalLeastSquaresReconstructor(
         alpha_sigma=a_s, beta_sigma=b_s, alpha_mu=a_m, beta_mu=b_m,
-        max_outer=max_outer, update_mu=spec.reconstruct_mu)
+        max_outer=max_outer,
+        known_mu=None if spec.reconstruct_mu else spec.mu_background)
     start = time.perf_counter()
     solver.fit(sets, initial=initial)
     elapsed = time.perf_counter() - start
@@ -202,7 +201,7 @@ def exact_reproduction(label, example, report, truth):
     pairs = [(report.coefficients.sigma, truth.sigma)]
     if make_example(example).reconstruct_mu:
         pairs.append((report.coefficients.mu, truth.mu))
-    bg = [background_deviation(rec, tru, 6) for rec, tru in pairs]
+    bg = [background_deviation(rec, tru) for rec, tru in pairs]
     ok = all(e <= 0.05 for e in errors) and all(d <= 0.10 for d in bg)
     criterion(label, f"{example} exact-data reproduction", ok,
               f"com {errors}, bg {'/'.join(f'{d:.3f}' for d in bg)}")

@@ -8,8 +8,9 @@ import pytest
 import medrec.forward as forward
 from medrec.cli import main, parse_geometry_file
 from medrec.estimators import DirectSamplingLocator, TotalLeastSquaresReconstructor
-from medrec.experiments import deserialize_field, make_example, serialize_field
-from medrec.forward import default_excitations, generate_measurements
+from medrec.experiments import (add_noise, deserialize_field, make_example,
+                                serialize_field)
+from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import BoundaryData, StaggeredGrid
 from medrec.optimizer import COEFF_TOL
 
@@ -299,6 +300,26 @@ def test_known_mu_outside_the_box_is_config_error(tmp_path, capsys):
     assert (deserialize_field(tmp_path / "in" / "recon_mu.field").values == 2.0).all()
 
 
+@pytest.mark.parametrize("key, geometry", [
+    ("sigma_bg", "sigma_bg=0.2\nsigma_square_0=0.5,0.5,0.2,5.0\n"),
+    ("mu_bg", "mu_bg=0.1\nmu_square_0=0.3,0.3,0.2,2.0\n"
+              "sigma_square_0=0.7,0.7,0.2,5.0\n")], ids=["sigma_bg", "mu_bg"])
+def test_unknown_background_outside_the_box_is_config_error(tmp_path, capsys,
+                                                            key, geometry):
+    # every iterate stays in the box, so stage two could not recover this
+    # background; it is refused before anything is written
+    geom = tmp_path / "geom.cfg"
+    geom.write_text("version=1\n" + geometry)
+    common = ("--geometry", str(geom), "--grid", "24", "--out", str(tmp_path / "o"))
+    for stage in ("generate", "dsm"):
+        assert run_cli(stage, *common) == 0
+    capsys.readouterr()
+    assert run_cli("reconstruct", *common, "--max-outer", "1") == 2
+    err = capsys.readouterr().err
+    assert f"{key}=" in err and "[0.5, 30.0]" in err and str(geom) in err
+    assert not list((tmp_path / "o").glob("recon_*"))
+
+
 def test_dsm_names_a_background_it_cannot_use(tmp_path, capsys):
     # the probe functions solve on the constant background, which needs mu_bg > 0
     geom = tmp_path / "geom.cfg"
@@ -551,28 +572,45 @@ def test_reconstruct_noise_must_match_generate(tmp_path, capsys):
     assert run_cli("reconstruct", "--noise", "0.05", "--max-outer", "1", *common) == 0
 
 
-def test_cli_and_library_reconstruct_identically(tmp_path):
-    # n=16 leaves the sigma mask empty; the mu mask still seeds stage two
-    n, max_outer = 16, 2
+def assert_cli_and_library_agree(tmp_path, example, n, noise, max_outer=2):
+    """generate, dsm and reconstruct on the command line write the recon
+    fields that the library's two stages return, bit for bit."""
     out = str(tmp_path / "o")
     for stage in ("generate", "dsm", "reconstruct"):
-        assert run_cli(stage, "--example", "ex1", "--grid", str(n),
-                       "--max-outer", str(max_outer), "--out", out) == 0
+        assert run_cli(stage, "--example", example, "--grid", str(n),
+                       "--noise", str(noise), "--max-outer", str(max_outer),
+                       "--out", out) == 0
 
-    spec = make_example("ex1")
+    spec = make_example(example)
     grid = StaggeredGrid(n)
     truth = spec.rasterize(grid)
     sets = generate_measurements(truth.sigma, truth.mu,
                                  default_excitations(grid, spec.excitation_count))
+    sets = [MeasurementSet(m.h, add_noise(m.f, noise, i)) for i, m in enumerate(sets)]
     initial = DirectSamplingLocator(spec.sigma_background,
                                     spec.mu_background).fit(sets).transform(sets)
-    a_s, b_s, a_m, b_m = spec.regularization_params(noisy=False)
+    a_s, b_s, a_m, b_m = spec.regularization_params(noisy=noise > 0)
     rec = TotalLeastSquaresReconstructor(
         alpha_sigma=a_s, beta_sigma=b_s, alpha_mu=a_m, beta_mu=b_m,
-        max_outer=max_outer, update_mu=spec.reconstruct_mu).fit(sets, initial)
+        max_outer=max_outer,
+        known_mu=None if spec.reconstruct_mu else spec.mu_background,
+    ).fit(sets, initial)
     for role, field in (("sigma", rec.sigma_), ("mu", rec.mu_)):
         cli_field = deserialize_field(tmp_path / "o" / f"recon_{role}.field")
         assert np.array_equal(cli_field.values, field.values)
+    return rec
+
+
+def test_cli_and_library_reconstruct_identically(tmp_path):
+    # n=16 leaves the sigma mask empty; the mu mask still seeds stage two
+    assert_cli_and_library_agree(tmp_path, "ex1", 16, 0.0)
+
+
+def test_cli_and_library_hold_a_known_mu_identically(tmp_path):
+    # under noise dsm guesses a mu for this sigma-only example; the solver
+    # replaces that guess by the known background on both sides
+    rec = assert_cli_and_library_agree(tmp_path, "ex2_1", 24, 0.05)
+    assert (rec.mu_.values == 1.0).all()
 
 
 def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):

@@ -1151,15 +1151,29 @@ def test_determinism_bit_identical():
 
 
 def test_frozen_mu_stays_put():
+    # a known mu replaces the start's mu, whatever that holds, for the run
     grid, truth, sets = small_problem(n=12, example="ex2_1")
     cfg = AdiConfig(reg_sigma=RegConfig(1e-3, 5e-3, 0.5, 30.0),
                     reg_mu=RegConfig(0.0, 0.0, 0.5, 30.0),
-                    max_outer=4, update_mu=False)
-    init = CoefficientPair(ScalarField.constant(grid, 1.0),
-                           ScalarField.constant(grid, 1.0))
+                    max_outer=4, known_mu=1.0)
+    mu = np.ones((grid.n, grid.n))
+    mu[3:6, 4:7] = 20.0
+    init = CoefficientPair(ScalarField.constant(grid, 1.0), ScalarField(grid, mu))
     report = adi_reconstruct(sets, init, cfg)
     assert np.all(report.coefficients.mu.values == 1.0)
     assert math.isnan(report.final_coeff_residuals[1])
+
+
+@pytest.mark.parametrize("known_mu", [0.1, 31.0])
+def test_known_mu_outside_its_box_is_refused(known_mu):
+    grid, truth, sets = small_problem(n=12, example="ex2_1")
+    cfg = AdiConfig(reg_sigma=RegConfig(1e-3, 5e-3, 0.5, 30.0),
+                    reg_mu=RegConfig(0.0, 0.0, 0.5, 30.0),
+                    max_outer=1, known_mu=known_mu)
+    init = CoefficientPair(ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 1.0))
+    with pytest.raises(ValueError, match="violate their boxes"):
+        adi_reconstruct(sets, init, cfg)
 
 
 def test_one_debug_record_per_outer_iteration(caplog):
