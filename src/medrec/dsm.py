@@ -11,9 +11,9 @@ here nor for the homogeneous reference traces.  The 4n-column probe
 block is never formed: the pairing of the data with every probe is one
 background solve, and the few probe rows the fit needs, as well as
 every probe's norm, come from the Green's functions of the bottom
-side's n faces, ceil(n/2) of them solved and the rest mirrored, by the
-square's symmetries (which a constant background keeps exactly).
-Memory is n^3 doubles, not 12 n^3.
+side's n faces by the square's symmetries (which a constant background
+keeps exactly).  Those and their norms are products of the DCT's n x n
+factors, so building them solves nothing.  Memory is n^3 doubles.
 
 Because the two families are far from orthogonal on the boundary, the
 raw normalized pairings alone mislocate whichever coefficient carries
@@ -168,8 +168,16 @@ class _ProbeFamily:
       from the bottom-side block `bottom[i, j, k] = G_k(i, j)` alone,
       because the square's symmetries (x <-> y, x -> 1 - x, y -> 1 - y),
       which a constant background keeps exactly, map every other side
-      onto the bottom one.  By the x-mirror only ceil(n/2) bottom faces
-      are solved.
+      onto the bottom one.
+
+    Nothing is solved for the block.  With C the orthonormal DCT-II
+    matrix and lambda the eigenvalues of ConstantDiffusionSolver,
+    G_k(i, j) = (1/h) sum_p C[p, i] M[p, j] C[p, k] for M = (C[:, 0] /
+    lambda) @ C.  With D the matrix of np.gradient, the x-gradient puts
+    E = C D^T in the place of the factor C[p, i], the y-gradient
+    F = M D^T in that of M.  C's rows are orthonormal over k, so the
+    squared norms over the bottom faces are (C o C)^T (M o M) / h^2, and
+    likewise with E and F.
 
     With B = bottom, the monopole row at cell (i, j) is
     [B[i, j], B[j, n-1-i], B[i, n-1-j], B[j, i]] over the sides (bottom,
@@ -190,23 +198,15 @@ class _ProbeFamily:
         self.source = grid_operators(n).source
         self.background = ConstantDiffusionSolver(n, background_sigma,
                                                   background_mu)
-        # Bottom face k is the source 1/h on cell (k, 0); face n - 1 - k
-        # is its mirror image under x -> 1 - x.
-        half = (n + 1) // 2
-        solved = self.background.solve(
-            self.source[:, :half].toarray()).reshape(n, n, half)
-        self.bottom = b = np.empty((n, n, n))
-        b[:, :, :half] = solved
-        b[:, :, half:] = solved[::-1, :, :n - half][:, :, ::-1]
-        del solved
-        s = np.einsum("ijk,ijk->ij", b, b)
-        sxx, syy, sxy = (np.empty((n, n)) for _ in range(3))
-        for i in range(n):  # one x-row at a time: no n^3 temporaries
-            dx = self._slope(b, i)
-            dy = np.gradient(b[i], h, axis=0)
-            sxx[i] = np.einsum("jk,jk->j", dx, dx)
-            syy[i] = np.einsum("jk,jk->j", dy, dy)
-            sxy[i] = np.einsum("jk,jk->j", dx, dy)
+        c = self.background.transform
+        mc = (c[:, 0] / self.background.eigenvalues) @ c / h  # M / h
+        slope = np.gradient(np.eye(n), h, axis=0)  # np.gradient as a matrix D
+        e, f = c @ slope.T, mc @ slope.T
+        self.bottom = np.empty((n, n, n))
+        for i in range(n):  # one x-row at a time: no n^3 temporary
+            self.bottom[i] = (c[:, i, None] * mc).T @ c
+        s, sxx, syy, sxy = ((a * b).T @ (p * q) for a, b, p, q in (
+            (c, c, mc, mc), (e, e, mc, mc), (c, c, f, f), (e, c, mc, f)))
         # Squared row norms summed over the four sides (see columns()).
         self._mm = (s + s.T[::-1] + s[:, ::-1] + s.T).ravel()
         self._xx = (sxx + syy.T + syy.T[::-1] + sxx[:, ::-1]).ravel()
@@ -225,11 +225,6 @@ class _ProbeFamily:
         edge = (a == 0) | (a == last)
         return (np.maximum(a - 1, 0), np.minimum(a + 1, last),
                 np.where(edge, h, 2.0 * h))
-
-    def _slope(self, block: np.ndarray, i: int) -> np.ndarray:
-        """np.gradient(block, h, axis=0)[i], from the rows next to i only."""
-        lo, hi, step = self._stencil(i)
-        return (block[hi] - block[lo]) / step
 
     def _products(self, r: np.ndarray):
         """(mono @ r, dip_x @ r, dip_y @ r) per cell, by one solve."""

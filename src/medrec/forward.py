@@ -8,9 +8,9 @@ Solves the five-point staggered discretization of
 with nothing factored.  With sigma > 0 and mu >= 0 positive somewhere
 the assembled operator is symmetric positive definite, and conjugate
 gradients solve it, preconditioned by the 2-D DCT of a constant medium
-(operators.ConstantDiffusionSolver, Concus & Golub 1973), which solves
-a constant medium, such as the sampling stage's homogeneous
-background, at PCG's start.  _ForwardSolver is built once from the
+(operators.ConstantDiffusionSolver, Concus & Golub 1973).  A constant
+medium, such as the sampling stage's homogeneous background, is solved
+by that DCT alone, with no matrix.  _ForwardSolver is built once from the
 medium, which its solves share, and each solve takes one excitation's
 data: generate_measurements builds one per medium, and solve_forward is
 one build and one solve.  Every solve is verified against FORWARD_TOL
@@ -86,11 +86,11 @@ class _ForwardSolver:
     operator A, preconditioned by the DCT of the constant medium A_0 of
     (sigma_0, mu_0) = (min sigma, min mu) (Concus & Golub 1973).  Then
     A_0 <= A, so the preconditioned condition number is at most the
-    medium's contrast, and a constant medium is solved exactly by PCG's
-    start.  Where mu vanishes on some cell, mu_0 is the mean of mu
-    instead, the constant mode's Rayleigh quotient.  Every solve is
-    verified on its own.  GridMismatchError is raised for a mu, or a
-    solve's data, on another grid than sigma.
+    medium's contrast.  A constant medium is A_0 itself, solved by the
+    DCT alone with no A assembled.  Where mu vanishes on some cell, mu_0
+    is the mean of mu instead, the constant mode's Rayleigh quotient.
+    Every solve is verified on its own.  GridMismatchError is raised for
+    a mu, or a solve's data, on another grid than sigma.
     """
 
     def __init__(self, sigma: ScalarField, mu: ScalarField):
@@ -105,7 +105,8 @@ class _ForwardSolver:
         self.grid = sigma.grid
         self.mu = mu
         self.sigma_faces = average_to_faces(sigma)
-        self.matrix = diffusion_matrix(s, m)
+        constant = s.min() == s.max() and m.min() == m.max()
+        self.matrix = None if constant else diffusion_matrix(s, m)
         mu_0 = m.min() or m.mean()
         self.background = ConstantDiffusionSolver(self.grid.n, float(s.min()),
                                                   float(mu_0))
@@ -123,24 +124,29 @@ class _ForwardSolver:
         b = rhs_field.values
         if not np.any(b):
             return ScalarField.zeros(grid)
-        # PCG's recurrence lets its residual drift from b - A x by the
-        # rounding of its iterates; where mu_0 is small its start is large,
-        # so that drift can pass tol.  A restart from its answer recomputes
-        # the true residual and removes the drift.
-        x, self.iterations = None, 0
-        for _ in range(2):
-            x, k, converged = _pcg(self.matrix, b.reshape(-1, 1), self.background.solve,
-                                   FORWARD_PCG_MAX, 1e-2 * tol, x0=x)
-            self.iterations += k
-            u = ScalarField(grid, x.reshape(b.shape))
+        self.iterations = 0
+        if self.matrix is None:     # a constant medium: the DCT is its inverse
+            u = ScalarField(grid, self.background.solve(b.reshape(-1, 1)).reshape(b.shape))
             res = self._residual(u, b)
-            if not converged:
-                raise ForwardSolverError(
-                    f"forward PCG missed relative residual {1e-2 * tol:.1e} in "
-                    f"{self.iterations} iterations (last iterate: {res:.3e})",
-                    residual=res)
-            if res <= tol:
-                break
+        else:
+            # PCG's recurrence lets its residual drift from b - A x by the
+            # rounding of its iterates; where mu_0 is small its start is
+            # large, so that drift can pass tol.  A restart from its answer
+            # recomputes the true residual and removes the drift.
+            x = None
+            for _ in range(2):
+                x, k, converged = _pcg(self.matrix, b.reshape(-1, 1), self.background.solve,
+                                       FORWARD_PCG_MAX, 1e-2 * tol, x0=x)
+                self.iterations += k
+                u = ScalarField(grid, x.reshape(b.shape))
+                res = self._residual(u, b)
+                if not converged:
+                    raise ForwardSolverError(
+                        f"forward PCG missed relative residual {1e-2 * tol:.1e} in "
+                        f"{self.iterations} iterations (last iterate: {res:.3e})",
+                        residual=res)
+                if res <= tol:
+                    break
         logger.debug("forward PCG: %d iterations on %d^2 cells", self.iterations,
                      grid.n)
         if not res <= tol:
@@ -158,8 +164,8 @@ class _ForwardSolver:
 
 def solve_forward(sigma: ScalarField, mu: ScalarField, neumann: BoundaryData,
                   volumetric_source: ScalarField | None = None) -> ScalarField:
-    """Solve the staggered discretization by PCG on the DCT of a constant
-    medium, as _ForwardSolver does.
+    """Solve the staggered discretization as _ForwardSolver does: by PCG
+    on the DCT of a constant medium, or by that DCT alone for one.
 
     The solution is returned only if its relative residual, recomputed
     through the matrix-free operators of grid.py, is <= FORWARD_TOL.
@@ -204,7 +210,7 @@ def generate_measurements(true_sigma: ScalarField, true_mu: ScalarField,
     solution is block-averaged back before taking the trace, so the
     measured f carries genuine discretization mismatch relative to the
     inversion grid.  The fine-grid solver is set up once for the medium
-    and every excitation is one PCG solve on it, verified against
+    and every excitation is one solve on it, verified against
     FORWARD_TOL on its own exactly as solve_forward verifies it.  With oversample == 1
     the trace of the forward solve is returned unchanged.
     """

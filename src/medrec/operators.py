@@ -30,7 +30,7 @@ import numpy as np
 # about a tenth less CPU on the import.
 from scipy.sparse.linalg import splu
 import scipy.sparse as sp
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idctn
 
 # splu(A, **SPD_LU) for the SPD matrices of optimizer.py built from these
 # maps (the state block's shifted forward operator and the coefficient
@@ -60,11 +60,14 @@ class ConstantDiffusionSolver:
     DCT-II diagonalizes along each axis (Schumann & Sweet, J. Comput.
     Phys. 20, 1976) with eigenvalues 2 - 2 cos(pi k / n).  A solve is
     one forward and one inverse 2-D transform, O(n^2 log n) per
-    right-hand side, with nothing factored and n^2 doubles kept.
+    right-hand side, with nothing factored and n^2 doubles kept.  With
+    C = transform, A^-1 = (C x C)^T diag(1 / eigenvalues) (C x C), so a
+    Green's function is a product of n x n factors.
 
-    It has three uses: the forward operator of a constant medium (the
-    sampling stage's probe background), the preconditioner of every
-    forward solve in forward.py, and, with sigma = mu = 1, K^-1 for
+    It has three uses: the exact inverse of a constant medium's forward
+    operator (forward.py's solve of it, and the sampling stage's probe
+    family, built from C and the eigenvalues), the preconditioner of
+    every other forward solve, and, with sigma = mu = 1, K^-1 for
     K = I + G^T G, which eliminates the flux from the state block of
     optimizer.py whatever the medium.
     """
@@ -73,6 +76,12 @@ class ConstantDiffusionSolver:
         lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
         self.n = n
         self.eigenvalues = sigma * n * n * (lam[:, None] + lam[None, :]) + mu
+
+    @property
+    def transform(self) -> np.ndarray:
+        """C[p, i], the orthonormal 1-D DCT-II matrix solve() applies along
+        each axis."""
+        return dct(np.eye(self.n), type=2, norm="ortho", axis=0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for b of shape (n^2,) or (n^2, k), as SuperLU.solve."""

@@ -221,6 +221,7 @@ FITTED_ATOMS = {
     ("ex2_2", 50): [[("d", 24, 24)]],
     ("ex3", 50): [[("m", 13, 25)]],
     ("ex4", 50): [[("d", 24, 29)], [("d", 25, 30)]],
+    ("ex4", 80): [[("d", 39, 47)], [("d", 40, 48)]],
 }
 
 

@@ -224,10 +224,9 @@ def test_generate_factors_nothing(monkeypatch):
 @pytest.mark.parametrize("n", [8, 50, 80])
 @pytest.mark.parametrize("sigma, mu", [(1.0, 1.0), (30.0, 30.0)])
 def test_constant_medium_stops_at_pcg_start(n, sigma, mu):
-    # The preconditioner is the constant medium's exact solver, so PCG's
-    # start meets its rtol and the data are the DCT's to the bit: the
-    # homogeneous reference of the sampling stage is unchanged.  (At 300^2
-    # the DCT leaves a residual of 1.6e-12, so one iteration may run.)
+    # The DCT is the constant medium's exact solver, and the solve is the
+    # DCT alone: the data are the DCT's to the bit, and the homogeneous
+    # reference of the sampling stage is what PCG's start gave.
     fine = StaggeredGrid(2 * n)
     solver = _ForwardSolver(ScalarField.constant(fine, sigma),
                             ScalarField.constant(fine, mu))
@@ -238,6 +237,36 @@ def test_constant_medium_stops_at_pcg_start(n, sigma, mu):
         assert solver.iterations == 0
         b = neumann_to_source(h_fine).values.ravel()
         assert np.array_equal(u.values.ravel(), dct.solve(b))
+
+
+def test_constant_medium_is_solved_by_the_dct_alone(monkeypatch):
+    # a constant medium assembles no matrix and runs no PCG; one cell of
+    # another sigma takes PCG again
+    grid = StaggeredGrid(24)
+    sigma, mu = np.full((24, 24), 2.5), np.full((24, 24), 0.7)
+    h = default_excitations(grid, 1)[0]
+    b = neumann_to_source(h).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix or PCG for a constant medium")
+    monkeypatch.setattr(forward, "_pcg", refuse)
+    monkeypatch.setattr(forward, "diffusion_matrix", refuse)
+    solver = _ForwardSolver(ScalarField(grid, sigma), ScalarField(grid, mu))
+    u = solver.solve(h)
+    assert solver.iterations == 0
+    dct = ConstantDiffusionSolver(24, 2.5, 0.7).solve(b.ravel())
+    assert np.array_equal(u.values.ravel(), dct)
+    assert solver._residual(u, b) <= forward.FORWARD_TOL
+
+    calls = []
+    monkeypatch.undo()
+    monkeypatch.setattr(forward, "_pcg",
+                        lambda *a, **k: calls.append(1) or operators._pcg(*a, **k))
+    sigma[5, 7] = 3.0
+    solver = _ForwardSolver(ScalarField(grid, sigma), ScalarField(grid, mu))
+    u = solver.solve(h)
+    assert calls and solver.iterations > 0
+    assert solver._residual(u, b) <= forward.FORWARD_TOL
 
 
 def test_forward_pcg_iterations_are_logged(caplog):
