@@ -45,6 +45,7 @@ import numpy as np
 # (bench/run.py --trace 1) wraps dsm.splu by name.
 from scipy.sparse.linalg import splu  # noqa: F401
 
+from .experiments import BACKGROUND_MU, BACKGROUND_SIGMA
 from .forward import MeasurementSet, generate_measurements
 from .grid import BoundaryData, ScalarField, StaggeredGrid
 from .operators import ConstantDiffusionSolver, grid_operators
@@ -489,8 +490,9 @@ def _sharpen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def compute_index(delta_f: list[BoundaryData], background_sigma: float = 1.0,
-                  background_mu: float = 1.0) -> IndexResult:
+def compute_index(delta_f: list[BoundaryData],
+                  background_sigma: float = BACKGROUND_SIGMA,
+                  background_mu: float = BACKGROUND_MU) -> IndexResult:
     """Monopole and dipole index fields on the data grid.
 
     Each excitation's data is low-pass filtered on the boundary,

@@ -19,9 +19,9 @@ these classes only orchestrate and validate inputs.
 """
 
 from . import dsm
-from .experiments import BOX_HI, BOX_LO, DEFAULT_C_PHI, DEFAULT_WEIGHTS, clip_to_box
+from .experiments import (BACKGROUND_MU, BACKGROUND_SIGMA, BOX_HI, BOX_LO,
+                          DEFAULT_C_PHI, DEFAULT_WEIGHTS, clip_to_box)
 from .forward import check_measurements
-from .grid import ScalarField
 from .model import CoefficientPair
 from .optimizer import AdiConfig, adi_reconstruct
 from .regularization import RegConfig
@@ -37,8 +37,9 @@ class DirectSamplingLocator:
     knows (cli.cmd_dsm warns for those).
     """
 
-    def __init__(self, background_sigma=1.0, background_mu=1.0,
-                 theta=dsm.DEFAULT_THETA, c_phi=DEFAULT_C_PHI, oversample=2):
+    def __init__(self, background_sigma=BACKGROUND_SIGMA,
+                 background_mu=BACKGROUND_MU, theta=dsm.DEFAULT_THETA,
+                 c_phi=DEFAULT_C_PHI, oversample=2):
         self.background_sigma = background_sigma
         self.background_mu = background_mu
         self.theta = theta
@@ -98,8 +99,7 @@ class TotalLeastSquaresReconstructor:
         sets = check_measurements(measurements)
         grid = sets[0].grid
         if initial is None:
-            initial = CoefficientPair(
-                ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 1.0))
+            initial = CoefficientPair.constant(grid, BACKGROUND_SIGMA, BACKGROUND_MU)
         self.report_ = adi_reconstruct(sets, initial, self.config())
         self.sigma_ = self.report_.coefficients.sigma
         self.mu_ = self.report_.coefficients.mu

@@ -8,11 +8,12 @@ The reconstruction works on the first-order system
 so that sigma and mu each enter exactly one linear equation.  The flux
 lives on the interior faces only (grid.FluxField), so the side constraint
 p.nu = 0 holds by construction and needs no check.  This module
-evaluates the residuals, the total functional J (equation residuals +
-data misfit + both regularizers), the symmetric normal operator of the
-state block, and the misfit gradients of the coefficient block.  Every
-adjoint here is the exact discrete transpose of its forward map, which
-is what makes the finite-difference gradient checks tight.
+evaluates the residuals r(v, q) = (r_div, r_flux, r_data), the symmetric
+normal operator of the state block, and, from residuals a caller has
+evaluated once, the total functional J (equation residuals + data misfit
++ both regularizers) and the misfit gradients of the coefficient block.
+Every adjoint here is the exact discrete transpose of its forward map,
+which is what makes the finite-difference gradient checks tight.
 """
 
 import math
@@ -75,6 +76,10 @@ class Residuals:
     r_flux: FluxField
     r_data: BoundaryData | None = None
 
+    def __sub__(self, other):
+        return Residuals(self.r_div - other.r_div, self.r_flux - other.r_flux,
+                         self.r_data - other.r_data)
+
 
 def state_inner(a: StatePair, b: StatePair) -> float:
     return cell_inner(a.u, b.u) + face_inner(a.p, b.p)
@@ -108,29 +113,29 @@ def _as_list(x, cls):
     return list(x)
 
 
-def eval_J(states, coeffs: CoefficientPair, sources, measurements,
-           reg_sigma: RegConfig, reg_mu: RegConfig) -> float:
-    """Total least-squares functional over one or several excitations.
-
-    Sums, per excitation, the squared cell norm of the divergence
-    residual, the squared face norm of the flux residual and the squared
-    boundary norm of the trace misfit, then adds both regularizers.
-    Returns +inf as soon as a coefficient leaves its box.
-    """
-    state_list = _as_list(states, StatePair)
-    source_list = _as_list(sources, ScalarField)
-    meas_list = _as_list(measurements, MeasurementSet)
-    if not meas_list:
-        raise ValueError("at least one measurement set is required")
-    if not len(state_list) == len(source_list) == len(meas_list):
-        raise ValueError("states, sources and measurements must align")
-
+def squared_norm(residuals) -> float:
+    """Sum over the excitations' full residuals of the squared cell norm
+    of r_div, the squared face norm of r_flux and the squared boundary
+    norm of r_data."""
     total = 0.0
-    for v, g, m in zip(state_list, source_list, meas_list):
-        res = full_residuals(v, coeffs, g, m.f)
+    for res in residuals:
         total += cell_inner(res.r_div, res.r_div)
         total += face_inner(res.r_flux, res.r_flux)
         total += boundary_inner(res.r_data, res.r_data)
+    return total
+
+
+def eval_J(residuals, coeffs: CoefficientPair, reg_sigma: RegConfig,
+           reg_mu: RegConfig) -> float:
+    """Total least-squares functional from each excitation's full residual.
+
+    residuals is one full_residuals(v, coeffs, g, f) per excitation; J is
+    their squared_norm plus both regularizers of coeffs.  Returns +inf as
+    soon as a coefficient leaves its box.
+    """
+    if not residuals:
+        raise ValueError("at least one residual is required")
+    total = squared_norm(residuals)
     total += eval_phi(coeffs.sigma, reg_sigma)
     total += eval_phi(coeffs.mu, reg_mu)
     return float(total)
@@ -174,20 +179,27 @@ def state_normal_residual(q: CoefficientPair, v: StatePair, g: ScalarField,
 # Coefficient block: gradients of the smooth misfit terms
 # ---------------------------------------------------------------------------
 
-def coefficient_misfit_gradients(v: StatePair, q: CoefficientPair,
-                                 g: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Gradients of the equation misfits with respect to sigma and mu.
+def misfit_gradients(states, residuals) -> tuple[ScalarField, ScalarField]:
+    """Gradients of the summed equation misfits with respect to sigma and mu,
+    from each excitation's state v and its residual r(v, q).
 
     The two decouple: sigma only enters the flux residual, mu only the
     divergence residual.  Both gradients are exact for the discrete
     functional (the face-to-cell adjoint is the true transpose of the
     averaging map).
     """
-    res = apply_L(v, q, g)
-    weighted = gradient_to_faces(v.u) * res.r_flux
-    grad_sigma = ScalarField(v.u.grid, -2.0 * average_to_faces_adjoint(weighted).values)
-    grad_mu = ScalarField(v.u.grid, 2.0 * v.u.values * res.r_div.values)
-    return grad_sigma, grad_mu
+    grads_sigma, grads_mu = [], []
+    for v, res in zip(states, residuals):
+        weighted = gradient_to_faces(v.u) * res.r_flux
+        grads_sigma.append(-2.0 * average_to_faces_adjoint(weighted))
+        grads_mu.append(2.0 * v.u * res.r_div)
+    return sum(grads_sigma[1:], grads_sigma[0]), sum(grads_mu[1:], grads_mu[0])
+
+
+def coefficient_misfit_gradients(v: StatePair, q: CoefficientPair,
+                                 g: ScalarField) -> tuple[ScalarField, ScalarField]:
+    """misfit_gradients of one excitation's equation misfit at (v, q)."""
+    return misfit_gradients([v], [apply_L(v, q, g)])
 
 
 def misfit_value(v: StatePair, q: CoefficientPair, g: ScalarField) -> float:

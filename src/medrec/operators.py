@@ -45,9 +45,10 @@ SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 def factor_spd(a: sp.csc_matrix):
     """splu(a, **SPD_LU) for the coefficient blocks of optimizer.py.
 
-    A name of its own, apart from the state block's splu, so that either
-    factorization can be traced or replaced alone.  Raises RuntimeError on
-    a zero pivot, as splu does.
+    A name of its own, apart from the state block's splu, so that the
+    coefficient factorization can be replaced alone: the tests patch
+    optimizer.factor_spd to count its factors or to force a zero pivot.
+    Raises RuntimeError on a zero pivot, as splu does.
     """
     return splu(a, **SPD_LU)
 

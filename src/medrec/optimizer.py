@@ -58,13 +58,17 @@ after the fact, plus each half-step's factorizations, PCG iterations
 (the shared loop's count, the most over the excitations) and projected
 start residual, and the state factors' LU fill; a DEBUG record on the
 "medrec" logger summarizes every outer iteration.  Every term of that
-certificate (J, the decrements, the misfit gradients and the Bregman
-distances) is evaluated matrix-free, independently of the assembled
-coefficient block.  Each per-iteration series is declared once, as a
-Counts or Values field of ReconstructionReport; adi_reconstruct collects
-every such field and appends to it through one record call per
-half-step.  A new series is one report field plus one keyword in its
-half-step's record call.
+certificate is evaluated matrix-free, independently of the assembled
+blocks, from one list of residuals r(v, q) per half-step
+(model.full_residuals, one per excitation): J reads it; the half-step's
+decrement is its squared distance from the last half-step's list, exact
+since r is affine in v for fixed q and in q for fixed v; and after the
+coefficient half-step the misfit gradients, whose negative is the
+Bregman distance's subgradient, read it too.  Each per-iteration series
+is declared once, as a Counts or Values field of ReconstructionReport;
+adi_reconstruct collects every such field and appends to it through one
+record call per half-step.  A new series is one report field plus one
+keyword in its half-step's record call.
 """
 
 import logging
@@ -77,10 +81,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .forward import check_measurements
-from .grid import (FluxField, ScalarField, StaggeredGrid, boundary_inner,
-                   boundary_trace)
-from .model import (CoefficientPair, StatePair, coefficient_misfit_gradients,
-                    eval_J, misfit_value, sources_from_measurements,
+from .grid import FluxField, ScalarField, StaggeredGrid
+from .model import (CoefficientPair, StatePair, eval_J, full_residuals,
+                    misfit_gradients, sources_from_measurements, squared_norm,
                     state_normal_residual)
 from .operators import (SPD_LU, ConstantDiffusionSolver, _pcg, diffusion_matrix,
                         factor_spd, grid_operators, with_pattern)
@@ -588,42 +591,6 @@ def solve_coefficient_subproblem(states, sources, cfg: AdiConfig,
 # Outer alternation
 # ---------------------------------------------------------------------------
 
-def _summed_misfit_gradients(states, coeffs, sources):
-    grid = coeffs.sigma.grid
-    gs = np.zeros((grid.n, grid.n))
-    gm = np.zeros((grid.n, grid.n))
-    for v, g in zip(states, sources):
-        grad_s, grad_m = coefficient_misfit_gradients(v, coeffs, g)
-        gs += grad_s.values
-        gm += grad_m.values
-    return ScalarField(grid, gs), ScalarField(grid, gm)
-
-
-def _state_decrement(states_new, states_old, coeffs, grid) -> float:
-    """Sum of ||L_q (v+ - v)||^2 + ||C (u+ - u)||^2 over excitations."""
-    zero = ScalarField.zeros(grid)
-    total = 0.0
-    for v_new, v_old in zip(states_new, states_old):
-        delta = v_new - v_old
-        tr = boundary_trace(delta.u)
-        total += misfit_value(delta, coeffs, zero)
-        total += boundary_inner(tr, tr)
-    return total
-
-
-def _coeff_decrement(states, coeffs_new, coeffs_old, grid) -> float:
-    """Sum of ||Phi_u (q+ - q)||^2 over excitations.
-
-    Phi_u dq is L_dq (u, 0) with no source, up to the sign of its flux
-    part, which the square drops.
-    """
-    step = CoefficientPair(coeffs_new.sigma - coeffs_old.sigma,
-                           coeffs_new.mu - coeffs_old.mu)
-    zero = ScalarField.zeros(grid)
-    no_flux = FluxField.zeros(grid)
-    return sum(misfit_value(StatePair(v.u, no_flux), step, zero) for v in states)
-
-
 def adi_reconstruct(measurements, initial_q: CoefficientPair,
                     cfg: AdiConfig) -> ReconstructionReport:
     """Run the two-block alternation from a feasible initial coefficient pair.
@@ -643,6 +610,7 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
         raise ValueError("initial coefficients violate their boxes")
 
     sources = sources_from_measurements(measurements)
+    traces = [m.f for m in measurements]
     states = [StatePair.zeros(grid) for _ in measurements]
     coeffs = CoefficientPair(initial_q.sigma.copy(), initial_q.mu.copy())
 
@@ -659,47 +627,57 @@ def adi_reconstruct(measurements, initial_q: CoefficientPair,
             **{name: np.asarray(values, dtype=_SERIES[name])
                for name, values in series.items()})
 
-    record(j_history=eval_J(states, coeffs, sources, measurements,
-                            cfg.reg_sigma, cfg.reg_mu))
-    solver = _StateSolver(grid, sources, [m.f for m in measurements])
+    def residuals(vs, q):
+        """r(v, q) of every excitation: the one evaluation of a half-step."""
+        return [full_residuals(v, q, g, f) for v, g, f in zip(vs, sources, traces)]
+
+    def decrement(new, old):
+        """||r_new - r_old||^2 summed over the excitations."""
+        return squared_norm([a - b for a, b in zip(new, old)])
+
+    res = residuals(states, coeffs)
+    record(j_history=eval_J(res, coeffs, cfg.reg_sigma, cfg.reg_mu))
+    solver = _StateSolver(grid, sources, traces)
     coeff_solvers = (_CoefficientSolver(cfg.reg_sigma, grid.n),
                      _CoefficientSolver(cfg.reg_mu, grid.n))
     try:
         for k in range(cfg.max_outer):
             # -- state half-step ---------------------------------------------
+            # r is affine in v for fixed q, so r(v+, q) - r(v, q) is the
+            # step's L_q (v+ - v) and C (u+ - u).
             factored_before = solver.factor.factorizations
-            new_states, residual, pcg_iterations = solver.solve(coeffs)
+            states, residual, pcg_iterations = solver.solve(coeffs)
             factored = solver.factor.factorizations - factored_before
+            new_res = residuals(states, coeffs)
             record(state_residuals=residual,
                    state_factorizations=factored,
                    state_pcg_iterations=pcg_iterations,
                    state_start_residuals=solver.start_residual,
                    state_lu_fill=solver.factor.fill if factored else 0,
-                   state_decrement_terms=_state_decrement(new_states, states,
-                                                          coeffs, grid),
-                   j_after_state=eval_J(new_states, coeffs, sources, measurements,
-                                        cfg.reg_sigma, cfg.reg_mu))
-            states = new_states
+                   state_decrement_terms=decrement(new_res, res),
+                   j_after_state=eval_J(new_res, coeffs, cfg.reg_sigma, cfg.reg_mu))
+            res = new_res
 
             # -- coefficient half-step ---------------------------------------
+            # r is affine in q for fixed v, so r(v, q+) - r(v, q) is the
+            # step's Phi_u (q+ - q).
             update = solve_coefficient_subproblem(states, sources, cfg, coeffs,
                                                   coeff_solvers)
             new_coeffs = update.coefficients
-            grad_sigma, grad_mu = _summed_misfit_gradients(states, new_coeffs, sources)
+            new_res = residuals(states, new_coeffs)
+            grad_sigma, grad_mu = misfit_gradients(states, new_res)
             record(coeff_residual_sigma=update.fp_residual_sigma,
                    coeff_residual_mu=update.fp_residual_mu,
                    coeff_inner_iterations=update.inner_iterations,
                    coeff_factorizations=update.factorizations,
                    coeff_pcg_iterations=update.pcg_iterations,
-                   coeff_decrement_terms=_coeff_decrement(states, new_coeffs,
-                                                          coeffs, grid),
+                   coeff_decrement_terms=decrement(new_res, res),
                    bregman_values=bregman_distance(coeffs.sigma, new_coeffs.sigma,
                                                    -1.0 * grad_sigma, cfg.reg_sigma)
                    + bregman_distance(coeffs.mu, new_coeffs.mu,
                                       -1.0 * grad_mu, cfg.reg_mu),
-                   j_history=eval_J(states, new_coeffs, sources, measurements,
-                                    cfg.reg_sigma, cfg.reg_mu))
-            coeffs = new_coeffs
+                   j_history=eval_J(new_res, new_coeffs, cfg.reg_sigma, cfg.reg_mu))
+            coeffs, res = new_coeffs, new_res
             logger.debug("outer %d: J %.9e, state residual %.2e, PCG %d, "
                          "start residual %.2e, factored %s, LU fill %d, "
                          "coefficient Newton steps %d, "

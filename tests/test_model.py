@@ -95,6 +95,11 @@ def test_decoupling_is_exact(grid16, rng):
     assert np.array_equal(rm.r_flux.y_values, r0.r_flux.y_values)
 
 
+def one_J(v, q, g, f, reg=WIDE):
+    """eval_J of one excitation's residual r(v, q) against the trace f."""
+    return eval_J([full_residuals(v, q, g, f)], q, reg, reg)
+
+
 def make_measurement(grid, rng):
     return MeasurementSet(h=random_boundary(grid, rng), f=random_boundary(grid, rng))
 
@@ -103,7 +108,7 @@ def test_eval_J_values(grid16, rng):
     grid = grid16
     v, q, g = exact_triple(grid, rng)
     meas = MeasurementSet(h=random_boundary(grid, rng), f=boundary_trace(v.u))
-    assert eval_J(v, q, g, meas, WIDE, WIDE) == pytest.approx(0.0, abs=1e-20)
+    assert one_J(v, q, g, meas.f) == pytest.approx(0.0, abs=1e-20)
 
     # zero state and coefficients: J = ||g||^2 + ||f||^2 (+ phi(0) = 0)
     zero_v = StatePair.zeros(grid)
@@ -112,7 +117,7 @@ def test_eval_J_values(grid16, rng):
     meas = make_measurement(grid, rng)
     from medrec.grid import boundary_inner
     expected = cell_inner(g, g) + boundary_inner(meas.f, meas.f)
-    assert eval_J(zero_v, zero_q, g, meas, WIDE, WIDE) == pytest.approx(expected, rel=1e-12)
+    assert one_J(zero_v, zero_q, g, meas.f) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eval_J_box_violation_is_infinite(grid16, rng):
@@ -123,7 +128,7 @@ def test_eval_J_box_violation_is_infinite(grid16, rng):
     q = CoefficientPair(sigma, ScalarField.constant(grid, 1.0))
     v = StatePair.zeros(grid)
     g = ScalarField.zeros(grid)
-    assert eval_J(v, q, g, make_measurement(grid, rng), cfg, cfg) == math.inf
+    assert one_J(v, q, g, make_measurement(grid, rng).f, cfg) == math.inf
 
 
 def test_eval_J_matches_residual_norms(grid16, rng):
@@ -137,7 +142,7 @@ def test_eval_J_matches_residual_norms(grid16, rng):
     from medrec.grid import boundary_inner
     total = (cell_inner(res.r_div, res.r_div) + face_inner(res.r_flux, res.r_flux)
              + boundary_inner(res.r_data, res.r_data))
-    assert eval_J(v, q, g, meas, WIDE, WIDE) == pytest.approx(total, rel=1e-12)
+    assert one_J(v, q, g, meas.f) == pytest.approx(total, rel=1e-12)
 
 
 def test_block_midpoint_convexity(grid16, rng):
@@ -150,18 +155,18 @@ def test_block_midpoint_convexity(grid16, rng):
         va = StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
         vb = StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
         mid = StatePair(0.5 * (va.u + vb.u), 0.5 * (va.p + vb.p))
-        j_mid = eval_J(mid, q, g, meas, reg, reg)
-        j_avg = 0.5 * (eval_J(va, q, g, meas, reg, reg)
-                       + eval_J(vb, q, g, meas, reg, reg))
+        j_mid = one_J(mid, q, g, meas.f, reg)
+        j_avg = 0.5 * (one_J(va, q, g, meas.f, reg)
+                       + one_J(vb, q, g, meas.f, reg))
         assert j_mid <= j_avg + 1e-10 * (1 + abs(j_avg))
     v = StatePair(random_scalar(grid, rng), random_admissible_flux(grid, rng))
     for _ in range(5):
         qa = CoefficientPair(random_scalar(grid, rng), random_scalar(grid, rng))
         qb = CoefficientPair(random_scalar(grid, rng), random_scalar(grid, rng))
         q_mid = CoefficientPair(0.5 * (qa.sigma + qb.sigma), 0.5 * (qa.mu + qb.mu))
-        j_mid = eval_J(v, q_mid, g, meas, reg, reg)
-        j_avg = 0.5 * (eval_J(v, qa, g, meas, reg, reg)
-                       + eval_J(v, qb, g, meas, reg, reg))
+        j_mid = one_J(v, q_mid, g, meas.f, reg)
+        j_avg = 0.5 * (one_J(v, qa, g, meas.f, reg)
+                       + one_J(v, qb, g, meas.f, reg))
         assert j_mid <= j_avg + 1e-10 * (1 + abs(j_avg))
 
 

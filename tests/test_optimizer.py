@@ -8,24 +8,28 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh, splu
 
+import medrec.model as model
 import medrec.optimizer as optimizer
 
 from medrec.forward import MeasurementSet, default_excitations, generate_measurements
 from medrec.grid import (BoundaryData, FluxField, ScalarField, StaggeredGrid,
-                         average_to_faces, cell_inner, divergence_to_cells,
-                         face_inner, gradient_to_faces)
+                         average_to_faces, boundary_inner, boundary_trace,
+                         cell_inner, divergence_to_cells, face_inner,
+                         gradient_to_faces)
 from medrec.model import (CoefficientPair, StatePair, apply_L,
-                          coefficient_misfit_gradients, eval_J, misfit_value,
-                          sources_from_measurements, state_normal_apply,
-                          state_normal_residual, state_normal_rhs)
+                          coefficient_misfit_gradients, eval_J, full_residuals,
+                          misfit_value, sources_from_measurements,
+                          state_normal_apply, state_normal_residual,
+                          state_normal_rhs)
 from medrec.optimizer import (COEFF_TOL, STATE_PCG_MAX, STATE_TOL, AdiConfig,
                               ReconstructionReport, SubproblemFailure,
                               _CoefficientSolver, _KeptFactor, _StateSolver,
                               _mu_problem, _projected_start, _sigma_problem,
                               adi_reconstruct, bregman_diagnostics,
                               solve_coefficient_subproblem)
-from medrec.regularization import (RegConfig, eval_phi, eval_phi_smooth,
-                                   prox_l1_box_array, smooth_grad_phi)
+from medrec.regularization import (RegConfig, bregman_distance, eval_phi,
+                                   eval_phi_smooth, prox_l1_box_array,
+                                   smooth_grad_phi)
 from medrec.experiments import make_example
 from medrec.operators import (SPD_LU, _pcg, diffusion_matrix, factor_spd,
                               grid_operators)
@@ -991,8 +995,8 @@ def test_state_subproblem_beats_forward_state():
     v_fwd = StatePair(u_fwd, FluxField(grid, s_face.x_values * gu.x_values,
                                        s_face.y_values * gu.y_values))
     wide = RegConfig(0.0, 0.0, -1e9, 1e9)
-    j_solved = eval_J(v, truth, source, sets[0], wide, wide)
-    j_fwd = eval_J(v_fwd, truth, source, sets[0], wide, wide)
+    j_solved, j_fwd = (eval_J([full_residuals(w, truth, source, sets[0].f)], truth,
+                              wide, wide) for w in (v, v_fwd))
     assert j_solved <= j_fwd + 1e-10 * (1 + j_fwd)
 
 
@@ -1199,3 +1203,99 @@ def test_one_debug_record_per_outer_iteration(caplog):
         assert f"E {report.bregman_values[k]:.3e}" in message
         assert (f"decrements {report.state_decrement_terms[k]:.3e} (state) "
                 f"{report.coeff_decrement_terms[k]:.3e} (coefficient)") in message
+
+
+# The certificate's terms by their definitions, as adi_reconstruct once
+# computed them: each from its own residual evaluations.
+
+def direct_state_decrement(states_new, states_old, coeffs) -> float:
+    """Sum of ||L_q (v+ - v)||^2 + ||C (u+ - u)||^2 over excitations."""
+    zero = ScalarField.zeros(coeffs.sigma.grid)
+    total = 0.0
+    for v_new, v_old in zip(states_new, states_old):
+        delta = v_new - v_old
+        trace = boundary_trace(delta.u)
+        total += misfit_value(delta, coeffs, zero)
+        total += boundary_inner(trace, trace)
+    return total
+
+
+def direct_coeff_decrement(states, coeffs_new, coeffs_old) -> float:
+    """Sum of ||Phi_u (q+ - q)||^2 over excitations: L_dq (u, 0) with no
+    source, up to the sign of its flux part, which the square drops."""
+    grid = coeffs_new.sigma.grid
+    step = CoefficientPair(coeffs_new.sigma - coeffs_old.sigma,
+                           coeffs_new.mu - coeffs_old.mu)
+    zero, no_flux = ScalarField.zeros(grid), FluxField.zeros(grid)
+    return sum(misfit_value(StatePair(v.u, no_flux), step, zero) for v in states)
+
+
+def direct_bregman(states, sources, coeffs_new, coeffs_old, cfg) -> float:
+    """The Bregman distance of the coefficient step at the subgradient
+    -(summed misfit gradients at (v+, q+))."""
+    grid = coeffs_new.sigma.grid
+    gs, gm = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
+    for v, g in zip(states, sources):
+        grad_s, grad_m = coefficient_misfit_gradients(v, coeffs_new, g)
+        gs += grad_s.values
+        gm += grad_m.values
+    return (bregman_distance(coeffs_old.sigma, coeffs_new.sigma,
+                             ScalarField(grid, -gs), cfg.reg_sigma)
+            + bregman_distance(coeffs_old.mu, coeffs_new.mu,
+                               ScalarField(grid, -gm), cfg.reg_mu))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex4"])
+def test_certificate_terms_equal_their_definitions(example):
+    # The decrements are differences of one half-step's residuals and the
+    # last one's; the Bregman distance reads the misfit gradients of
+    # r(v+, q+).  Runs of 1 to 4 outer iterations give each iterate, so
+    # every entry is checked against its definition on consecutive iterates.
+    spec = make_example(example)
+    grid = StaggeredGrid(24)
+    truth = spec.rasterize(grid)
+    sets = generate_measurements(truth.sigma, truth.mu,
+                                 default_excitations(grid, spec.excitation_count),
+                                 oversample=2)
+    sources = sources_from_measurements(sets)
+    known_mu = None if spec.reconstruct_mu else spec.mu_background
+    init = CoefficientPair.constant(grid, spec.sigma_background, spec.mu_background)
+    cfg = default_config(known_mu=known_mu)
+    reports = [adi_reconstruct(sets, init, replace(cfg, max_outer=m))
+               for m in range(1, 5)]
+    last = reports[-1]
+    tol = 1e-12 * (1.0 + last.j_history[0])
+    states = [StatePair.zeros(grid) for _ in sets]
+    coeffs = init
+    for k, report in enumerate(reports):
+        # each run repeats the longest one's first iterations bit for bit
+        assert np.array_equal(report.j_history, last.j_history[:k + 2])
+        for name in ("state_decrement_terms", "coeff_decrement_terms", "bregman_values"):
+            assert np.array_equal(getattr(report, name), getattr(last, name)[:k + 1])
+        new_states, new_coeffs = report.states, report.coefficients
+        assert abs(last.state_decrement_terms[k]
+                   - direct_state_decrement(new_states, states, coeffs)) <= tol
+        assert abs(last.coeff_decrement_terms[k]
+                   - direct_coeff_decrement(new_states, new_coeffs, coeffs)) <= tol
+        assert abs(last.bregman_values[k]
+                   - direct_bregman(new_states, sources, new_coeffs, coeffs, cfg)) <= tol
+        states, coeffs = new_states, new_coeffs
+    assert last.coeff_decrement_terms.min() > 0.0
+
+
+def test_each_half_step_evaluates_its_residual_once(monkeypatch):
+    # k (1 + 3 m) residual evaluations for k excitations and m outer
+    # iterations: the start's, and per half-step one for the state solve's
+    # own check and one that J, the decrement and the gradients share.
+    grid, truth, sets = small_problem(n=12, excitations=2)
+    calls = []
+    real = model.apply_L
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "apply_L", counted)
+    init = CoefficientPair.constant(grid, 1.0, 1.0)
+    adi_reconstruct(sets, init, default_config(max_outer=5))
+    assert len(calls) == 2 * (1 + 3 * 5)
